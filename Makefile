@@ -5,7 +5,7 @@
 #   make verify       tier-1 followed by the chaos suite — the full gate
 #   make bench        quick benchmark matrix, gated against the committed baseline
 #                     (runtime AND quality); appends to BENCH_history.jsonl
-#   make bench-large  n = 10^5 packed-vs-bitset matrix (--scale large), gated
+#   make bench-large  n = 10^5 packed-kernel matrix (--scale large), gated
 #                     against the committed baseline's large cells (runtime,
 #                     quality, and peak RSS)
 #   make trace-smoke  traced solves (plain + --isolate), schema-validated

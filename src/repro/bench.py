@@ -9,23 +9,22 @@ committed baseline:
 * ``bench_fig5_datasize`` — CWSC and CMC swept across dataset sizes
   (the shape behind Fig. 5's runtime-vs-data-size curves).
 
-Each benchmark runs on every available marginal-tracker backend
-(``set``, ``bitset``, and — with numpy >= 2.0 — ``packed``; see
-:mod:`repro.core.marginal`), so the report also carries the
-cross-backend speedups per workload. Per-system caches (mask table,
-owners index, canonical keys, the columnar packed layout, CMC's sorted
-heap entries) are warmed *explicitly* before the first measurement of
-each workload (:func:`warm_system_caches`) — relying on ``warmup=1``
+Each benchmark runs on both marginal-tracker backends (the ``packed``
+production kernel and the ``set`` reference oracle; see
+:mod:`repro.core.marginal`), so the report also carries the packed
+speedup over set per workload. Per-system caches (canonical keys, the
+columnar packed layout, CMC's sorted heap entries) are warmed
+*explicitly* before the first measurement of each workload
+(:func:`warm_system_caches`) — relying on ``warmup=1``
 left the first cell of every workload paying the cache builds, which
 showed up as a cold-run outlier in committed baselines. Timings then
 use ``warmup`` un-timed iterations followed by ``repeat`` timed ones;
 the *median* is the comparison statistic, which makes single-run noise
 spikes harmless.
 
-Two scales beyond the CI pair probe the large-``n`` regime: ``large``
-(n = 10^5 LBL rows, ``bitset`` vs ``packed`` — the ``make bench-large``
-/ CI smoke workload) and ``xlarge`` (a synthetic n = 10^6 universe,
-packed-only, opt-in).
+Two packed-only scales beyond the CI pair probe the large-``n`` regime:
+``large`` (n = 10^5 LBL rows — the ``make bench-large`` / CI smoke
+workload) and ``xlarge`` (a synthetic n = 10^6 universe, opt-in).
 
 Regression checking is tolerance-based, not exact: CI machines jitter,
 so ``--check`` only fails when a benchmark's median exceeds
@@ -111,7 +110,7 @@ _SOLVERS: dict[str, Callable[..., CoverResult]] = {
 
 #: Workload sizes (generated LBL-trace rows) and solver pools per scale.
 #: A scale may also pin its own ``backends`` (the large scales drop the
-#: ``set`` backend, whose per-solve index build dominates at n >= 10^5)
+#: ``set`` backend, which is too slow at n >= 10^5)
 #: and ``workloads`` (the large scales only run the Table-5 shape), and
 #: mark itself ``synthetic`` (universe sizes beyond the LBL generator).
 _SCALES: dict[str, dict] = {
@@ -123,7 +122,7 @@ _SCALES: dict[str, dict] = {
     "large": {
         "sizes": (100_000,),
         "solvers": ("cwsc", "cmc"),
-        "backends": ("bitset", "packed"),
+        "backends": ("packed",),
         "workloads": ("bench_table5_runtime",),
     },
     "xlarge": {
@@ -135,22 +134,12 @@ _SCALES: dict[str, dict] = {
     },
 }
 
-BACKENDS = ("set", "bitset", "packed")
+BACKENDS = ("set", "packed")
 
 #: Skip the LP lower bound above this size: one LP solve on the
 #: n = 10^5 instance costs more than the whole benchmark matrix, and the
 #: large scales gate on runtime/memory, not approximation ratio.
 LP_BOUND_MAX_ROWS = 20_000
-
-
-def available_backends() -> tuple[str, ...]:
-    """:data:`BACKENDS` minus ``packed`` when numpy lacks
-    ``np.bitwise_count`` (numpy < 2.0 or absent)."""
-    from repro.core.packed import HAVE_NUMPY
-
-    if HAVE_NUMPY:
-        return BACKENDS
-    return tuple(b for b in BACKENDS if b != "packed")
 
 
 @dataclass(frozen=True)
@@ -274,23 +263,17 @@ def warm_system_caches(system: SetSystem, backends: Iterable[str]) -> None:
     Called once per workload instance before its first measurement.
     Warming used to lean on ``warmup=1``, but with ``warmup=0`` — or
     when a cache is shared across cells — the *first* cell of a workload
-    paid the mask-table/owners-index/canonical-key builds inside its
-    timed loop and showed up as a cold-run outlier in committed
-    baselines. The set is backend-aware: the packed columnar layout is
-    only built when a ``packed`` cell will run, and the Python-int mask
-    table only for ``set``/``bitset`` cells.
+    paid the layout/canonical-key builds inside its timed loop and
+    showed up as a cold-run outlier in committed baselines. The set is
+    backend-aware: the packed columnar layout is only built when a
+    ``packed`` cell will run (the ``set`` tracker keeps no per-system
+    cache).
     """
-    backends = set(backends)
     from repro.core.cmc import _sorted_entries
     from repro.core.greedy_common import canonical_keys
 
     canonical_keys(system)
     _sorted_entries(system)
-    if backends & {"set", "bitset"}:
-        from repro.core.bitset import mask_table, owners_index
-
-        mask_table(system)
-        owners_index(system)
     if "packed" in backends:
         from repro.core.packed import canonical_ranks, packed_layout
 
@@ -399,15 +382,13 @@ def run_benchmarks(
     ----------
     scale:
         ``"quick"`` (small sizes, CI smoke), ``"full"`` (paper sizes),
-        ``"large"`` (n = 10^5, bitset vs packed), or ``"xlarge"``
+        ``"large"`` (n = 10^5, packed only), or ``"xlarge"``
         (synthetic n = 10^6, packed only).
     repeat / warmup:
         Timed iterations per case / un-timed cache-warming iterations.
     backends:
         Subset of :data:`BACKENDS` to measure. ``None`` (default) takes
-        the scale's backend pool intersected with
-        :func:`available_backends`; requesting ``packed`` explicitly
-        without numpy >= 2.0 is an error, never a silent skip.
+        the scale's backend pool.
     name_filter:
         Substring filter on bench ids (``--filter``).
     sizes:
@@ -425,17 +406,8 @@ def run_benchmarks(
                 raise ValidationError(
                     f"unknown backend {backend!r}; known: {list(BACKENDS)}"
                 )
-            if backend not in available_backends():
-                raise ValidationError(
-                    f"backend {backend!r} requires numpy >= 2.0 "
-                    "(np.bitwise_count)"
-                )
     cases = default_cases(scale, sizes=sizes, backends=backends)
     spec = _SCALES[scale]
-    if backends is None:
-        # Scale default: drop packed cells quietly when numpy is absent.
-        avail = available_backends()
-        cases = [c for c in cases if c.backend in avail]
     if name_filter:
         cases = [c for c in cases if name_filter in c.bench_id]
     synthetic = bool(spec.get("synthetic"))
@@ -483,36 +455,26 @@ def run_benchmarks(
         "python": platform.python_version(),
         "benchmarks": benchmarks,
         "speedups": _speedups(cases, benchmarks),
-        "packed_speedups": _speedups(
-            cases, benchmarks, fast="packed", slow="bitset"
-        ),
     }
 
 
 def _speedups(
-    cases: list[BenchCase],
-    benchmarks: dict[str, dict],
-    fast: str = "bitset",
-    slow: str = "set",
+    cases: list[BenchCase], benchmarks: dict[str, dict]
 ) -> dict[str, float]:
-    """Cross-backend speedup (``slow`` median / ``fast`` median) per
+    """Packed speedup over set (set median / packed median) per
     workload; a workload missing either backend is skipped."""
     speedups: dict[str, float] = {}
     for case in cases:
-        if case.speedup_id in speedups or case.backend != fast:
+        if case.speedup_id in speedups or case.backend != "packed":
             continue
-        fast_entry = benchmarks.get(case.bench_id)
-        slow_entry = benchmarks.get(
-            BenchCase(case.workload, case.solver, case.n_rows, slow).bench_id
+        packed = benchmarks.get(case.bench_id)
+        reference = benchmarks.get(
+            BenchCase(case.workload, case.solver, case.n_rows, "set").bench_id
         )
-        if (
-            fast_entry is None
-            or slow_entry is None
-            or not fast_entry["median_seconds"]
-        ):
+        if not (packed and reference and packed["median_seconds"]):
             continue
         speedups[case.speedup_id] = (
-            slow_entry["median_seconds"] / fast_entry["median_seconds"]
+            reference["median_seconds"] / packed["median_seconds"]
         )
     return speedups
 
@@ -623,7 +585,7 @@ def history_entry(report: dict, wall_time_unix: float | None = None) -> dict:
     """Condense one report into a BENCH_history.jsonl line.
 
     The history keeps only what trends need — per-cell median, quality
-    ratio, coverage slack, feasibility, and the cross-backend speedups —
+    ratio, coverage slack, feasibility, and the packed-over-set speedups —
     so the file stays a few hundred bytes per run and a year of CI
     appends is still instantly loadable by the dashboard.
     """
@@ -648,7 +610,6 @@ def history_entry(report: dict, wall_time_unix: float | None = None) -> dict:
         "python": report.get("python"),
         "cells": cells,
         "speedups": report.get("speedups", {}),
-        "packed_speedups": report.get("packed_speedups", {}),
     }
 
 
@@ -677,13 +638,8 @@ def render_report(report: dict) -> str:
         )
     if report["speedups"]:
         lines.append("")
-        lines.append("bitset speedup over set backend (median/median):")
+        lines.append("packed speedup over set backend (median/median):")
         for speedup_id, ratio in report["speedups"].items():
-            lines.append(f"  {speedup_id:56s} {ratio:6.2f}x")
-    if report.get("packed_speedups"):
-        lines.append("")
-        lines.append("packed speedup over bitset backend (median/median):")
-        for speedup_id, ratio in report["packed_speedups"].items():
             lines.append(f"  {speedup_id:56s} {ratio:6.2f}x")
     quality_lines = []
     for bench_id, entry in report["benchmarks"].items():
@@ -732,12 +688,10 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=("all", "both") + BACKENDS,
+        choices=("all",) + BACKENDS,
         default="all",
         help="marginal-tracker backend(s) to measure: 'all' (default) "
-        "takes the scale's backend pool, skipping packed when numpy is "
-        "absent; 'both' is the legacy set+bitset pair; or one backend "
-        "by name (requesting packed without numpy >= 2.0 is an error)",
+        "takes the scale's backend pool, or one backend by name",
     )
     parser.add_argument(
         "--filter",
@@ -818,12 +772,7 @@ def run_from_args(args: argparse.Namespace) -> int:
     # getattr default: hand-built Namespaces predating the packed
     # backend pick the scale's own pool, like the CLI default.
     backend_arg = getattr(args, "backend", "all")
-    if backend_arg == "all":
-        backends = None
-    elif backend_arg == "both":
-        backends = ("set", "bitset")
-    else:
-        backends = (backend_arg,)
+    backends = None if backend_arg == "all" else (backend_arg,)
     report = run_benchmarks(
         scale=scale,
         repeat=args.repeat,

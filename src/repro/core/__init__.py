@@ -18,7 +18,6 @@ Every solver accepts an optional ``deadline``
 it expires.
 """
 
-from repro.core.bitset import Bitset, BitsetUniverse, mask_table
 from repro.core.budget import (
     LevelScheme,
     budget_schedule,
@@ -34,7 +33,6 @@ from repro.core.fallbacks import greedy_partial, universal_result
 from repro.core.lp_bound import LPRelaxation, lp_lower_bound, solve_lp_relaxation
 from repro.core.lp_rounding import lp_rounding
 from repro.core.marginal import (
-    BitsetMarginalTracker,
     MarginalTracker,
     make_tracker,
     resolve_backend,
@@ -47,9 +45,6 @@ from repro.core.setsystem import SetSystem, WeightedSet
 
 __all__ = [
     "COVERAGE_DISCOUNT",
-    "Bitset",
-    "BitsetMarginalTracker",
-    "BitsetUniverse",
     "CoverResult",
     "LPRelaxation",
     "LevelScheme",
@@ -68,7 +63,6 @@ __all__ = [
     "lp_lower_bound",
     "lp_rounding",
     "make_tracker",
-    "mask_table",
     "merged_levels",
     "prune_redundant",
     "remove_dominated",

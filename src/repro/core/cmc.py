@@ -82,7 +82,7 @@ def cmc(
         heap pop; expiry raises :class:`~repro.errors.DeadlineExceeded`
         with the current round's partial selection attached.
     backend:
-        Marginal-tracker backend (``"set"``, ``"bitset"``, ``"auto"``);
+        Marginal-tracker backend (``"set"``, ``"packed"``, ``"auto"``);
         defaults to the auto/env selection of
         :func:`repro.core.marginal.resolve_backend`. All backends
         select identical sets with identical metrics.
@@ -230,9 +230,9 @@ def _driver_body(
             # Fig. 1 lines 3-5: every round recomputes the marginal benefit
             # of every candidate set from scratch. (A shared tracker with
             # :meth:`MarginalTracker.reset` would amortize this, but the
-            # unoptimized algorithm the paper measures does not. The bitset
+            # unoptimized algorithm the paper measures does not. The packed
             # backend keeps the per-round rebuild but reuses the cached
-            # mask table, which is what makes restarts cheap.)
+            # columnar layout, which is what makes restarts cheap.)
             with (
                 obs_trace.span(
                     "preprocess", op="make_tracker", backend=tracker_backend

@@ -66,7 +66,7 @@ def cwsc(
         :class:`~repro.errors.DeadlineExceeded` with the best partial
         result attached.
     backend:
-        Marginal-tracker backend (``"set"``, ``"bitset"``, ``"auto"``);
+        Marginal-tracker backend (``"set"``, ``"packed"``, ``"auto"``);
         defaults to the auto/env selection of
         :func:`repro.core.marginal.resolve_backend`. All backends
         select identical sets with identical metrics.

@@ -28,7 +28,6 @@ import time
 
 import numpy as np
 
-from repro.core.bitset import mask_table
 from repro.core.fallbacks import greedy_partial
 from repro.core.greedy_common import canonical_keys, gain_key
 from repro.core.lp_bound import solve_lp_relaxation
@@ -228,9 +227,7 @@ def _repair(
     drops nothing: removing redundant sets is a separate concern and the
     experiment reports the raw rounding behaviour.
     """
-    # Bitmask union over the cached mask table: every trial re-checks
-    # its rounding here, so the fast path must not pay per element.
-    if mask_table(system).coverage_of(chosen) >= required:
+    if system.coverage_of(chosen) >= required:
         return list(chosen)
 
     tracker = make_tracker(system, metrics=metrics)

@@ -6,32 +6,25 @@ yet covered by the partial solution ``S``. A naive implementation recomputes
 ``Ben(s) \\ covered`` for every set after every selection (the loops in
 Fig. 1 lines 24–27 and Fig. 2 lines 12–15).
 
-Three interchangeable trackers implement the bookkeeping:
+Two interchangeable trackers implement the bookkeeping:
 
-* :class:`MarginalTracker` — a static inverted index ``element -> sets
-  containing it`` plus per-set marginal *counts*, so selecting a set only
-  touches the sets that actually intersect it (the standard lazy
-  implementation of greedy set cover). Cheapest on small instances.
-* :class:`BitsetMarginalTracker` — the packed-bitset kernel
-  (:mod:`repro.core.bitset`): benefits live as int bitmasks, selection
-  updates are word-wide AND/popcount sweeps, and the mask table is cached
-  per system so CMC's per-budget-round rebuilds cost a handful of
-  popcounts instead of an O(sum |Ben|) index rebuild. Wins by a wide
-  margin on figure-scale instances.
-* :class:`~repro.core.packed.PackedMarginalTracker` — the columnar
-  numpy kernel (:mod:`repro.core.packed`): benefits live in a
+* :class:`~repro.core.packed.PackedMarginalTracker` — the production
+  kernel (:mod:`repro.core.packed`): benefits live in a columnar
   ``(n_sets, ceil(n/64))`` ``uint64`` matrix (dense or CSR-blocked by
   density), selection updates are vectorized gather/AND/popcount
   passes with no per-set Python, and the solvers use its vectorized
-  argmax helpers instead of scanning ``live_items()``. Wins once the
-  universe passes ~10^4 elements; requires numpy >= 2.0.
+  argmax helpers instead of scanning ``live_items()``.
+* :class:`MarginalTracker` — the reference oracle: a static inverted
+  index ``element -> sets containing it`` plus per-set marginal
+  *counts*, so selecting a set only touches the sets that actually
+  intersect it (the standard lazy implementation of greedy set cover).
+  Its constants win only on tiny instances.
 
-All three produce **identical selections and identical metrics
-counters** — property-tested in ``tests/property/test_props_bitset.py``
-— so :func:`make_tracker` is free to pick by instance size
-(overridable via its ``backend`` argument or the
-``REPRO_SETCOVER_BACKEND`` environment variable; see
-docs/PERFORMANCE.md).
+Both produce **identical selections and identical metrics counters** —
+property-tested in ``tests/property/test_props_backend.py`` — so
+:func:`make_tracker` is free to pick by instance size (overridable via
+its ``backend`` argument or the ``REPRO_SETCOVER_BACKEND`` environment
+variable; see docs/PERFORMANCE.md).
 
 CMC restarts from scratch for every budget guess ``B``; :meth:`reset`
 supports that without rebuilding the static structures.
@@ -43,30 +36,24 @@ import os
 from typing import Iterable, Literal
 
 from repro._typing import ElementId, SetId
-from repro.core.bitset import iter_bits, mask_table, owners_index
 from repro.core.result import Metrics
 from repro.core.setsystem import SetSystem
 from repro.errors import ValidationError
 from repro.obs import trace as obs_trace
 
-TrackerBackend = Literal["auto", "set", "bitset", "packed"]
+TrackerBackend = Literal["auto", "set", "packed"]
 
 #: Backend names accepted by :func:`resolve_backend`.
-KNOWN_BACKENDS = ("auto", "set", "bitset", "packed")
+KNOWN_BACKENDS = ("auto", "set", "packed")
 
 #: Environment override for the default tracker backend.
 BACKEND_ENV_VAR = "REPRO_SETCOVER_BACKEND"
 
-#: ``auto`` switches away from the inverted index once
-#: ``n_elements * n_sets`` reaches this many cells — below it the
-#: per-element dict index has less constant overhead, above it packed
-#: kernels dominate.
-AUTO_BITSET_MIN_CELLS = 1 << 16
-
-#: ``auto`` prefers the columnar packed kernel (when numpy is present
-#: and memory allows) from this many cells — around the scale where the
-#: bitset kernel's per-set Python loops become the bottleneck.
-AUTO_PACKED_MIN_CELLS = 1 << 24
+#: ``auto`` picks the packed kernel from this many ``n_elements *
+#: n_sets`` cells. Below it the inverted index's constants can win, by
+#: a few milliseconds per solve at most; docs/PERFORMANCE.md §3 records
+#: the cold set-vs-packed sweep behind the number.
+AUTO_PACKED_MIN_CELLS = 1 << 12
 
 #: ``auto`` only picks ``packed`` when the estimated layout footprint
 #: stays below this fraction of ``MemAvailable``.
@@ -228,192 +215,6 @@ class MarginalTracker:
         return len(newly)
 
 
-class BitsetMarginalTracker:
-    """Bitset-backed drop-in for :class:`MarginalTracker`.
-
-    Same API, same selections, same metrics counters; the representation
-    is the packed kernel of :mod:`repro.core.bitset`. Selecting a set
-    sweeps the live candidates with one AND + popcount each (word-wide C
-    loops) instead of per-element dict updates, and construction reuses
-    the per-system mask table, so CMC budget rounds restart for the cost
-    of one popcount per candidate.
-    """
-
-    backend_name = "bitset"
-
-    def __init__(
-        self,
-        system: SetSystem,
-        restrict_to: Iterable[SetId] | None = None,
-        metrics: Metrics | None = None,
-    ) -> None:
-        self._system = system
-        self._metrics = metrics if metrics is not None else Metrics()
-        table = mask_table(system)
-        self._universe = table.universe
-        self._masks = table.masks
-        ids = range(system.n_sets) if restrict_to is None else list(restrict_to)
-        self._tracked: list[SetId] = [
-            set_id for set_id in ids if self._masks[set_id]
-        ]
-        self._sizes = table.sizes
-        self._owners = owners_index(system)
-        self._table = table
-        # Select-strategy constants: one owners-index update costs about
-        # one dict op; one sweep step is an AND + popcount whose word
-        # loop runs in C, so it only costs a few dict-op equivalents
-        # even for wide universes. Both strategies apply identical
-        # count updates.
-        n = max(1, system.n_elements)
-        self._avg_owners = sum(self._sizes) / n
-        self._sweep_step = 1.0 + ((n + 63) >> 6) / 64.0
-        # Mutable per-round state.
-        self._mben_count: dict[SetId, int] = {}
-        self._covered_mask = 0
-        self.reset()
-
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Restore the empty-solution state (new CMC budget round)."""
-        sizes = self._sizes
-        self._mben_count = {
-            set_id: sizes[set_id] for set_id in self._tracked
-        }
-        self._covered_mask = 0
-        self._metrics.sets_considered += len(self._tracked)
-
-    # ------------------------------------------------------------------
-    @property
-    def metrics(self) -> Metrics:
-        """The metrics object this tracker accounts work into."""
-        return self._metrics
-
-    @property
-    def covered(self) -> frozenset[ElementId]:
-        """Elements covered by all selections so far this round."""
-        return self._universe.unpack(self._covered_mask)
-
-    @property
-    def covered_mask(self) -> int:
-        """Packed form of :attr:`covered` (no materialization)."""
-        return self._covered_mask
-
-    @property
-    def covered_count(self) -> int:
-        """``|covered|`` without copying."""
-        return self._covered_mask.bit_count()
-
-    @property
-    def live_ids(self) -> list[SetId]:
-        """Ids of sets with non-empty marginal benefit, ascending."""
-        return sorted(self._mben_count)
-
-    def live_items(self) -> list[tuple[SetId, int]]:
-        """``(set_id, |MBen|)`` pairs for all live sets, unordered."""
-        return list(self._mben_count.items())
-
-    def __contains__(self, set_id: SetId) -> bool:
-        return set_id in self._mben_count
-
-    def __len__(self) -> int:
-        return len(self._mben_count)
-
-    def marginal_size(self, set_id: SetId) -> int:
-        """``|MBen(s, S)|`` for a live set; 0 for an evicted one."""
-        return self._mben_count.get(set_id, 0)
-
-    def marginal_benefit(self, set_id: SetId) -> frozenset[ElementId]:
-        """A snapshot of ``MBen(s, S)``, materialized on demand."""
-        if set_id not in self._mben_count:
-            return frozenset()
-        return frozenset(
-            iter_bits(self._masks[set_id] & ~self._covered_mask)
-        )
-
-    def marginal_gain(self, set_id: SetId) -> float:
-        """``MGain(s, S) = |MBen(s, S)| / Cost(s)``."""
-        size = self.marginal_size(set_id)
-        cost = self._system[set_id].cost
-        if cost == 0:
-            return float("inf") if size else 0.0
-        return size / cost
-
-    def drop(self, set_id: SetId) -> None:
-        """Remove a set from consideration without selecting it."""
-        self._mben_count.pop(set_id, None)
-
-    def select(self, set_id: SetId) -> int:
-        """Mark a set as chosen; returns the number of newly covered elements.
-
-        Three update strategies, chosen per call by estimated cost, all
-        applying the exact decrements of the inverted-index tracker (a
-        live candidate loses ``|newly & Ben(candidate)|``), so
-        ``marginal_updates`` stays identical across backends:
-
-        * **exhaustion** — when the covered mask swallows the union of
-          every benefit set, each live candidate loses exactly its
-          remaining count, so the counts just sum and clear;
-        * **owners walk** — per newly covered element, decrement the
-          sets that own it (cheap when few elements flip);
-        * **mask sweep** — per live candidate, one AND + popcount
-          against the newly-covered mask (cheap when the flip is wide
-          and candidates are few).
-        """
-        counts = self._mben_count
-        counts.pop(set_id, None)
-        self._metrics.selections += 1
-        newly_mask = self._masks[set_id] & ~self._covered_mask
-        newly = newly_mask.bit_count()
-        if not newly:
-            return 0
-        self._covered_mask |= newly_mask
-        updates = 0
-        if self._table.full_union() & ~self._covered_mask == 0:
-            strategy = "exhaustion"
-            updates = sum(counts.values())
-            counts.clear()
-        elif newly * self._avg_owners <= len(counts) * self._sweep_step:
-            strategy = "owners_walk"
-            owners = self._owners
-            for element in iter_bits(newly_mask):
-                for other in owners[element]:
-                    remaining = counts.get(other)
-                    if remaining is None:
-                        continue
-                    updates += 1
-                    if remaining == 1:
-                        del counts[other]
-                    else:
-                        counts[other] = remaining - 1
-        else:
-            strategy = "mask_sweep"
-            masks = self._masks
-            evicted: list[SetId] = []
-            for other, remaining in counts.items():
-                overlap = (masks[other] & newly_mask).bit_count()
-                if not overlap:
-                    continue
-                updates += overlap
-                if overlap == remaining:
-                    evicted.append(other)
-                else:
-                    counts[other] = remaining - overlap
-            for other in evicted:
-                del counts[other]
-        self._metrics.marginal_updates += updates
-        if obs_trace.enabled():
-            obs_trace.event(
-                "tracker_update",
-                backend="bitset",
-                strategy=strategy,
-                set_id=set_id,
-                newly_covered=newly,
-                updates=updates,
-                live=len(counts),
-            )
-        return newly
-
-
 def _available_memory_bytes() -> int | None:
     """``MemAvailable`` from /proc/meminfo; None when unknowable."""
     try:
@@ -442,25 +243,17 @@ def _packed_layout_bytes(system: SetSystem) -> int:
 def resolve_backend(
     system: SetSystem, backend: TrackerBackend | None = None
 ) -> str:
-    """Resolve ``backend`` to ``"set"``, ``"bitset"``, or ``"packed"``.
+    """Resolve ``backend`` to ``"set"`` or ``"packed"``.
 
     Precedence: the explicit ``backend`` argument wins, then the
     ``REPRO_SETCOVER_BACKEND`` environment variable, then ``"auto"``.
-    An explicit (argument or env) ``"packed"`` without a capable numpy
-    raises :class:`~repro.errors.ValidationError` — a requested backend
-    never silently degrades.
 
-    Auto picks by instance shape, density, and available memory:
-
-    * below :data:`AUTO_BITSET_MIN_CELLS` element-set cells the plain
-      inverted index wins on constants — ``"set"``;
-    * from :data:`AUTO_PACKED_MIN_CELLS` cells, if numpy >= 2.0 is
-      importable and the estimated columnar footprint (the cheaper of
-      dense and CSR forms, so sparse instances qualify even when the
-      dense matrix would not) fits within
-      :data:`AUTO_PACKED_MEM_FRACTION` of ``MemAvailable`` —
-      ``"packed"``;
-    * otherwise ``"bitset"``.
+    Auto picks ``"packed"`` from :data:`AUTO_PACKED_MIN_CELLS`
+    element-set cells, unless no layout is cached yet and the estimated
+    columnar footprint (the cheaper of the dense and CSR forms, so
+    sparse instances qualify even when the dense matrix would not)
+    exceeds :data:`AUTO_PACKED_MEM_FRACTION` of ``MemAvailable``;
+    otherwise ``"set"``.
     """
     choice = backend or os.environ.get(BACKEND_ENV_VAR) or "auto"
     if choice not in KNOWN_BACKENDS:
@@ -468,31 +261,21 @@ def resolve_backend(
             f"unknown tracker backend {choice!r}; "
             f"expected one of {', '.join(repr(b) for b in KNOWN_BACKENDS)}"
         )
-    if choice == "packed":
-        from repro.core.packed import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            raise ValidationError(
-                "tracker backend 'packed' requires numpy >= 2.0 "
-                "(np.bitwise_count); use 'bitset' or 'auto' instead"
-            )
+    if choice != "auto":
         return choice
-    if choice == "auto":
-        cells = system.n_elements * system.n_sets
-        if cells < AUTO_BITSET_MIN_CELLS:
-            return "set"
-        if cells >= AUTO_PACKED_MIN_CELLS:
-            from repro.core.packed import HAVE_NUMPY
+    if system.n_elements * system.n_sets < AUTO_PACKED_MIN_CELLS:
+        return "set"
+    from repro.core.packed import cached_layout
 
-            if HAVE_NUMPY:
-                budget = _available_memory_bytes()
-                if budget is None or (
-                    _packed_layout_bytes(system)
-                    <= AUTO_PACKED_MEM_FRACTION * budget
-                ):
-                    return "packed"
-        return "bitset"
-    return choice
+    if cached_layout(system) is not None:
+        # The layout's memory is already spent; skip the O(m) estimate.
+        return "packed"
+    budget = _available_memory_bytes()
+    if budget is not None and (
+        _packed_layout_bytes(system) > AUTO_PACKED_MEM_FRACTION * budget
+    ):
+        return "set"
+    return "packed"
 
 
 def make_tracker(
@@ -503,18 +286,13 @@ def make_tracker(
 ):
     """Build the marginal tracker for a system, choosing the backend.
 
-    See :func:`resolve_backend` for the selection rules. All backends
+    See :func:`resolve_backend` for the selection rules. Both backends
     yield identical selections and metrics; only speed differs.
     """
-    resolved = resolve_backend(system, backend)
-    if resolved == "packed":
+    if resolve_backend(system, backend) == "packed":
         from repro.core.packed import PackedMarginalTracker
 
         return PackedMarginalTracker(
-            system, restrict_to=restrict_to, metrics=metrics
-        )
-    if resolved == "bitset":
-        return BitsetMarginalTracker(
             system, restrict_to=restrict_to, metrics=metrics
         )
     return MarginalTracker(system, restrict_to=restrict_to, metrics=metrics)

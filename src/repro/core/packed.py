@@ -1,15 +1,12 @@
-"""Columnar packed coverage kernel (numpy ``uint64``) — the third backend.
+"""Columnar packed coverage kernel (numpy ``uint64``) — the production
+marginal tracker.
 
-The big-int bitset kernel (:mod:`repro.core.bitset`) wins by packing one
-set's elements into one arbitrary-precision integer, but every *sweep*
-over candidates is still a Python loop: one ``&``/``bit_count`` pair per
-live set. Past ~10\\ :sup:`4` elements that loop dominates. This module
-goes one layer lower: the whole system becomes a columnar
-``(n_sets, ceil(n/64))`` matrix of ``uint64`` words, stored dense when
-small enough and CSR-blocked by density otherwise (only a set's nonzero
-words are kept), so a selection updates *every* live marginal with a
-handful of vectorized gather / AND / ``np.bitwise_count`` / ``bincount``
-passes — no per-set Python at all.
+A set's benefit becomes one row of a columnar ``(n_sets, ceil(n/64))``
+matrix of ``uint64`` words, stored dense when small enough and
+CSR-blocked by density otherwise (only a set's nonzero words are kept),
+so a selection updates *every* live marginal with a handful of
+vectorized gather / AND / ``np.bitwise_count`` / ``bincount`` passes —
+no per-set Python at all.
 
 Three layers:
 
@@ -26,8 +23,8 @@ Three layers:
 * :class:`PackedMarginalTracker` — the drop-in tracker
   (:func:`repro.core.marginal.make_tracker` backend ``"packed"``): same
   API, same selections, same :class:`~repro.core.result.Metrics`
-  counters as the ``set`` and ``bitset`` backends, property-tested in
-  ``tests/property/test_props_bitset.py``.
+  counters as the ``set`` reference oracle, property-tested in
+  ``tests/property/test_props_backend.py``.
 * :class:`VectorSelectMixin` — vectorized argmax helpers
   (:meth:`~VectorSelectMixin.best_gain_candidate` for CWSC's
   threshold/gain selection, :meth:`~VectorSelectMixin.best_benefit_in`
@@ -35,16 +32,12 @@ Three layers:
   tie-breaks of :mod:`repro.core.greedy_common`, shared with the
   parent-side sharded tracker.
 
-numpy is optional: everything degrades behind :data:`HAVE_NUMPY`
-(``np.bitwise_count`` requires numpy >= 2.0), and requesting the packed
-backend without it raises
-:class:`~repro.errors.ValidationError` instead of importing lazily and
-crashing mid-solve.
+``np.bitwise_count`` needs numpy >= 2.0, which the package pins.
 
 Nothing here imports :mod:`repro.core.setsystem` — builders duck-type
-``system.n_elements`` / ``system.sets`` exactly like the bitset kernel —
-so :meth:`SetSystem.coverage_of` can consult :func:`cached_layout`
-without an import cycle.
+``system.n_elements`` / ``system.sets`` — so
+:meth:`SetSystem.coverage_of` can consult :func:`cached_layout` without
+an import cycle.
 """
 
 from __future__ import annotations
@@ -52,23 +45,15 @@ from __future__ import annotations
 import weakref
 from typing import Iterable
 
+import numpy as np
+
 from repro._typing import ElementId, SetId
 from repro.core.greedy_common import canonical_keys
 from repro.core.result import Metrics
 from repro.errors import ValidationError
 from repro.obs import trace as obs_trace
 
-try:  # pragma: no cover - exercised via HAVE_NUMPY gating
-    import numpy as np
-except ImportError:  # pragma: no cover - container always ships numpy
-    np = None  # type: ignore[assignment]
-
-#: Whether the packed kernel is usable: numpy >= 2.0 (vectorized
-#: ``np.bitwise_count``) must be importable.
-HAVE_NUMPY = bool(np is not None and hasattr(np, "bitwise_count"))
-
 __all__ = [
-    "HAVE_NUMPY",
     "DENSE_BYTE_CAP",
     "PackedLayout",
     "PackedMarginalTracker",
@@ -85,14 +70,6 @@ __all__ = [
 #: paper-scale instances are extremely sparse (density ~1e-4 at
 #: n = 10^5), where dense would need gigabytes for megabytes of data.
 DENSE_BYTE_CAP = 32 * 1024 * 1024
-
-
-def _require_numpy(what: str) -> None:
-    if not HAVE_NUMPY:
-        raise ValidationError(
-            f"{what} requires numpy >= 2.0 (np.bitwise_count); "
-            "install numpy or use the 'set'/'bitset' backends"
-        )
 
 
 def _mask_elements(words) -> "np.ndarray":
@@ -179,14 +156,8 @@ class PackedLayout:
     @classmethod
     def build(cls, system, dense_byte_cap: int = DENSE_BYTE_CAP
               ) -> "PackedLayout":
-        """Pack a set system directly from its benefit sets.
-
-        Deliberately does *not* go through the big-int mask table: at
-        n = 10^5 that table costs ~46 s to build, while this scatter
-        build is a single ``argsort`` + ``reduceat`` over the
-        (set, element) pairs.
-        """
-        _require_numpy("PackedLayout")
+        """Pack a set system directly from its benefit sets: a single
+        ``argsort`` + ``reduceat`` over the (set, element) pairs."""
         sets = system.sets
         n = int(system.n_elements)
         m = len(sets)
@@ -357,7 +328,7 @@ class PackedLayout:
 
 
 # ----------------------------------------------------------------------
-# Per-system caches (the weak-cache idiom of bitset.py / greedy_common)
+# Per-system caches (the weak-cache idiom of greedy_common)
 # ----------------------------------------------------------------------
 _LAYOUT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _SHARD_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -409,11 +380,10 @@ def packed_layout(system) -> PackedLayout:
 def cached_layout(system) -> PackedLayout | None:
     """The cached layout if one exists; never triggers a build.
 
-    :meth:`SetSystem.coverage_of` consults this first so that a
-    packed-only run never pays for the big-int mask table.
+    :meth:`SetSystem.coverage_of` consults this first and otherwise
+    takes a frozenset union, so a coverage check never pays for a
+    layout build.
     """
-    if not HAVE_NUMPY:
-        return None
     try:
         return _LAYOUT_CACHE.get(system)
     except TypeError:
@@ -565,11 +535,11 @@ class VectorSelectMixin:
 # The tracker
 # ----------------------------------------------------------------------
 class PackedMarginalTracker(VectorSelectMixin):
-    """Columnar drop-in for the ``set``/``bitset`` marginal trackers.
+    """Columnar drop-in for the ``set`` marginal tracker.
 
     Same API, same selections, same metrics counters
     (``marginal_updates`` counts, for every live candidate, the exact
-    ``|newly & Ben(candidate)|`` decrement — the invariant all three
+    ``|newly & Ben(candidate)|`` decrement — the invariant both
     backends share). ``layout`` lets the sharded pool substitute a
     shard-restricted layout; set ids and costs stay global either way.
     """
@@ -583,7 +553,6 @@ class PackedMarginalTracker(VectorSelectMixin):
         metrics: Metrics | None = None,
         layout: PackedLayout | None = None,
     ) -> None:
-        _require_numpy("PackedMarginalTracker")
         self._system = system
         self._metrics = metrics if metrics is not None else Metrics()
         self._layout = layout if layout is not None else packed_layout(system)
@@ -774,7 +743,7 @@ class PackedMarginalTracker(VectorSelectMixin):
                 minlength=layout.n_sets,
             ).astype(np.int64)
         # Only live candidates take decrements (matching the dict-based
-        # backends, where evicted sets are simply absent).
+        # reference, where evicted sets are simply absent).
         overlap = np.where(self._live, overlap, 0).astype(np.int64)
         return newly, overlap, strategy
 

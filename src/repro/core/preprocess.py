@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from repro.core.bitset import mask_table
 from repro.core.setsystem import SetSystem, WeightedSet
 from repro.obs import trace as obs_trace
 
@@ -32,8 +31,8 @@ def remove_dominated(system: SetSystem) -> SetSystem:
     or :func:`repro.core.lp_bound.lp_lower_bound`, not inside greedy
     loops — but two prunings keep the common case far cheaper:
 
-    * subset tests run on the system's packed benefit masks
-      (``s & ~t == 0``), one word-wide AND-NOT per comparison;
+    * subset tests are frozenset ``<=`` comparisons, which bail out at
+      the first element missing from the candidate superset;
     * kept sets are scanned in ascending cost order and the scan stops
       at the first survivor more expensive than the candidate — only
       sets satisfying the cost half of the dominance predicate are ever
@@ -46,26 +45,24 @@ def remove_dominated(system: SetSystem) -> SetSystem:
         if obs_trace.enabled()
         else obs_trace.NULL_SPAN
     ) as sp:
-        masks = mask_table(system).masks
         survivors: list[WeightedSet] = []
-        # Survivor masks kept sorted by (cost, insertion order) so bisect
-        # bounds the dominance scan to survivors with cost <= candidate's.
+        # Survivor benefits kept sorted by (cost, insertion order) so
+        # bisect bounds the dominance scan to survivors with cost <=
+        # candidate's.
         kept_costs: list[float] = []
-        kept_masks: list[int] = []
-        candidates = [ws for ws in system.sets if masks[ws.set_id]]
+        kept_benefits: list[frozenset] = []
+        candidates = [ws for ws in system.sets if ws.benefit]
         # Bigger-first makes the common "subset of a cheaper superset"
         # check hit early; ties on size resolve by cost then id for
         # determinism.
         candidates.sort(key=lambda ws: (-ws.size, ws.cost, ws.set_id))
         for ws in candidates:
-            mask = masks[ws.set_id]
+            benefit = ws.benefit
             hi = bisect_right(kept_costs, ws.cost)
-            if not any(
-                mask & ~kept == 0 for kept in kept_masks[:hi]
-            ):
+            if not any(benefit <= kept for kept in kept_benefits[:hi]):
                 survivors.append(ws)
                 kept_costs.insert(hi, ws.cost)
-                kept_masks.insert(hi, mask)
+                kept_benefits.insert(hi, benefit)
         survivors.sort(key=lambda ws: ws.set_id)
         if sp.enabled:
             sp.set(survivors=len(survivors))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro._typing import Cost, ElementId, SetId
-from repro.core.bitset import mask_table
 from repro.errors import ValidationError
 
 
@@ -238,20 +237,18 @@ class SetSystem:
     def coverage_of(self, set_ids: Iterable[SetId]) -> int:
         """Number of distinct elements covered by a collection of sets.
 
-        Computed as a bitmask union over the system's cached mask table
-        (:func:`repro.core.bitset.mask_table`), so repeated calls — the
-        exact solver probes thousands of combinations, ``verify_result``
-        re-checks every claim — cost one OR per set instead of one hash
-        insert per element. When the columnar packed layout is already
-        cached (a packed-backend solve built it), that is used instead,
-        so packed-only runs never pay for the big-int mask table.
+        Uses the columnar packed layout when one is already cached (a
+        packed-backend solve built it); otherwise a frozenset union,
+        which on a fresh system is far cheaper than building a layout
+        just to answer one coverage check.
         """
         from repro.core.packed import cached_layout
 
         layout = cached_layout(self)
         if layout is not None:
             return layout.coverage_of(set_ids)
-        return mask_table(self).coverage_of(set_ids)
+        sets = self._sets
+        return len(frozenset().union(*(sets[i].benefit for i in set_ids)))
 
     def cost_of(self, set_ids: Iterable[SetId]) -> Cost:
         """Total cost of a collection of sets."""

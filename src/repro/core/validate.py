@@ -6,11 +6,10 @@ everything from the set system and checks the claimed constraints, so tests
 also the "easy to see that our problem is in NP" checker from the proof of
 Theorem 1: given a collection of sets, verify benefit and cost.
 
-Coverage is recomputed through the system's packed-bitset mask table
-(:meth:`SetSystem.coverage_of` delegates to
-:func:`repro.core.bitset.mask_table`), so verifying is cheap enough that
-the resilient harness re-checks every worker claim without a measurable
-tax.
+Coverage is recomputed by :meth:`SetSystem.coverage_of` (the cached
+packed layout when a solve built one, else a frozenset union over the
+chosen sets), so verifying is cheap enough that the resilient harness
+re-checks every worker claim without a measurable tax.
 """
 
 from __future__ import annotations

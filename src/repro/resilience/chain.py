@@ -295,7 +295,7 @@ def resilient_solve(
         only; rejected inline, where it cannot be enforced).
     backend:
         Default marginal-tracker backend for the greedy stages
-        (``"set"``, ``"bitset"``, ``"packed"``, ``"auto"``); an
+        (``"set"``, ``"packed"``, ``"auto"``); an
         explicit per-stage ``stage_options`` entry wins. ``None``
         leaves each stage to the usual env/auto resolution.
     shards:

@@ -40,6 +40,9 @@ import selectors
 import time
 from typing import Iterable
 
+import numpy as np
+
+from repro.core.packed import VectorSelectMixin
 from repro.errors import ReproError, ValidationError
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import get_registry
@@ -301,19 +304,7 @@ class ShardSession:
         self._selector.close()
 
 
-def _numpy():
-    from repro.core import packed
-
-    if not packed.HAVE_NUMPY:
-        raise ValidationError(
-            "universe sharding requires numpy >= 2.0 (the packed backend)"
-        )
-    import numpy as np
-
-    return np
-
-
-class ShardedTracker:
+class ShardedTracker(VectorSelectMixin):
     """Parent-side merged marginal tracker over a :class:`ShardSession`.
 
     API-compatible with the packed tracker where the solvers need it
@@ -325,11 +316,8 @@ class ShardedTracker:
     backend_name = "sharded"
 
     def __init__(self, session: ShardSession, metrics=None) -> None:
-        np = _numpy()
-        from repro.core.packed import VectorSelectMixin  # noqa: F401
         from repro.core.result import Metrics
 
-        self._np = np
         self._session = session
         self._system = session.system
         self._metrics = metrics if metrics is not None else Metrics()
@@ -350,27 +338,10 @@ class ShardedTracker:
         self.fresh = False
         self.reset()
 
-    # Vector argmax: borrow the packed mixin's implementations wholesale
-    # — they only touch _counts/_live/_costs_array()/_system.
+    # The vector argmax helpers only touch
+    # _counts/_live/_costs_array()/_system.
     def _costs_array(self):
         return self._costs
-
-    def _get_ranks(self):
-        from repro.core.packed import VectorSelectMixin
-
-        return VectorSelectMixin._get_ranks(self)
-
-    _canon_ranks = None
-
-    def best_gain_candidate(self, threshold):
-        from repro.core.packed import VectorSelectMixin
-
-        return VectorSelectMixin.best_gain_candidate(self, threshold)
-
-    def best_benefit_in(self, member_ids):
-        from repro.core.packed import VectorSelectMixin
-
-        return VectorSelectMixin.best_benefit_in(self, member_ids)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -378,7 +349,6 @@ class ShardedTracker:
         if self._needs_remote_reset:
             self._session.reset()
         self._needs_remote_reset = False
-        np = self._np
         np.multiply(self._sizes, self._tracked, out=self._counts)
         np.copyto(self._live, self._tracked)
         self._covered_count = 0
@@ -403,11 +373,11 @@ class ShardedTracker:
     @property
     def live_ids(self) -> list:
         """Ids of sets with non-empty marginal benefit, ascending."""
-        return self._np.nonzero(self._live)[0].tolist()
+        return np.nonzero(self._live)[0].tolist()
 
     def live_items(self) -> list:
         """``(set_id, |MBen|)`` pairs for all live sets."""
-        ids = self._np.nonzero(self._live)[0]
+        ids = np.nonzero(self._live)[0]
         return list(zip(ids.tolist(), self._counts[ids].tolist()))
 
     def __contains__(self, set_id) -> bool:
@@ -437,7 +407,6 @@ class ShardedTracker:
         global ``|newly & MBen|`` — exactly the decrement (and update
         count) the single-process backends apply.
         """
-        np = self._np
         self.fresh = False
         self._needs_remote_reset = True
         self._metrics.selections += 1
@@ -510,7 +479,6 @@ def sharded_solve(
     single-process packed backend; sharding buys parallelism and
     per-worker memory isolation, not a different answer.
     """
-    _numpy()
     solver = _solver_for(algorithm)
     counter = get_registry().counter(
         "scwsc_sharded_solves_total",

@@ -72,6 +72,16 @@ class TestSetSystem:
         assert system.coverage_of([0, 0]) == 2
         assert system.coverage_of([]) == 0
 
+    def test_coverage_of_with_cached_layout(self):
+        from repro.core.packed import cached_layout, packed_layout
+
+        system = make_simple()
+        assert cached_layout(system) is None  # frozenset-union path
+        fresh = [system.coverage_of(ids) for ids in ([0, 1], [0, 0], [])]
+        packed_layout(system)
+        cached = [system.coverage_of(ids) for ids in ([0, 1], [0, 0], [])]
+        assert fresh == cached == [4, 2, 0]
+
     def test_cost_of(self):
         system = make_simple()
         assert system.cost_of([0, 1]) == pytest.approx(3.0)

@@ -37,6 +37,10 @@ class TestMatrix:
         }
         assert {case.backend for case in cases} == set(BACKENDS)
 
+    def test_large_scales_run_packed_only(self):
+        for scale in ("large", "xlarge"):
+            assert {c.backend for c in default_cases(scale)} == {"packed"}
+
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValidationError):
             default_cases("galactic")
@@ -69,7 +73,7 @@ class TestRunBenchmarks:
         """The report itself witnesses backend equivalence: same
         solution cost/coverage from both backends on every workload."""
         for case in default_cases("quick", sizes=TINY):
-            if case.backend != "bitset":
+            if case.backend != "packed":
                 continue
             twin = BenchCase(case.workload, case.solver, case.n_rows, "set")
             fast = tiny_report["benchmarks"][case.bench_id]
@@ -84,11 +88,11 @@ class TestRunBenchmarks:
             warmup=0,
             sizes=TINY,
             name_filter="cwsc",
-            backends=("bitset",),
+            backends=("packed",),
         )
         assert report["benchmarks"]
         for bench_id in report["benchmarks"]:
-            assert "cwsc" in bench_id and "bitset" in bench_id
+            assert "cwsc" in bench_id and "packed" in bench_id
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
@@ -246,7 +250,7 @@ class TestQualityGate:
         "--warmup",
         "0",
         "--filter",
-        "cwsc-n600-bitset",
+        "cwsc-n600-packed",
         "--no-history",
         "--tolerance",
         "1000",
@@ -262,7 +266,7 @@ class TestQualityGate:
         baseline = tmp_path / "baseline.json"
         assert main(self.ARGV + ["--out", str(baseline)]) == 0
         base_quality = json.loads(baseline.read_text())["benchmarks"][
-            "bench_fig5_datasize[cwsc-n600-bitset]"
+            "bench_fig5_datasize[cwsc-n600-packed]"
         ]["quality"]
         if base_quality["approx_ratio"] is None:
             pytest.skip("LP lower bound unavailable (no scipy)")
@@ -306,7 +310,7 @@ class TestCli:
             "--warmup",
             "0",
             "--filter",
-            "cwsc-n600-bitset",
+            "cwsc-n600-packed",
             "--history",
             str(history),
             "--out",
@@ -335,6 +339,10 @@ class TestCli:
         assert all(line["schema"] == HISTORY_SCHEMA for line in lines)
         assert lines[0]["cells"][0]["median_seconds"] > 0
 
+    def test_backend_choices_are_all_or_one(self):
+        with pytest.raises(SystemExit):
+            main(["--quick", "--backend", "both", "--out", "-"])
+
     def test_check_without_baseline_is_an_input_error(self, tmp_path):
         code = main(
             [
@@ -344,7 +352,7 @@ class TestCli:
                 "--warmup",
                 "0",
                 "--filter",
-                "cwsc-n600-bitset",
+                "cwsc-n600-packed",
                 "--out",
                 "-",
                 "--no-history",
@@ -368,7 +376,7 @@ class TestCli:
                 "--warmup",
                 "0",
                 "--filter",
-                "cwsc-n600-bitset",
+                "cwsc-n600-packed",
                 "--history",
                 str(tmp_path / "history.jsonl"),
                 "--out",

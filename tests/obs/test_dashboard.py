@@ -28,7 +28,7 @@ def _full_trace():
     return [
         {"type": "meta", "schema": SCHEMA, "wall_time_unix": 1.0,
          "t": 0.0, "attrs": {"command": "solve"}},
-        _span("solve", "s1", duration=1.0, backend="bitset"),
+        _span("solve", "s1", duration=1.0, backend="packed"),
         _span("select", "s2", parent_id="s1", t_start=0.1, duration=0.2),
         {"type": "event", "name": "tracker_update", "t": 0.3, "attrs": {}},
         {"type": "quality", "t": 0.9, "algorithm": "cwsc",
@@ -51,7 +51,7 @@ def _full_trace():
 def _history_entry(seconds, ratio):
     return {
         "schema": "scwsc-bench-history/1", "wall_time_unix": 0.0,
-        "cells": [{"bench_id": "bench_fig5_datasize[cwsc-n600-bitset]",
+        "cells": [{"bench_id": "bench_fig5_datasize[cwsc-n600-packed]",
                    "median_seconds": seconds, "approx_ratio": ratio,
                    "coverage_slack": 0.0, "feasible": True}],
     }
@@ -97,7 +97,7 @@ class TestRenderDashboard:
         history = [_history_entry(0.010, 1.2), _history_entry(0.012, 1.3)]
         page = render_dashboard([], history)
         assert "2 bench run(s) in history" in page
-        assert "bench_fig5_datasize[cwsc-n600-bitset]" in page
+        assert "bench_fig5_datasize[cwsc-n600-packed]" in page
         assert "<polyline" in page
 
     def test_html_escaping_of_attacker_controlled_names(self):

@@ -19,8 +19,10 @@ from __future__ import annotations
 import random
 import time
 
-from repro.core.bitset import iter_bits
-from repro.core.marginal import BitsetMarginalTracker, MarginalTracker
+import numpy as np
+
+from repro.core.marginal import MarginalTracker
+from repro.core.packed import PackedMarginalTracker
 from repro.core.setsystem import SetSystem
 from repro.obs import trace as obs_trace
 
@@ -80,47 +82,14 @@ def _select_set_baseline(tracker: MarginalTracker, set_id: int) -> int:
     return len(newly)
 
 
-def _select_bitset_baseline(tracker: BitsetMarginalTracker, set_id: int) -> int:
-    # BitsetMarginalTracker.select without the obs_trace block.
-    counts = tracker._mben_count
-    counts.pop(set_id, None)
-    tracker._metrics.selections += 1
-    newly_mask = tracker._masks[set_id] & ~tracker._covered_mask
-    newly = newly_mask.bit_count()
-    if not newly:
-        return 0
-    tracker._covered_mask |= newly_mask
-    updates = 0
-    if tracker._table.full_union() & ~tracker._covered_mask == 0:
-        updates = sum(counts.values())
-        counts.clear()
-    elif newly * tracker._avg_owners <= len(counts) * tracker._sweep_step:
-        owners = tracker._owners
-        for element in iter_bits(newly_mask):
-            for other in owners[element]:
-                remaining = counts.get(other)
-                if remaining is None:
-                    continue
-                updates += 1
-                if remaining == 1:
-                    del counts[other]
-                else:
-                    counts[other] = remaining - 1
-    else:
-        masks = tracker._masks
-        evicted = []
-        for other, remaining in counts.items():
-            overlap = (masks[other] & newly_mask).bit_count()
-            if not overlap:
-                continue
-            updates += overlap
-            if overlap == remaining:
-                evicted.append(other)
-            else:
-                counts[other] = remaining - overlap
-        for other in evicted:
-            del counts[other]
-    tracker._metrics.marginal_updates += updates
+def _select_packed_baseline(tracker: PackedMarginalTracker, set_id: int) -> int:
+    # PackedMarginalTracker.select without the strategy counter and the
+    # obs_trace block.
+    newly, overlap, _ = tracker._apply_select(set_id)
+    if newly:
+        tracker._counts -= overlap
+        np.logical_and(tracker._live, tracker._counts > 0, out=tracker._live)
+        tracker._metrics.marginal_updates += int(overlap.sum())
     return newly
 
 
@@ -159,10 +128,10 @@ class TestDisabledTracingOverhead:
             lambda: MarginalTracker(system), _select_set_baseline
         )
 
-    def test_bitset_backend_within_budget(self):
+    def test_packed_backend_within_budget(self):
         system = _system()
         _assert_within_budget(
-            lambda: BitsetMarginalTracker(system), _select_bitset_baseline
+            lambda: PackedMarginalTracker(system), _select_packed_baseline
         )
 
     def test_baselines_match_instrumented_semantics(self):
@@ -171,7 +140,7 @@ class TestDisabledTracingOverhead:
         system = _system()
         for make, select in (
             (lambda: MarginalTracker(system), _select_set_baseline),
-            (lambda: BitsetMarginalTracker(system), _select_bitset_baseline),
+            (lambda: PackedMarginalTracker(system), _select_packed_baseline),
         ):
             real, copy = make(), make()
             order = _greedy_order(make())

