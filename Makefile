@@ -8,6 +8,9 @@
 #   make bench-large  n = 10^5 packed-kernel matrix (--scale large), gated
 #                     against the committed baseline's large cells (runtime,
 #                     quality, and peak RSS)
+#   make perfbench-test  perfbench's own tests plus a 2 s solve-sweep smoke,
+#                     so a change under src/ cannot silently break the
+#                     end-to-end benchmark's imports
 #   make trace-smoke  traced solves (plain + --isolate), schema-validated
 #   make profile-smoke  profiled solve, flamegraph export, dashboard render
 #   make serve-smoke  boot the real daemon twice: healthy mixed-deadline
@@ -27,7 +30,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONHASHSEED := 0
 
-.PHONY: test chaos verify bench bench-large trace-smoke profile-smoke serve-smoke debug-smoke dashboard
+.PHONY: test chaos verify bench bench-large perfbench-test trace-smoke profile-smoke serve-smoke debug-smoke dashboard
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -42,6 +45,10 @@ bench:
 
 bench-large:
 	$(PYTHON) -m repro.bench --scale large --repeat 2 --check --out BENCH_large.json
+
+perfbench-test:
+	$(PYTHON) -m pytest -q perfbench
+	$(PYTHON) perfbench/run.py --workload solve-sweep --seed 1 --seconds 2
 
 trace-smoke:
 	$(PYTHON) benchmarks/trace_smoke.py trace-smoke

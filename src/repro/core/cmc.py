@@ -55,7 +55,6 @@ def cmc(
     on_infeasible: OnInfeasible = "raise",
     deadline: Deadline | None = None,
     backend: TrackerBackend | None = None,
-    tracker=None,
 ) -> CoverResult:
     """Run Cheap Max Coverage with the original (up to ``5k``) levels.
 
@@ -86,11 +85,6 @@ def cmc(
         defaults to the auto/env selection of
         :func:`repro.core.marginal.resolve_backend`. All backends
         select identical sets with identical metrics.
-    tracker:
-        Optional pre-built, resettable marginal tracker (overrides
-        ``backend``); the universe-sharded pool injects its merged
-        tracker here. Its metrics are adopted as the solve's metrics
-        and it is reset at the start of every budget round.
     """
     params = {"k": k, "s_hat": s_hat, "b": b, "variant": "standard"}
     return run_cmc_driver(
@@ -104,7 +98,6 @@ def cmc(
         on_infeasible=on_infeasible,
         deadline=deadline,
         backend=backend,
-        tracker=tracker,
     )
 
 
@@ -119,7 +112,6 @@ def run_cmc_driver(
     on_infeasible: OnInfeasible = "raise",
     deadline: Deadline | None = None,
     backend: TrackerBackend | None = None,
-    tracker=None,
 ) -> CoverResult:
     """Shared CMC driver, parameterized by the level scheme.
 
@@ -148,7 +140,6 @@ def run_cmc_driver(
             deadline,
             backend,
             traced,
-            tracker,
         )
         if solve_span.enabled:
             solve_span.set(
@@ -174,15 +165,10 @@ def _driver_body(
     deadline: Deadline | None,
     backend: TrackerBackend | None,
     traced: bool,
-    shared_tracker=None,
 ) -> CoverResult:
     start = time.perf_counter()
-    if shared_tracker is not None:
-        metrics = shared_tracker.metrics
-        tracker_backend = getattr(shared_tracker, "backend_name", "injected")
-    else:
-        metrics = Metrics()
-        tracker_backend = resolve_backend(system, backend)
+    metrics = Metrics()
+    tracker_backend = resolve_backend(system, backend)
     target = COVERAGE_DISCOUNT * s_hat * system.n_elements
     params = dict(params)
     params["target_elements"] = target
@@ -240,17 +226,9 @@ def _driver_body(
                 if traced
                 else obs_trace.NULL_SPAN
             ):
-                if shared_tracker is not None:
-                    tracker = shared_tracker
-                    # A freshly built tracker already counted this
-                    # round's sets_considered in its constructor; only
-                    # reset once it has actually been mutated.
-                    if not getattr(tracker, "fresh", False):
-                        tracker.reset()
-                else:
-                    tracker = make_tracker(
-                        system, metrics=metrics, backend=tracker_backend
-                    )
+                tracker = make_tracker(
+                    system, metrics=metrics, backend=tracker_backend
+                )
             scheme = scheme_factory(budget, k)
             try:
                 chosen, reached = _run_round(
@@ -422,7 +400,7 @@ def _run_round_vector(
     deadline: Deadline | None = None,
     traced: bool = False,
 ) -> tuple[list[int], bool]:
-    """One budget round on a vectorized tracker (packed or sharded).
+    """One budget round on the packed tracker.
 
     Replaces the lazy heaps with the tracker's
     ``best_benefit_in(member_ids)`` argmax, which reproduces

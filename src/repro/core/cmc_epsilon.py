@@ -33,7 +33,6 @@ def cmc_epsilon(
     on_infeasible: OnInfeasible = "raise",
     deadline: Deadline | None = None,
     backend: TrackerBackend | None = None,
-    tracker=None,
 ) -> CoverResult:
     """Run CMC with the merged levels of Section V-A3.
 
@@ -60,7 +59,6 @@ def cmc_epsilon(
         on_infeasible=on_infeasible,
         deadline=deadline,
         backend=backend,
-        tracker=tracker,
     )
 
 

@@ -45,7 +45,6 @@ def cwsc(
     on_infeasible: OnInfeasible = "raise",
     deadline: Deadline | None = None,
     backend: TrackerBackend | None = None,
-    tracker=None,
 ) -> CoverResult:
     """Run Concise Weighted Set Cover on an arbitrary set system.
 
@@ -70,11 +69,6 @@ def cwsc(
         defaults to the auto/env selection of
         :func:`repro.core.marginal.resolve_backend`. All backends
         select identical sets with identical metrics.
-    tracker:
-        Optional pre-built marginal tracker (overrides ``backend``);
-        the universe-sharded pool injects its merged tracker here. The
-        tracker must be freshly reset and its metrics are adopted as
-        the solve's metrics.
 
     Returns
     -------
@@ -100,8 +94,7 @@ def cwsc(
         else obs_trace.NULL_SPAN
     ) as solve_span:
         result = _cwsc_body(
-            system, k, s_hat, on_infeasible, deadline, backend, traced,
-            tracker,
+            system, k, s_hat, on_infeasible, deadline, backend, traced
         )
         if solve_span.enabled:
             solve_span.set(
@@ -122,15 +115,10 @@ def _cwsc_body(
     deadline: Deadline | None,
     backend: TrackerBackend | None,
     traced: bool,
-    tracker=None,
 ) -> CoverResult:
     start = time.perf_counter()
-    if tracker is not None:
-        metrics = tracker.metrics
-        tracker_backend = getattr(tracker, "backend_name", "injected")
-    else:
-        metrics = Metrics()
-        tracker_backend = resolve_backend(system, backend)
+    metrics = Metrics()
+    tracker_backend = resolve_backend(system, backend)
     params = {
         "k": k,
         "s_hat": s_hat,
@@ -138,17 +126,16 @@ def _cwsc_body(
         "tracker_backend": tracker_backend,
     }
 
-    if tracker is None:
-        with (
-            obs_trace.span(
-                "preprocess", op="make_tracker", backend=tracker_backend
-            )
-            if traced
-            else obs_trace.NULL_SPAN
-        ):
-            tracker = make_tracker(
-                system, metrics=metrics, backend=tracker_backend
-            )
+    with (
+        obs_trace.span(
+            "preprocess", op="make_tracker", backend=tracker_backend
+        )
+        if traced
+        else obs_trace.NULL_SPAN
+    ):
+        tracker = make_tracker(
+            system, metrics=metrics, backend=tracker_backend
+        )
     rem = s_hat * system.n_elements
     chosen: list[int] = []
     # Per-iteration diagnostics (Fig. 2's loop state), recorded in
@@ -161,7 +148,7 @@ def _cwsc_body(
         return _finish(system, "cwsc", chosen, True, params, metrics, start)
 
     injector = faults.active()
-    # Vectorized trackers (packed, sharded) expose an argmax that
+    # The packed tracker exposes a vectorized argmax that
     # reproduces gain_key's lexicographic order exactly; the Python scan
     # below is the reference path for the dict-based backends.
     fast_argmax = getattr(tracker, "best_gain_candidate", None)

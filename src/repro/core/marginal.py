@@ -51,7 +51,7 @@ BACKEND_ENV_VAR = "REPRO_SETCOVER_BACKEND"
 
 #: ``auto`` picks the packed kernel from this many ``n_elements *
 #: n_sets`` cells. Below it the inverted index's constants can win, by
-#: a few milliseconds per solve at most; docs/PERFORMANCE.md §3 records
+#: a few milliseconds per solve at most; docs/PERFORMANCE.md §2 records
 #: the cold set-vs-packed sweep behind the number.
 AUTO_PACKED_MIN_CELLS = 1 << 12
 

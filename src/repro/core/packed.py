@@ -8,7 +8,7 @@ so a selection updates *every* live marginal with a handful of
 vectorized gather / AND / ``np.bitwise_count`` / ``bincount`` passes —
 no per-set Python at all.
 
-Three layers:
+Two layers and their helpers:
 
 * :class:`PackedLayout` — the immutable columnar form of one
   :class:`~repro.core.setsystem.SetSystem` (word matrix, per-set cached
@@ -17,20 +17,18 @@ Three layers:
   deserialized systems by sha256 fingerprint
   (:data:`repro.resilience.pool.protocol.SYSTEM_CACHE_SIZE`), repeat
   tenants and bench warmups reuse the layout through the same path.
-  :meth:`PackedLayout.shard` restricts a layout to an element range
-  ``[lo, hi)`` — the unit of universe sharding
-  (:mod:`repro.resilience.pool.sharded`).
 * :class:`PackedMarginalTracker` — the drop-in tracker
   (:func:`repro.core.marginal.make_tracker` backend ``"packed"``): same
   API, same selections, same :class:`~repro.core.result.Metrics`
   counters as the ``set`` reference oracle, property-tested in
-  ``tests/property/test_props_backend.py``.
-* :class:`VectorSelectMixin` — vectorized argmax helpers
-  (:meth:`~VectorSelectMixin.best_gain_candidate` for CWSC's
-  threshold/gain selection, :meth:`~VectorSelectMixin.best_benefit_in`
-  for CMC's per-level selection) that reproduce the exact lexicographic
-  tie-breaks of :mod:`repro.core.greedy_common`, shared with the
-  parent-side sharded tracker.
+  ``tests/property/test_props_backend.py``. Its vectorized argmax
+  helpers (:meth:`~PackedMarginalTracker.best_gain_candidate` for
+  CWSC's threshold/gain selection,
+  :meth:`~PackedMarginalTracker.best_benefit_in` for CMC's per-level
+  selection) reproduce the exact lexicographic tie-breaks of
+  :mod:`repro.core.greedy_common`.
+* Helpers shared with the solvers: :func:`canonical_ranks` and
+  :func:`assign_levels`.
 
 ``np.bitwise_count`` needs numpy >= 2.0, which the package pins.
 
@@ -57,12 +55,10 @@ __all__ = [
     "DENSE_BYTE_CAP",
     "PackedLayout",
     "PackedMarginalTracker",
-    "VectorSelectMixin",
     "assign_levels",
     "cached_layout",
     "canonical_ranks",
     "packed_layout",
-    "shard_layout",
 ]
 
 #: Above this many bytes the dense ``(n_sets, n_words)`` matrix is
@@ -104,13 +100,10 @@ class PackedLayout:
     ----------
     n_elements, n_words, n_sets:
         Universe size, ``ceil(n_elements / 64)``, and set count.
-    elem_offset:
-        Global id of local element 0 (nonzero only for shard layouts).
     sizes:
-        ``int64[n_sets]`` — per-set cached popcounts (``|Ben(s)|``
-        restricted to this layout's element range).
+        ``int64[n_sets]`` — per-set cached popcounts (``|Ben(s)|``).
     costs:
-        ``float64[n_sets]`` — per-set costs (global, shared by shards).
+        ``float64[n_sets]`` — per-set costs.
     data, cols, rows, indptr:
         The CSR-blocked matrix: nonzero words in set-id-major,
         word-ascending order. ``indptr[s]:indptr[s+1]`` slices set
@@ -124,20 +117,19 @@ class PackedLayout:
     """
 
     __slots__ = (
-        "n_elements", "n_words", "n_sets", "elem_offset",
+        "n_elements", "n_words", "n_sets",
         "sizes", "costs", "data", "cols", "rows", "indptr",
         "dense", "owners_data", "owners_indptr", "__weakref__",
     )
 
     def __init__(
-        self, n_elements, n_sets, elem_offset, sizes, costs,
+        self, n_elements, n_sets, sizes, costs,
         data, cols, rows, indptr, owners_data, owners_indptr,
         dense_byte_cap=DENSE_BYTE_CAP,
     ) -> None:
         self.n_elements = int(n_elements)
         self.n_words = (self.n_elements + 63) >> 6
         self.n_sets = int(n_sets)
-        self.elem_offset = int(elem_offset)
         self.sizes = sizes
         self.costs = costs
         self.data = data
@@ -179,15 +171,6 @@ class PackedLayout:
                 f"[0, {n}) while packing the columnar layout"
             )
         rows = np.repeat(np.arange(m, dtype=np.int64), set_sizes)
-        return cls._from_pairs(
-            n, m, 0, rows, els, set_sizes, costs, dense_byte_cap
-        )
-
-    @classmethod
-    def _from_pairs(
-        cls, n, m, elem_offset, rows, els, sizes, costs, dense_byte_cap
-    ) -> "PackedLayout":
-        """Build from unique (set_id, local element) pairs."""
         n_words = (n + 63) >> 6
         words = els >> 6
         key = rows * max(1, n_words) + words
@@ -216,7 +199,7 @@ class PackedLayout:
         owners_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(els, minlength=n), out=owners_indptr[1:])
         layout = cls(
-            n, m, elem_offset, sizes, costs, data, out_cols, out_rows,
+            n, m, set_sizes, costs, data, out_cols, out_rows,
             indptr, owners_data, owners_indptr, dense_byte_cap,
         )
         _layout_build_counter().inc(
@@ -254,84 +237,14 @@ class PackedLayout:
         )
 
     def elements_of(self, set_id: SetId) -> "np.ndarray":
-        """Global element ids of ``Ben(set_id)`` within this layout."""
-        return _mask_elements(self.row_words(set_id)) + self.elem_offset
-
-    # ------------------------------------------------------------------
-    def shard(self, lo: int, hi: int,
-              dense_byte_cap: int = DENSE_BYTE_CAP) -> "PackedLayout":
-        """Restrict to the global element range ``[lo, hi)``.
-
-        The shard keeps *global* set ids and costs (so shard-merge
-        arithmetic indexes one shared id space) but re-bases elements to
-        ``lo`` rounded down to a word boundary, masking partial boundary
-        words. An empty range yields a layout where every set has size 0
-        — a legal, always-exhausted shard.
-        """
-        lo = max(0, min(int(lo), self.n_elements))
-        hi = max(lo, min(int(hi), self.n_elements))
-        word_lo = lo >> 6
-        word_hi = (hi + 63) >> 6
-        keep = (self.cols >= word_lo) & (self.cols < word_hi)
-        data = self.data[keep].copy()
-        cols = self.cols[keep] - word_lo
-        rows = self.rows[keep]
-        # Mask elements outside [lo, hi) in the boundary words.
-        if lo & 63:
-            head = np.uint64(~((np.uint64(1) << np.uint64(lo & 63))
-                               - np.uint64(1)))
-            data[cols == 0] &= head
-        if hi & 63 and word_hi > word_lo:
-            tail = np.uint64((np.uint64(1) << np.uint64(hi & 63))
-                             - np.uint64(1))
-            data[cols == word_hi - 1 - word_lo] &= tail
-        nonzero = data != 0
-        data, cols, rows = data[nonzero], cols[nonzero], rows[nonzero]
-        counts = np.bitwise_count(data).astype(np.int64)
-        sizes = np.bincount(
-            rows, weights=counts, minlength=self.n_sets
-        ).astype(np.int64)
-        indptr = np.zeros(self.n_sets + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n_sets), out=indptr[1:])
-        n_local = max(0, hi - (word_lo << 6))
-        # Owners for the local element range: expand the shard's words
-        # back to (set, element) pairs. Cheap relative to worker spawn.
-        if data.size:
-            per_word_elements = [
-                _mask_elements(np.asarray([word], dtype=np.uint64))
-                for word in data
-            ]
-            lens = np.fromiter(
-                (chunk.size for chunk in per_word_elements),
-                dtype=np.int64, count=len(per_word_elements),
-            )
-            pair_els = (
-                np.concatenate(per_word_elements)
-                + np.repeat(cols.astype(np.int64) << 6, lens)
-            )
-            pair_rows = np.repeat(rows, lens)
-            owners_order = np.argsort(pair_els, kind="stable")
-            owners_data = pair_rows[owners_order]
-            owners_indptr = np.zeros(n_local + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(pair_els, minlength=n_local),
-                out=owners_indptr[1:],
-            )
-        else:
-            owners_data = np.empty(0, dtype=np.int64)
-            owners_indptr = np.zeros(n_local + 1, dtype=np.int64)
-        return PackedLayout(
-            n_local, self.n_sets, self.elem_offset + (word_lo << 6),
-            sizes, self.costs, data, cols, rows, indptr,
-            owners_data, owners_indptr, dense_byte_cap,
-        )
+        """Element ids of ``Ben(set_id)``."""
+        return _mask_elements(self.row_words(set_id))
 
 
 # ----------------------------------------------------------------------
 # Per-system caches (the weak-cache idiom of greedy_common)
 # ----------------------------------------------------------------------
 _LAYOUT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_SHARD_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _RANKS_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 _BUILD_COUNTER = None
@@ -390,30 +303,6 @@ def cached_layout(system) -> PackedLayout | None:
         return None
 
 
-def shard_layout(system, lo: int, hi: int) -> PackedLayout:
-    """The (weakly cached) shard layout of ``system`` over ``[lo, hi)``.
-
-    Keyed per system object; the pool worker's fingerprint LRU
-    (:mod:`repro.resilience.pool.protocol`) keeps the system alive
-    across requests, so repeat tenants reuse their shard slices too.
-    """
-    key = (int(lo), int(hi))
-    try:
-        per_system = _SHARD_CACHE.get(system)
-    except TypeError:
-        return packed_layout(system).shard(lo, hi)
-    if per_system is None:
-        per_system = {}
-        try:
-            _SHARD_CACHE[system] = per_system
-        except TypeError:  # pragma: no cover - stand-in objects only
-            pass
-    layout = per_system.get(key)
-    if layout is None:
-        layout = per_system[key] = packed_layout(system).shard(lo, hi)
-    return layout
-
-
 def canonical_ranks(system) -> "np.ndarray":
     """``int64[n_sets]`` ranking sets by their canonical tie-break key.
 
@@ -461,28 +350,58 @@ def assign_levels(costs, scheme) -> "np.ndarray":
 
 
 # ----------------------------------------------------------------------
-# Vectorized argmax helpers (shared with the sharded parent tracker)
+# The tracker
 # ----------------------------------------------------------------------
-class VectorSelectMixin:
-    """Vectorized greedy argmax over ``_counts`` / ``_live`` arrays.
+class PackedMarginalTracker:
+    """Columnar drop-in for the ``set`` marginal tracker.
 
-    Host classes provide ``_counts`` (``int64[m]``, 0 for dead sets),
-    ``_live`` (``bool[m]``), ``_costs_array()`` and ``_system``. Both
-    helpers reproduce the exact lexicographic orders of
-    :func:`repro.core.greedy_common.gain_key` /
+    Same API, same selections, same metrics counters
+    (``marginal_updates`` counts, for every live candidate, the exact
+    ``|newly & Ben(candidate)|`` decrement — the invariant both
+    backends share). The argmax helpers reproduce the exact
+    lexicographic orders of :func:`repro.core.greedy_common.gain_key` /
     :func:`~repro.core.greedy_common.benefit_key`: numpy's float64
     division and comparisons are IEEE-identical to CPython's, and
     :func:`canonical_ranks` reproduces the canonical-key order.
     """
 
-    _canon_ranks = None
+    backend_name = "packed"
 
-    def _get_ranks(self):
-        ranks = self._canon_ranks
-        if ranks is None:
-            ranks = self._canon_ranks = canonical_ranks(self._system)
-        return ranks
+    def __init__(
+        self,
+        system,
+        restrict_to: Iterable[SetId] | None = None,
+        metrics: Metrics | None = None,
+    ) -> None:
+        self._system = system
+        self._metrics = metrics if metrics is not None else Metrics()
+        self._layout = packed_layout(system)
+        tracked = self._layout.sizes > 0
+        if restrict_to is not None:
+            keep = np.zeros(self._layout.n_sets, dtype=bool)
+            for set_id in restrict_to:
+                keep[set_id] = True
+            tracked = tracked & keep
+        self._tracked = tracked
+        self._n_tracked = int(tracked.sum())
+        self._counts = np.zeros(self._layout.n_sets, dtype=np.int64)
+        self._live = np.zeros(self._layout.n_sets, dtype=bool)
+        self._covered = np.zeros(self._layout.n_words, dtype=np.uint64)
+        self._covered_count = 0
+        self.reset()
 
+    # ------------------------------------------------------------------
+    def reset(self) -> None:
+        """Restore the empty-solution state (new CMC budget round)."""
+        np.multiply(
+            self._layout.sizes, self._tracked, out=self._counts
+        )
+        np.copyto(self._live, self._tracked)
+        self._covered[:] = 0
+        self._covered_count = 0
+        self._metrics.sets_considered += self._n_tracked
+
+    # ------------------------------------------------------------------
     def best_gain_candidate(self, threshold: float) -> SetId | None:
         """Argmax of ``gain_key`` over live sets with size >= threshold.
 
@@ -494,7 +413,7 @@ class VectorSelectMixin:
         eligible = self._live & (counts >= threshold)
         if not eligible.any():
             return None
-        costs = self._costs_array()
+        costs = self._layout.costs
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             gains = np.where(eligible, counts / costs, -np.inf)
         best = gains.max()
@@ -506,7 +425,7 @@ class VectorSelectMixin:
             cand_costs = costs[candidates]
             candidates = candidates[cand_costs == cand_costs.min()]
         if candidates.size > 1:
-            ranks = self._get_ranks()[candidates]
+            ranks = canonical_ranks(self._system)[candidates]
             return int(candidates[ranks.argmin()])
         return int(candidates[0])
 
@@ -523,73 +442,13 @@ class VectorSelectMixin:
         sizes = self._counts[ids]
         ids = ids[sizes == sizes.max()]
         if ids.size > 1:
-            costs = self._costs_array()[ids]
+            costs = self._layout.costs[ids]
             ids = ids[costs == costs.min()]
         if ids.size > 1:
-            ranks = self._get_ranks()[ids]
+            ranks = canonical_ranks(self._system)[ids]
             return int(ids[ranks.argmin()])
         return int(ids[0])
 
-
-# ----------------------------------------------------------------------
-# The tracker
-# ----------------------------------------------------------------------
-class PackedMarginalTracker(VectorSelectMixin):
-    """Columnar drop-in for the ``set`` marginal tracker.
-
-    Same API, same selections, same metrics counters
-    (``marginal_updates`` counts, for every live candidate, the exact
-    ``|newly & Ben(candidate)|`` decrement — the invariant both
-    backends share). ``layout`` lets the sharded pool substitute a
-    shard-restricted layout; set ids and costs stay global either way.
-    """
-
-    backend_name = "packed"
-
-    def __init__(
-        self,
-        system,
-        restrict_to: Iterable[SetId] | None = None,
-        metrics: Metrics | None = None,
-        layout: PackedLayout | None = None,
-    ) -> None:
-        self._system = system
-        self._metrics = metrics if metrics is not None else Metrics()
-        self._layout = layout if layout is not None else packed_layout(system)
-        tracked = self._layout.sizes > 0
-        if restrict_to is not None:
-            keep = np.zeros(self._layout.n_sets, dtype=bool)
-            for set_id in restrict_to:
-                keep[set_id] = True
-            tracked = tracked & keep
-        self._tracked = tracked
-        self._n_tracked = int(tracked.sum())
-        self._counts = np.zeros(self._layout.n_sets, dtype=np.int64)
-        self._live = np.zeros(self._layout.n_sets, dtype=bool)
-        self._covered = np.zeros(self._layout.n_words, dtype=np.uint64)
-        self._covered_count = 0
-        #: True between a reset and the first mutation; the CMC driver
-        #: uses it to avoid double-counting ``sets_considered`` when a
-        #: caller injects a freshly built tracker.
-        self.fresh = False
-        self.reset()
-
-    def _costs_array(self):
-        return self._layout.costs
-
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Restore the empty-solution state (new CMC budget round)."""
-        np.multiply(
-            self._layout.sizes, self._tracked, out=self._counts
-        )
-        np.copyto(self._live, self._tracked)
-        self._covered[:] = 0
-        self._covered_count = 0
-        self._metrics.sets_considered += self._n_tracked
-        self.fresh = True
-
-    # ------------------------------------------------------------------
     @property
     def metrics(self) -> Metrics:
         """The metrics object this tracker accounts work into."""
@@ -598,10 +457,7 @@ class PackedMarginalTracker(VectorSelectMixin):
     @property
     def covered(self) -> frozenset[ElementId]:
         """Elements covered by all selections so far this round."""
-        return frozenset(
-            (_mask_elements(self._covered) + self._layout.elem_offset)
-            .tolist()
-        )
+        return frozenset(_mask_elements(self._covered).tolist())
 
     @property
     def covered_count(self) -> int:
@@ -638,9 +494,7 @@ class PackedMarginalTracker(VectorSelectMixin):
         if not self._live[set_id]:
             return frozenset()
         remaining = self._layout.row_words(set_id) & ~self._covered
-        return frozenset(
-            (_mask_elements(remaining) + self._layout.elem_offset).tolist()
-        )
+        return frozenset(_mask_elements(remaining).tolist())
 
     def marginal_gain(self, set_id: SetId) -> float:
         """``MGain(s, S) = |MBen(s, S)| / Cost(s)``."""
@@ -652,7 +506,6 @@ class PackedMarginalTracker(VectorSelectMixin):
 
     def drop(self, set_id: SetId) -> None:
         """Remove a set from consideration without selecting it."""
-        self.fresh = False
         self._live[set_id] = False
         self._counts[set_id] = 0
 
@@ -672,31 +525,31 @@ class PackedMarginalTracker(VectorSelectMixin):
           cheap when the flip is wide).
         """
         newly, overlap, strategy = self._apply_select(set_id)
-        if newly:
-            self._finish_select(set_id, newly, overlap, strategy)
+        if not newly:
+            return 0
+        updates = int(overlap.sum())
+        self._counts -= overlap
+        np.logical_and(self._live, self._counts > 0, out=self._live)
+        self._metrics.marginal_updates += updates
+        _select_counter().inc(strategy=strategy)
+        if obs_trace.enabled():
+            obs_trace.event(
+                "tracker_update",
+                backend="packed",
+                strategy=strategy,
+                set_id=set_id,
+                newly_covered=newly,
+                updates=updates,
+                live=int(self._live.sum()),
+            )
         return newly
 
-    def select_with_deltas(
-        self, set_id: SetId
-    ) -> tuple[int, list[int], list[int]]:
-        """Shard-worker select: also report per-set overlap deltas.
-
-        Returns ``(newly, ids, overlaps)`` where ``ids`` are the live
-        sets whose marginal counts just dropped and ``overlaps`` the
-        amounts. The sharded supervisor sums these across shards to
-        maintain the exact global marginal vector.
-        """
-        newly, overlap, strategy = self._apply_select(set_id)
-        if not newly:
-            return 0, [], []
-        ids = np.nonzero(overlap)[0]
-        deltas = overlap[ids]
-        self._finish_select(set_id, newly, overlap, strategy)
-        return newly, ids.tolist(), deltas.tolist()
-
     def _apply_select(self, set_id: SetId):
-        """Pop the set, flip its new elements, compute live overlaps."""
-        self.fresh = False
+        """Pop the set, flip its new elements, compute live overlaps.
+
+        The uninstrumented core of :meth:`select`; the tracing-overhead
+        tests time :meth:`select` against it.
+        """
         layout = self._layout
         self._metrics.selections += 1
         self._live[set_id] = False
@@ -746,20 +599,3 @@ class PackedMarginalTracker(VectorSelectMixin):
         # reference, where evicted sets are simply absent).
         overlap = np.where(self._live, overlap, 0).astype(np.int64)
         return newly, overlap, strategy
-
-    def _finish_select(self, set_id, newly, overlap, strategy) -> None:
-        updates = int(overlap.sum())
-        self._counts -= overlap
-        np.logical_and(self._live, self._counts > 0, out=self._live)
-        self._metrics.marginal_updates += updates
-        _select_counter().inc(strategy=strategy)
-        if obs_trace.enabled():
-            obs_trace.event(
-                "tracker_update",
-                backend="packed",
-                strategy=strategy,
-                set_id=set_id,
-                newly_covered=newly,
-                updates=updates,
-                live=int(self._live.sum()),
-            )

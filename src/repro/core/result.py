@@ -153,8 +153,8 @@ class CoverResult:
 
         Labels are stringified with ``repr`` (patterns round-trip as
         their canonical text); metrics become a nested dict. Params keep
-        scalars and one-level dicts of scalars (e.g. the sharding
-        provenance) — anything deeper or non-JSON is dropped.
+        scalars and one-level dicts of scalars — anything deeper or
+        non-JSON is dropped.
         """
         return {
             "algorithm": self.algorithm,

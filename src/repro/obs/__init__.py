@@ -11,8 +11,8 @@ This package makes both first-class instead of debug logging:
   off: ``span()`` returns a shared no-op and hot paths guard attribute
   dicts behind a single ``enabled()`` check. Also home to the W3C-style
   request :class:`~repro.obs.trace.TraceContext` (``traceparent``
-  mint/parse/propagate) that stitches server, worker, and shard spans
-  into one request tree.
+  mint/parse/propagate) that stitches server and worker spans into
+  one request tree.
 * :mod:`repro.obs.slo` — per-tenant/global latency+error SLOs with
   multi-window burn-rate gauges (``scwsc_slo_*``), fed by the serve
   layer.

@@ -94,9 +94,9 @@ class TraceContext:
 
     Mirrors the W3C ``traceparent`` triple: a 128-bit ``trace_id``
     naming the whole request, a 64-bit ``span_id`` naming the caller's
-    span, and a flags byte (``01`` = sampled). Serialized on pool frames
-    so worker- and shard-side spans replay under the originating
-    request's trace id instead of a synthetic per-request counter.
+    span, and a flags byte (``01`` = sampled). Carried with each pool
+    request so worker-side spans replay under the originating request's
+    trace id instead of a synthetic per-request counter.
     """
 
     __slots__ = ("trace_id", "span_id", "flags")
@@ -155,12 +155,6 @@ _current_context: ContextVar[TraceContext | None] = ContextVar(
 def get_context() -> TraceContext | None:
     """The trace context bound to the current thread/task, if any."""
     return _current_context.get()
-
-
-def current_span_id() -> str | None:
-    """The id of the innermost open span, if any — used to re-parent
-    replayed shard/worker subtrees under the live span."""
-    return _current_span_id.get()
 
 
 def set_context(ctx: TraceContext | None) -> Any:

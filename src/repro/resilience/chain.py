@@ -64,6 +64,17 @@ DEFAULT_CHAIN: tuple[str, ...] = (
     "universal",
 )
 
+#: The solver behind each known stage; a ``stage_options`` entry holds
+#: keyword arguments of its stage's solver.
+STAGE_SOLVERS: dict[str, Callable[..., CoverResult]] = {
+    "exact": solve_exact,
+    "lp_rounding": lp_rounding,
+    "cwsc": cwsc,
+    "cmc": cmc,
+    "cmc_epsilon": cmc_epsilon,
+    "universal": universal_result,
+}
+
 #: Default node budget for the exact stage so it cannot wedge a chain
 #: that was given no deadline.
 DEFAULT_EXACT_NODE_LIMIT = 200_000
@@ -113,33 +124,19 @@ def _stage_specs(
     exact_node_limit: int | None,
     stage_options: dict[str, dict],
     backend: str | None = None,
-    shards: int | None = None,
 ) -> dict[str, _StageSpec]:
     """Build the known stages; per-stage kwargs come from stage_options.
 
     ``backend`` seeds the greedy stages' tracker backend (their own
-    ``stage_options`` entries win). ``shards`` wraps the greedy stages
-    in :func:`~repro.resilience.pool.sharded.sharded_solve` — identical
-    selections, marginals maintained by shard workers.
+    ``stage_options`` entries win).
     """
 
     def opts(name: str) -> dict:
         return dict(stage_options.get(name, {}))
 
-    def greedy_run(name: str, solver, run_opts: dict):
+    def greedy_run(solver, run_opts: dict):
         if backend is not None:
             run_opts.setdefault("backend", backend)
-        if shards:
-            from repro.resilience.pool.sharded import sharded_solve
-
-            # The sharded path is packed-equivalent by construction; a
-            # tracker backend choice would be meaningless there (and
-            # collides with the fallback's explicit backend="packed").
-            run_opts.pop("backend", None)
-            return lambda d: sharded_solve(
-                system, k, s_hat, algorithm=name, shards=shards,
-                deadline=d, **run_opts,
-            )
         return lambda d: solver(system, k, s_hat, deadline=d, **run_opts)
 
     specs: dict[str, _StageSpec] = {}
@@ -161,13 +158,13 @@ def _stage_specs(
     )
 
     specs["cwsc"] = _StageSpec(
-        run=greedy_run("cwsc", cwsc, opts("cwsc")),
+        run=greedy_run(cwsc, opts("cwsc")),
         k_bound=k,
         coverage_target=s_hat,
     )
 
     specs["cmc"] = _StageSpec(
-        run=greedy_run("cmc", cmc, opts("cmc")),
+        run=greedy_run(cmc, opts("cmc")),
         k_bound=max_sets_standard(k),
         coverage_target=COVERAGE_DISCOUNT * s_hat,
     )
@@ -175,7 +172,7 @@ def _stage_specs(
     cmc_eps_opts = opts("cmc_epsilon")
     eps = cmc_eps_opts.get("eps", 1.0)
     specs["cmc_epsilon"] = _StageSpec(
-        run=greedy_run("cmc_epsilon", cmc_epsilon, cmc_eps_opts),
+        run=greedy_run(cmc_epsilon, cmc_eps_opts),
         k_bound=max_sets_epsilon(k, eps),
         coverage_target=COVERAGE_DISCOUNT * s_hat,
     )
@@ -238,7 +235,6 @@ def resilient_solve(
     isolation: str = "inline",
     memory_limit_mb: int | None = None,
     backend: str | None = None,
-    shards: int | None = None,
 ) -> CoverResult:
     """Solve with a verified fallback chain; degrade instead of crashing.
 
@@ -298,13 +294,6 @@ def resilient_solve(
         (``"set"``, ``"packed"``, ``"auto"``); an
         explicit per-stage ``stage_options`` entry wins. ``None``
         leaves each stage to the usual env/auto resolution.
-    shards:
-        When set (>= 1), the greedy stages (cwsc/cmc/cmc_epsilon) run
-        universe-sharded across that many shard workers
-        (:func:`~repro.resilience.pool.sharded.sharded_solve`) —
-        identical selections and metrics, marginal updates fanned out
-        to the pool. Non-greedy stages are unaffected. Shard failures
-        fall back to the single-process packed backend mid-chain.
 
     Returns
     -------
@@ -345,15 +334,12 @@ def resilient_solve(
             exact_node_limit=exact_node_limit,
             on_failure=on_failure,
             backend=backend,
-            shards=shards,
         )
     if memory_limit_mb is not None:
         raise ValidationError(
             "memory_limit_mb requires isolation='process'; an in-process "
             "rlimit would take down the caller too"
         )
-    if shards is not None and shards < 1:
-        raise ValidationError(f"shards must be >= 1, got {shards}")
     if backend is not None:
         from repro.core.marginal import KNOWN_BACKENDS
 
@@ -364,7 +350,7 @@ def resilient_solve(
             )
     specs = _stage_specs(
         system, k, s_hat, seed, exact_node_limit, stage_options or {},
-        backend=backend, shards=shards,
+        backend=backend,
     )
     unknown = [name for name in chain if name not in specs]
     if unknown:

@@ -384,9 +384,9 @@ class SolveRequest:
     #: parent process has a tracer configured.
     trace: bool = False
     #: W3C ``traceparent`` of the originating request, when one exists.
-    #: Workers bind it as their current trace context so captured spans
-    #: (including shard-session hops) replay under the request's trace
-    #: id instead of a synthetic per-request prefix.
+    #: Parent-side only: the supervisor replays the worker's captured
+    #: spans under its trace id instead of a synthetic per-request
+    #: prefix.
     traceparent: str | None = None
 
 
@@ -413,7 +413,6 @@ def encode_request(request: SolveRequest, request_id: int) -> dict:
         "options": request.options or {},
         "seed": request.seed,
         "trace": request.trace,
-        "traceparent": request.traceparent,
     }
 
 
@@ -437,11 +436,6 @@ def request_from_payload(payload: dict) -> tuple[int, SolveRequest]:
             options=dict(payload.get("options") or {}),
             seed=int(payload.get("seed", 0)),
             trace=bool(payload.get("trace", False)),
-            traceparent=(
-                str(payload["traceparent"])
-                if payload.get("traceparent")
-                else None
-            ),
         )
     except (KeyError, TypeError, ValueError) as error:
         raise ProtocolError(

@@ -80,9 +80,8 @@ def spawn_worker_process(
 ) -> subprocess.Popen:
     """Spawn one pool worker speaking the frame protocol on its pipes.
 
-    Shared by :class:`SolverPool` and the universe-sharded sessions
-    (:mod:`repro.resilience.pool.sharded`), so every worker gets the
-    same import-path guarantee and environment-overlay semantics.
+    The child can import ``repro`` from any cwd, and ``worker_env``
+    overlays the parent environment (a ``None`` value unsets a key).
     """
     command = [
         sys.executable,
@@ -1175,7 +1174,6 @@ def run_isolated(
     grace: float = 2.0,
     worker_env: dict | None = None,
     backend: str | None = None,
-    shards: int | None = None,
 ) -> CoverResult:
     """One process-isolated resilient solve; the pool-of-one convenience.
 
@@ -1184,10 +1182,8 @@ def run_isolated(
     verified result whose ``params`` carry both the in-worker
     ``resilience`` provenance and the supervisor's ``pool`` provenance.
     ``on_failure`` applies when even the parent-side fallback cannot
-    produce a feasible answer. ``backend`` and ``shards`` ride the
-    request options into the worker's ``resilient_solve`` — the worker
-    becomes the sharding *parent*, fanning its greedy stages out to its
-    own shard workers.
+    produce a feasible answer. ``backend`` rides the request options
+    into the worker's ``resilient_solve``.
     """
     if on_failure not in ("partial", "raise"):
         raise ValidationError(
@@ -1200,8 +1196,6 @@ def run_isolated(
         options["exact_node_limit"] = exact_node_limit
     if backend is not None:
         options["backend"] = backend
-    if shards is not None:
-        options["shards"] = shards
     request = SolveRequest(
         system=system,
         k=k,

@@ -31,6 +31,7 @@ OOM) that are precisely the supervisor's job to detect.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import time
@@ -38,7 +39,7 @@ import traceback
 from collections import deque
 
 from repro.core.result import CoverResult
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError, ReproError, ValidationError
 from repro.obs import trace as obs_trace
 from repro.obs.log import console_logging
 from repro.resilience import faults
@@ -50,7 +51,7 @@ from repro.resilience.pool.protocol import (
     write_frame,
 )
 
-__all__ = ["main", "run_request"]
+__all__ = ["check_request_fields", "main", "run_request"]
 
 #: Cap on trace records shipped per result frame: an unexpectedly hot
 #: trace must degrade to truncation, not to an oversized frame that the
@@ -82,22 +83,75 @@ def _ring_event(name: str, **attrs) -> None:
 
 def _solver_registry() -> dict:
     """Named solvers the worker can run directly (grid cells)."""
-    from repro.core.cmc import cmc
-    from repro.core.cmc_epsilon import cmc_epsilon
-    from repro.core.cwsc import cwsc
-    from repro.core.exact import solve_exact
-    from repro.core.fallbacks import greedy_partial, universal_result
-    from repro.core.lp_rounding import lp_rounding
+    from repro.core.fallbacks import greedy_partial
+    from repro.resilience.chain import STAGE_SOLVERS
 
-    return {
-        "cwsc": (cwsc, True),
-        "cmc": (cmc, True),
-        "cmc_epsilon": (cmc_epsilon, True),
-        "exact": (solve_exact, True),
-        "lp_rounding": (lp_rounding, True),
-        "universal": (universal_result, False),
-        "greedy_partial": (greedy_partial, False),
-    }
+    return {**STAGE_SOLVERS, "greedy_partial": greedy_partial}
+
+
+#: Arguments :func:`run_request` (or the chain, for a stage) passes to a
+#: solver itself; request options may not name them.
+_SOLVER_ARGS = frozenset({"system", "k", "s_hat", "deadline"})
+_CHAIN_ARGS = _SOLVER_ARGS | {
+    "chain", "timeout", "seed", "stage_options", "on_stage", "on_failure",
+}
+
+
+def _check_keys(field: str, keys, fn, reserved: frozenset) -> None:
+    allowed = set(inspect.signature(fn).parameters) - reserved
+    unknown = sorted(set(keys) - allowed)
+    if unknown:
+        raise ValidationError(
+            f"unknown key(s) {unknown} in {field}; "
+            f"expected any of {sorted(allowed)}"
+        )
+
+
+def check_request_fields(
+    solver: str,
+    chain: tuple[str, ...] | None,
+    options: dict | None,
+    stage_options: dict | None,
+) -> None:
+    """Reject a request :func:`run_request` would fail on, before dispatch.
+
+    The solver must be registered (or ``"resilient"``), chain stages
+    must be known, and ``options`` / ``stage_options`` keys must be
+    keyword parameters of the callable they reach, minus the arguments
+    the worker and the chain pass themselves. Raises
+    :class:`~repro.errors.ValidationError`.
+    """
+    from repro.resilience.chain import STAGE_SOLVERS, resilient_solve
+
+    registry = _solver_registry()
+    if solver == "resilient":
+        _check_keys("'options'", options or {}, resilient_solve, _CHAIN_ARGS)
+    elif solver in registry:
+        _check_keys("'options'", options or {}, registry[solver], _SOLVER_ARGS)
+    else:
+        raise ValidationError(
+            f"unknown solver {solver!r}; "
+            f"known: {sorted(registry)} or 'resilient'"
+        )
+    unknown = [stage for stage in chain or () if stage not in STAGE_SOLVERS]
+    if unknown:
+        raise ValidationError(
+            f"unknown chain stage(s) {unknown}; known: {sorted(STAGE_SOLVERS)}"
+        )
+    for stage, stage_opts in (stage_options or {}).items():
+        if stage not in STAGE_SOLVERS:
+            raise ValidationError(
+                f"unknown stage {stage!r} in 'stage_options'; "
+                f"known: {sorted(STAGE_SOLVERS)}"
+            )
+        if not isinstance(stage_opts, dict):
+            raise ValidationError(
+                f"'stage_options' entry {stage!r} must be an object"
+            )
+        _check_keys(
+            f"'stage_options' entry {stage!r}", stage_opts,
+            STAGE_SOLVERS[stage], _SOLVER_ARGS,
+        )
 
 
 def run_request(request: SolveRequest, on_stage=None) -> CoverResult:
@@ -125,7 +179,8 @@ def run_request(request: SolveRequest, on_stage=None) -> CoverResult:
             f"unknown solver {request.solver!r}; "
             f"known: {sorted(registry)} or 'resilient'"
         )
-    fn, takes_deadline = registry[request.solver]
+    fn = registry[request.solver]
+    takes_deadline = "deadline" in inspect.signature(fn).parameters
     if takes_deadline and request.timeout is not None:
         from repro.resilience.deadline import Deadline
 
@@ -165,109 +220,6 @@ def _error_payload(request_id: int, error: BaseException) -> dict:
     return payload
 
 
-#: Live shard trackers by shard id, for universe-sharded solves. The
-#: supervisor opens shards with ``shard_open``, drives them with
-#: ``shard_select`` / ``shard_reset``, and frees them with
-#: ``shard_close``; the backing systems flow through the same
-#: fingerprint LRU as whole solves, so repeat tenants reuse both the
-#: deserialized system and its packed layout.
-_SHARD_TRACKERS: dict = {}
-
-
-#: Cap on trace records shipped per shard reply frame: shard RPCs are
-#: per-selection, so each reply carries at most a handful of spans, but
-#: a hot tracker-event storm must still degrade to truncation.
-_MAX_SHARD_TRACE_RECORDS = 1_000
-
-
-def _shard_op(out, frame: dict) -> dict:
-    """Execute one shard RPC and build (without writing) its reply."""
-    from repro.resilience.pool.protocol import _system_from_payload_cached
-
-    kind = frame.get("kind")
-    shard_id = frame.get("shard")
-    if kind == "shard_open":
-        from repro.core.packed import PackedMarginalTracker, shard_layout
-
-        with obs_trace.span(
-            "shard_open", shard=shard_id,
-            lo=frame.get("lo"), hi=frame.get("hi"),
-        ):
-            system = _system_from_payload_cached(
-                frame["system"], frame.get("system_fp")
-            )
-            layout = shard_layout(system, frame["lo"], frame["hi"])
-            _SHARD_TRACKERS[shard_id] = PackedMarginalTracker(
-                system, layout=layout
-            )
-        return {"kind": "shard_ready", "shard": shard_id,
-                "local_elements": layout.n_elements}
-    if kind == "shard_select":
-        with obs_trace.span(
-            "shard_select", shard=shard_id, set_id=frame.get("set_id")
-        ):
-            tracker = _SHARD_TRACKERS[shard_id]
-            newly, ids, overlaps = tracker.select_with_deltas(
-                frame["set_id"]
-            )
-        return {
-            "kind": "shard_delta",
-            "shard": shard_id,
-            "newly": newly,
-            "ids": ids,
-            "overlaps": overlaps,
-        }
-    if kind == "shard_reset":
-        with obs_trace.span("shard_reset", shard=shard_id):
-            _SHARD_TRACKERS[shard_id].reset()
-        return {"kind": "shard_ok", "shard": shard_id}
-    # shard_close
-    _SHARD_TRACKERS.pop(shard_id, None)
-    return {"kind": "shard_ok", "shard": shard_id}
-
-
-def _handle_shard(out, frame: dict) -> None:
-    """Serve one universe-shard frame (see pool/sharded.py).
-
-    When the frame carries ``"trace": true`` the worker captures its
-    spans for the one RPC (the ``shard_*`` span plus any tracker events)
-    and ships them in the reply under ``"trace"``; the shard session on
-    the parent side replays them into its own tracer, so shard work
-    appears in the originating request's tree.
-    """
-    shard_id = frame.get("shard")
-    records: list | None = None
-    try:
-        if frame.get("trace"):
-            with obs_trace.capture() as records:
-                reply = _shard_op(out, frame)
-        else:
-            reply = _shard_op(out, frame)
-    except (ReproError, MemoryError, ArithmeticError, ValueError,
-            KeyError, IndexError, TypeError, AttributeError) as error:
-        traceback.print_exc(file=sys.stderr)
-        reply = {
-            "kind": "shard_error",
-            "shard": shard_id,
-            "error_type": type(error).__name__,
-            "message": str(error) or type(error).__name__,
-        }
-    if records:
-        if len(records) > _MAX_SHARD_TRACE_RECORDS:
-            dropped = len(records) - _MAX_SHARD_TRACE_RECORDS
-            records = records[:_MAX_SHARD_TRACE_RECORDS]
-            records.append(
-                {
-                    "type": "event",
-                    "name": "trace_truncated",
-                    "t": 0.0,
-                    "attrs": {"dropped_records": dropped},
-                }
-            )
-        reply["trace"] = records
-    write_frame(out, reply)
-
-
 def _handle_solve(out, payload: dict) -> None:
     request_id, request = request_from_payload(payload)
     injector = faults.active()
@@ -282,10 +234,6 @@ def _handle_solve(out, payload: dict) -> None:
         )
 
     trace_records: list | None = None
-    # Bind the originating request's trace context (when the supervisor
-    # forwarded one) so a worker acting as a sharding parent propagates
-    # it onto its own shard-session frames.
-    trace_ctx = obs_trace.parse_traceparent(request.traceparent)
     _ring_event(
         "worker_solve_start",
         request=request_id,
@@ -297,7 +245,7 @@ def _handle_solve(out, payload: dict) -> None:
     try:
         if injector is not None:
             injector.worker_entry()
-        with obs_trace.context(trace_ctx), hang_watchdog(
+        with hang_watchdog(
             request.timeout, context=f"request {request_id}"
         ):
             if request.trace:
@@ -428,9 +376,6 @@ def main(argv: list[str] | None = None) -> int:
                 write_frame(out, {"kind": "pong", "pid": os.getpid()})
             elif kind == "solve":
                 _handle_solve(out, frame)
-            elif kind in ("shard_open", "shard_select", "shard_reset",
-                          "shard_close"):
-                _handle_shard(out, frame)
             else:
                 print(f"pool worker: ignoring unknown frame kind {kind!r}",
                       file=sys.stderr)

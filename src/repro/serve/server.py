@@ -52,6 +52,7 @@ from repro.obs.postmortem import BundleSpool, TriggerEngine, build_info
 from repro.obs.slo import GLOBAL_SCOPE, SloTracker
 from repro.resilience.pool import SolveRequest
 from repro.resilience.pool.protocol import system_from_payload
+from repro.resilience.pool.worker import check_request_fields
 from repro.serve.accesslog import ACCESS_SCHEMA, AccessLog
 from repro.serve.admission import AdmissionController
 from repro.serve.config import ServeConfig
@@ -74,8 +75,9 @@ def build_solve_request(
 
     ``system`` short-circuits deserialization for batch entries sharing
     a top-level system. Raises :class:`ValidationError` (bad schema or
-    parameters) or :class:`ProtocolError` (bad system payload), both of
-    which the handler maps to 400.
+    parameters, including a solver, chain stage, or option key the
+    worker would reject) or :class:`ProtocolError` (bad system
+    payload), both of which the handler maps to 400.
     """
     if not isinstance(payload, dict):
         raise ValidationError("request body must be a JSON object")
@@ -118,9 +120,9 @@ def build_solve_request(
         if payload.get(key) is not None and not isinstance(payload[key], dict):
             raise ValidationError(f"'{key}' must be an object")
     options = payload.get("options")
-    # Top-level backend/shard knobs (documented in docs/SERVING.md) are
-    # sugar for the matching resilient_solve options; an explicit
-    # options entry wins.
+    # The top-level backend knob (documented in docs/SERVING.md) is
+    # sugar for the matching solver option; an explicit options entry
+    # wins.
     backend = payload.get("backend")
     if backend is not None:
         from repro.core.marginal import KNOWN_BACKENDS
@@ -132,17 +134,7 @@ def build_solve_request(
             )
         options = dict(options or {})
         options.setdefault("backend", backend)
-    shards = payload.get("shards")
-    if shards is not None:
-        if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-            raise ValidationError("'shards' must be a positive integer")
-        if solver != "resilient":
-            raise ValidationError(
-                "'shards' requires the 'resilient' solver (the worker "
-                "becomes the sharding parent for its greedy stages)"
-            )
-        options = dict(options or {})
-        options.setdefault("shards", shards)
+    check_request_fields(solver, chain, options, payload.get("stage_options"))
     return SolveRequest(
         system=system,
         k=k,
@@ -215,7 +207,7 @@ class _Handler(BaseHTTPRequestHandler):
         # Every request gets a W3C-style trace context: a valid incoming
         # ``traceparent`` keeps its trace id (with a fresh server-side
         # span id); anything else gets a minted one. The context rides
-        # the pool frames so worker and shard spans replay under it, the
+        # each pool request so worker spans replay under it, the
         # response echoes it, and the access-log record carries it.
         incoming = obs_trace.parse_traceparent(self.headers.get("traceparent"))
         ctx = (

@@ -16,12 +16,12 @@ from repro.core.marginal import (
     resolve_backend,
 )
 from repro.core.packed import (
+    _LAYOUT_CACHE,
     PackedLayout,
     PackedMarginalTracker,
     assign_levels,
     cached_layout,
     packed_layout,
-    shard_layout,
 )
 from repro.core.result import Metrics
 from repro.core.setsystem import SetSystem
@@ -86,15 +86,18 @@ class TestPackedLayout:
         assert np.array_equal(dense.sizes, csr.sizes)
 
     def test_dense_and_csr_trackers_agree_on_random_systems(self):
+        def tracker_packed_with(system, dense_byte_cap):
+            # Seed the layout cache, which the tracker reads its layout from.
+            _LAYOUT_CACHE[system] = PackedLayout.build(system, dense_byte_cap)
+            return PackedMarginalTracker(system)
+
         rng = random.Random(20)
         for _ in range(15):
-            system = random_system(rng)
-            dense = PackedMarginalTracker(
-                system, layout=PackedLayout.build(system, 1 << 30)
+            seed = rng.random()
+            dense = tracker_packed_with(
+                random_system(random.Random(seed)), 1 << 30
             )
-            csr = PackedMarginalTracker(
-                system, layout=PackedLayout.build(system, 0)
-            )
+            csr = tracker_packed_with(random_system(random.Random(seed)), 0)
             for _ in range(4):
                 live = dense.live_ids
                 if not live:
@@ -145,44 +148,6 @@ class TestPackedLayout:
             assert layout.sizes[ws.set_id] == ws.size
 
 
-class TestShardLayout:
-    def test_shards_partition_sizes(self, system):
-        full = packed_layout(system)
-        parts = [shard_layout(system, 0, 64), shard_layout(system, 64, 130)]
-        summed = sum(part.sizes for part in parts)
-        assert np.array_equal(summed, full.sizes)
-
-    def test_word_interior_boundary_masks(self, system):
-        # A boundary inside a word must mask, not duplicate, elements.
-        lo_part = shard_layout(system, 0, 100)
-        hi_part = shard_layout(system, 100, 130)
-        full = packed_layout(system)
-        assert np.array_equal(
-            lo_part.sizes + hi_part.sizes, full.sizes
-        )
-        for ws in system.sets:
-            lo_els = {int(e) for e in lo_part.elements_of(ws.set_id)}
-            assert lo_els == {e for e in ws.benefit if e < 100}
-
-    def test_empty_shard_is_legal_and_exhausted(self, system):
-        empty = shard_layout(system, 130, 130)
-        assert int(empty.sizes.sum()) == 0
-        tracker = PackedMarginalTracker(system, layout=empty)
-        assert tracker.live_ids == []
-
-    def test_shard_with_no_owning_sets(self):
-        # Elements 200..255 appear in no set: that shard starts fully
-        # dead but must still answer selects with zero deltas.
-        system = SetSystem.from_iterables(
-            256, benefits=[{0, 1}, {2}], costs=[1.0, 1.0]
-        )
-        shard = shard_layout(system, 192, 256)
-        tracker = PackedMarginalTracker(system, layout=shard)
-        assert tracker.live_ids == []
-        newly, ids, overlaps = tracker.select_with_deltas(0)
-        assert newly == 0 and ids == [] and overlaps == []
-
-
 class TestPackedTracker:
     def test_mirrors_set_tracker(self, small_system):
         packed = PackedMarginalTracker(small_system)
@@ -226,6 +191,34 @@ class TestPackedTracker:
         tracker.select(1)
         assert tracker.covered == frozenset({2, 3})
 
+    def test_elements_with_no_owning_sets(self):
+        # Elements 3..255 appear in no set: their owner lists are empty,
+        # and selects over the rest still update every live marginal.
+        system = SetSystem.from_iterables(
+            256, benefits=[{0, 1}, {1, 2}], costs=[1.0, 1.0]
+        )
+        metrics = Metrics()
+        tracker = PackedMarginalTracker(system, metrics=metrics)
+        assert tracker.live_ids == [0, 1]
+        assert tracker.select(0) == 2
+        assert dict(tracker.live_items()) == {1: 1}
+        assert tracker.select(1) == 1
+        assert tracker.live_ids == [] and tracker.covered_count == 3
+        assert tracker.select(0) == 0
+        assert metrics.marginal_updates == 1
+
+    def test_select_decrements_match_overlaps(self, system):
+        tracker = PackedMarginalTracker(system)
+        before = dict(tracker.live_items())
+        picked = system.sets[0].benefit
+        assert tracker.select(0) == len(picked)
+        after = dict(tracker.live_items())
+        for set_id, size in before.items():
+            if set_id == 0:
+                continue
+            overlap = len(system.sets[set_id].benefit & picked)
+            assert size - overlap == after.get(set_id, 0)
+
 
 class TestAssignLevels:
     def test_matches_level_of_reference(self):
@@ -238,17 +231,6 @@ class TestAssignLevels:
         for cost, level in zip(costs, levels):
             expected = scheme.level_of(float(cost))
             assert level == (-1 if expected is None else expected)
-
-
-class TestSelectWithDeltas:
-    def test_deltas_mirror_tracker_state(self, system):
-        tracker = PackedMarginalTracker(system)
-        before = dict(tracker.live_items())
-        newly, ids, overlaps = tracker.select_with_deltas(0)
-        assert newly == 5
-        after = dict(tracker.live_items())
-        for set_id, overlap in zip(ids, overlaps):
-            assert before[set_id] - overlap == after.get(set_id, 0)
 
 
 class TestResolveBackend:

@@ -112,10 +112,10 @@ class TestCoverResult:
 
     def test_to_dict_keeps_flat_scalar_dicts(self):
         result = self.make()
-        result.params["sharding"] = {"shards": 3, "workers": 2}
+        result.params["backend"] = {"name": "packed", "words": 2}
         result.params["nested"] = {"deep": {"too": 1}}
         result.params["odd_keys"] = {7: "seven"}
         payload = result.to_dict()
-        assert payload["params"]["sharding"] == {"shards": 3, "workers": 2}
+        assert payload["params"]["backend"] == {"name": "packed", "words": 2}
         assert "nested" not in payload["params"]
         assert "odd_keys" not in payload["params"]

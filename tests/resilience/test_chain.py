@@ -212,6 +212,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             resilient_solve(random_system(), k=3, s_hat=0.5, timeout=0.0)
 
+    def test_unknown_backend_rejected(self, random_system):
+        with pytest.raises(ValidationError, match="unknown tracker backend"):
+            resilient_solve(random_system(), k=4, s_hat=0.8, backend="gpu")
+
     def test_negative_retries_rejected(self, random_system):
         with pytest.raises(ValidationError):
             resilient_solve(random_system(), k=3, s_hat=0.5, max_retries=-1)

@@ -1,10 +1,10 @@
 """Acceptance: end-to-end request tracing, access log, SLO, and console.
 
 Drives a mix of requests — concurrent solves, a rate-limited shed, a
-chaos-forced pool requeue, and a sharded solve — through a live daemon
-and asserts the observability contract: every HTTP request yields
-exactly one schema-valid access-log record, every traced request's
-worker (and shard) spans replay under the originating trace id in one
+chaos-forced pool requeue, and a single-stage greedy solve — through a
+live daemon and asserts the observability contract: every HTTP request
+yields exactly one schema-valid access-log record, every traced
+request's worker spans replay under the originating trace id in one
 schema-valid tree, and ``scwsc top`` renders a frame from the scraped
 ``/metrics`` page without a TTY.
 """
@@ -21,6 +21,7 @@ from repro.obs.report import load_trace
 from repro.obs.schema import validate_trace_file
 from repro.resilience import faults
 from repro.resilience.faults import FaultConfig
+from repro.resilience.pool.protocol import system_to_payload
 from repro.serve.accesslog import iter_access_records, validate_access_file
 
 
@@ -39,7 +40,7 @@ def spans_for(records: list[dict], tid: str) -> list[dict]:
 
 class TestObservabilityAcceptance:
     def test_trace_access_log_and_console(
-        self, make_server, solve_body, tmp_path
+        self, make_server, solve_body, random_system, tmp_path
     ):
         trace_path = tmp_path / "trace.jsonl"
         access_path = tmp_path / "access.jsonl"
@@ -89,31 +90,38 @@ class TestObservabilityAcceptance:
                 assert code == 200, decoded
                 assert decoded["trace_id"] == tid
 
-            # -- one sharded solve ------------------------------------
-            shard_tid = "b1" * 16
+            # -- one single-stage greedy solve -------------------------
+            greedy_tid = "b1" * 16
             code, decoded, _ = server.post(
                 "/solve",
-                solve_body(seed=2, shards=2, chain=["cwsc"]),
+                solve_body(seed=2, chain=["cwsc"]),
                 headers={
-                    "traceparent": traceparent(shard_tid),
-                    "X-Scwsc-Tenant": "sharder",
+                    "traceparent": traceparent(greedy_tid),
+                    "X-Scwsc-Tenant": "greedy",
                 },
             )
-            sent.append(shard_tid)
+            sent.append(greedy_tid)
             assert code == 200, decoded
             assert decoded["status"] == "ok"
 
             # -- one chaos-forced pool requeue ------------------------
-            # The supervisor SIGKILLs the worker 50ms after dispatch; a
-            # sharded solve spends far longer than that spawning its
-            # shard session, so the kill always lands mid-attempt.
+            # The supervisor SIGKILLs the worker 50ms after dispatch.
+            # The worker spends far longer than that decoding and
+            # solving a ~5 MB system (6 000 elements, 600 sets; about
+            # 0.5 s on 2 vCPU), so the kill always lands mid-attempt.
             requeue_tid = "c1" * 16
+            large = random_system(n_elements=6000, n_sets=600, seed=3)
             with faults.chaos(
                 FaultConfig(worker_kill=1.0, fault_limit=1, seed=7)
             ):
                 code, decoded, _ = server.post(
                     "/solve",
-                    solve_body(seed=3, shards=2, chain=["cwsc"]),
+                    {
+                        "system": system_to_payload(large),
+                        "k": 3,
+                        "s": 0.5,
+                        "chain": ["cwsc"],
+                    },
                     headers={
                         "traceparent": traceparent(requeue_tid),
                         "X-Scwsc-Tenant": "requeuer",
@@ -202,16 +210,16 @@ class TestObservabilityAcceptance:
             # subtrees (prefixed with the trace id) parent onto it.
             assert edge[0]["span_id"] in span_ids
         # Worker spans replay under the request's trace id...
-        for tid in (tids[0], shard_tid, requeue_tid):
+        for tid in (tids[0], greedy_tid, requeue_tid):
             worker_spans = spans_for(records, tid)
             assert worker_spans, f"no worker spans under {tid}"
             for span in worker_spans:
                 parent = span.get("parent_id")
                 assert parent in span_ids, (span["name"], parent)
-        # ...including the shard subtree for the sharded solve.
-        shard_names = {s["name"] for s in spans_for(records, shard_tid)}
-        assert "shard_open" in shard_names
-        assert "shard_select" in shard_names
+        # ...including the solver's own subtree for the greedy solve.
+        greedy_names = {s["name"] for s in spans_for(records, greedy_tid)}
+        assert "solve" in greedy_names
+        assert "select" in greedy_names
         # The killed first attempt never ships its spans home (SIGKILL
         # takes the capture buffer with it); the surviving spans are all
         # attempt 2, and the requeue itself is an annotated event.

@@ -50,7 +50,7 @@ class TestBuildSolveRequest:
                 deadline=2.0,
                 seed=7,
                 tag="t1",
-                options={"x": 1},
+                options={"on_infeasible": "partial"},
                 stage_options={"cmc": {"b": 2.0}},
             ),
             self.config(),
@@ -60,7 +60,7 @@ class TestBuildSolveRequest:
         assert request.timeout == 2.0
         assert request.seed == 7
         assert request.tag == "t1"
-        assert request.options == {"x": 1}
+        assert request.options == {"on_infeasible": "partial"}
         assert request.stage_options == {"cmc": {"b": 2.0}}
 
     @pytest.mark.parametrize(
@@ -77,12 +77,42 @@ class TestBuildSolveRequest:
             {"seed": 1.5},
             {"tag": 9},
             {"options": []},
+            # Names the worker would reject: an unknown solver or chain
+            # stage, or an option the target callable does not take.
+            {"solver": "nope"},
+            {"solver": "cwsc", "options": {"bogus": 1}},
+            {"solver": "cwsc", "options": {"deadline": 5}},
+            {"options": {"chain": ["cwsc"]}},
+            {"options": {"shards": 2}},
+            {"chain": ["nope"]},
+            {"chain": ["cwsc"], "stage_options": {"cwsc": {"bogus": 1}}},
+            {"stage_options": {"nope": {}}},
+            {"stage_options": {"cmc": []}},
+            {"stage_options": {"universal": {"b": 2.0}}},
         ],
     )
     def test_bad_fields_raise_validation(self, random_system, mutation):
         body = self.payload(random_system, **mutation)
         with pytest.raises(ValidationError):
             build_solve_request(body, self.config())
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"solver": "cmc", "options": {"b": 2.0, "backend": "set"}},
+            {"solver": "greedy_partial"},
+            {
+                "options": {"max_retries": 0, "exact_node_limit": 10},
+                "stage_options": {
+                    "exact": {"node_limit": 5},
+                    "lp_rounding": {"seed": 3, "trials": 2},
+                    "cmc_epsilon": {"eps": 0.5},
+                },
+            },
+        ],
+    )
+    def test_fields_the_worker_accepts_pass(self, random_system, fields):
+        build_solve_request(self.payload(random_system, **fields), self.config())
 
     def test_missing_system_raises(self):
         with pytest.raises(ValidationError, match="system"):
@@ -95,22 +125,15 @@ class TestBuildSolveRequest:
             )
 
 
-class TestBackendAndShardKnobs(TestBuildSolveRequest):
-    """Top-level ``backend``/``shards`` request fields flow into solver
-    options (and validate before any solve starts)."""
+class TestBackendKnob(TestBuildSolveRequest):
+    """The top-level ``backend`` request field flows into solver options
+    (and validates before any solve starts)."""
 
     def test_backend_lands_in_options(self, random_system):
         request = build_solve_request(
             self.payload(random_system, backend="packed"), self.config()
         )
         assert request.options == {"backend": "packed"}
-
-    def test_shards_lands_in_options(self, random_system):
-        request = build_solve_request(
-            self.payload(random_system, backend="packed", shards=2),
-            self.config(),
-        )
-        assert request.options == {"backend": "packed", "shards": 2}
 
     def test_explicit_options_win_over_top_level(self, random_system):
         request = build_solve_request(
@@ -127,20 +150,6 @@ class TestBackendAndShardKnobs(TestBuildSolveRequest):
         with pytest.raises(ValidationError):
             build_solve_request(
                 self.payload(random_system, backend="gpu"), self.config()
-            )
-
-    @pytest.mark.parametrize("shards", [0, -1, 1.5, "two"])
-    def test_bad_shards_rejected(self, random_system, shards):
-        with pytest.raises(ValidationError):
-            build_solve_request(
-                self.payload(random_system, shards=shards), self.config()
-            )
-
-    def test_shards_requires_resilient_solver(self, random_system):
-        with pytest.raises(ValidationError):
-            build_solve_request(
-                self.payload(random_system, solver="cwsc", shards=2),
-                self.config(),
             )
 
 
@@ -228,6 +237,38 @@ class TestEndpoints:
         code, response, _ = server.post("/solve", body, timeout=10)
         assert code == 400
         assert "auto, set, packed" in response["error"]
+
+    @pytest.mark.parametrize("endpoint", ["/solve", "/batch"])
+    def test_worker_rejected_fields_400_before_dispatch(
+        self, make_server, solve_body, endpoint
+    ):
+        server = make_server(max_requeues=1)
+        submitted = []
+        submit = server.engine.submit
+        server.engine.submit = (
+            lambda request: submitted.append(request) or submit(request)
+        )
+        for fields in (
+            {"solver": "nope"},
+            {"solver": "cwsc", "options": {"bogus": 1}},
+            {"chain": ["cwsc"], "stage_options": {"cwsc": {"bogus": 1}}},
+        ):
+            body = dict(solve_body(), **fields)
+            if endpoint == "/batch":
+                body = {"requests": [solve_body(), body]}
+            code, response, _ = server.post(endpoint, body, timeout=10)
+            assert code == 400, response
+            assert "unknown" in response["error"]
+        assert submitted == []
+        # A well-formed request is answered by the worker itself: no
+        # requeue and no parent-side fallback.
+        code, response, _ = server.post(
+            "/solve", dict(solve_body(), chain=["cwsc"])
+        )
+        assert code == 200 and response["status"] == "ok", response
+        assert len(submitted) == 1
+        assert response["pool"]["requeues"] == 0
+        assert "fallback" not in response["pool"]
 
     def test_bad_schema_400(self, make_server, solve_body):
         server = make_server()
