@@ -8,9 +8,10 @@
 #   make bench-large  n = 10^5 packed-kernel matrix (--scale large), gated
 #                     against the committed baseline's large cells (runtime,
 #                     quality, and peak RSS)
-#   make perfbench-test  perfbench's own tests plus a 2 s solve-sweep smoke,
-#                     so a change under src/ cannot silently break the
-#                     end-to-end benchmark's imports
+#   make perfbench-test  perfbench's own tests plus 2 s solve-sweep and
+#                     table-cold smokes (the latter runs 3 checked table
+#                     ops), so a change under src/ cannot silently break
+#                     the end-to-end benchmark
 #   make trace-smoke  traced solves (plain + --isolate), schema-validated
 #   make profile-smoke  profiled solve, flamegraph export, dashboard render
 #   make serve-smoke  boot the real daemon twice: healthy mixed-deadline
@@ -49,6 +50,7 @@ bench-large:
 perfbench-test:
 	$(PYTHON) -m pytest -q perfbench
 	$(PYTHON) perfbench/run.py --workload solve-sweep --seed 1 --seconds 2
+	$(PYTHON) perfbench/run.py --workload table-cold --seed 1 --seconds 2
 
 trace-smoke:
 	$(PYTHON) benchmarks/trace_smoke.py trace-smoke

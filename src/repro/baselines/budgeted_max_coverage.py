@@ -54,18 +54,19 @@ def budgeted_max_coverage(
     tracker = make_tracker(system, metrics=metrics)
     spent = 0.0
     chosen: list[int] = []
+    sets = system.sets
 
     while max_sets is None or len(chosen) < max_sets:
         best_id = None
         best_key = None
         for set_id, size in tracker.live_items():
-            if spent + system[set_id].cost > budget:
+            if spent + sets[set_id].cost > budget:
                 continue
             key = gain_key(
                 tracker.marginal_gain(set_id),
                 size,
-                system[set_id].cost,
-                system[set_id].label,
+                sets[set_id].cost,
+                sets[set_id].label,
                 set_id,
             )
             if best_key is None or key > best_key:
@@ -73,7 +74,7 @@ def budgeted_max_coverage(
                 best_key = key
         if best_id is None:
             break
-        spent += system[best_id].cost
+        spent += sets[best_id].cost
         tracker.select(best_id)
         chosen.append(best_id)
 
@@ -81,7 +82,7 @@ def budgeted_max_coverage(
     return make_result(
         algorithm="budgeted_max_coverage",
         chosen=chosen,
-        labels=[system[i].label for i in chosen],
+        labels=[system.label_of(i) for i in chosen],
         total_cost=system.cost_of(chosen),
         covered=system.coverage_of(chosen),
         n_elements=system.n_elements,

@@ -50,6 +50,7 @@ def max_coverage(
     tracker = make_tracker(system, metrics=metrics)
     target = s_hat * system.n_elements if s_hat is not None else None
     chosen: list[int] = []
+    sets = system.sets
 
     for _ in range(k):
         if target is not None and tracker.covered_count >= target - _EPS:
@@ -58,7 +59,7 @@ def max_coverage(
         best_key = None
         for set_id, size in tracker.live_items():
             key = benefit_key(
-                size, system[set_id].cost, system[set_id].label, set_id
+                size, sets[set_id].cost, sets[set_id].label, set_id
             )
             if best_key is None or key > best_key:
                 best_id = set_id
@@ -75,7 +76,7 @@ def max_coverage(
     return make_result(
         algorithm="max_coverage",
         chosen=chosen,
-        labels=[system[i].label for i in chosen],
+        labels=[system.label_of(i) for i in chosen],
         total_cost=system.cost_of(chosen),
         covered=system.coverage_of(chosen),
         n_elements=system.n_elements,

@@ -68,8 +68,9 @@ def weighted_set_cover(
     # negated; ties resolve toward larger size, lower cost, smaller
     # canonical key (matching greedy_common.gain_key).
     heap: list[tuple] = []
+    sets = system.sets
     for set_id, size in tracker.live_items():
-        ws = system[set_id]
+        ws = sets[set_id]
         heap.append(
             (
                 -tracker.marginal_gain(set_id),
@@ -91,7 +92,7 @@ def weighted_set_cover(
             if current == 0:
                 continue
             if current != recorded_size:
-                ws = system[set_id]
+                ws = sets[set_id]
                 heapq.heappush(
                     heap,
                     (
@@ -111,7 +112,7 @@ def weighted_set_cover(
             partial = make_result(
                 algorithm="weighted_set_cover",
                 chosen=chosen,
-                labels=[system[i].label for i in chosen],
+                labels=[system.label_of(i) for i in chosen],
                 total_cost=system.cost_of(chosen),
                 covered=system.coverage_of(chosen),
                 n_elements=system.n_elements,
@@ -131,7 +132,7 @@ def weighted_set_cover(
     return make_result(
         algorithm="weighted_set_cover",
         chosen=chosen,
-        labels=[system[i].label for i in chosen],
+        labels=[system.label_of(i) for i in chosen],
         total_cost=system.cost_of(chosen),
         covered=system.coverage_of(chosen),
         n_elements=system.n_elements,

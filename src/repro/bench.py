@@ -264,16 +264,17 @@ def warm_system_caches(system: SetSystem, backends: Iterable[str]) -> None:
     Warming used to lean on ``warmup=1``, but with ``warmup=0`` — or
     when a cache is shared across cells — the *first* cell of a workload
     paid the layout/canonical-key builds inside its timed loop and
-    showed up as a cold-run outlier in committed baselines. The set is
-    backend-aware: the packed columnar layout is only built when a
-    ``packed`` cell will run (the ``set`` tracker keeps no per-system
-    cache).
+    showed up as a cold-run outlier in committed baselines. Each
+    backend warms only what its solvers read: the columnar layout and
+    tie-break ranks for ``packed``, the canonical keys and CMC's sorted
+    heap entries for ``set``.
     """
-    from repro.core.cmc import _sorted_entries
-    from repro.core.greedy_common import canonical_keys
+    if "set" in backends:
+        from repro.core.cmc import _sorted_entries
+        from repro.core.greedy_common import canonical_keys
 
-    canonical_keys(system)
-    _sorted_entries(system)
+        canonical_keys(system)
+        _sorted_entries(system)
     if "packed" in backends:
         from repro.core.packed import canonical_ranks, packed_layout
 

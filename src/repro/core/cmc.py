@@ -182,7 +182,7 @@ def _driver_body(
         return make_result(
             algorithm=algorithm,
             chosen=chosen_now,
-            labels=[system[set_id].label for set_id in chosen_now],
+            labels=[system.label_of(set_id) for set_id in chosen_now],
             total_cost=system.cost_of(chosen_now),
             covered=system.coverage_of(chosen_now),
             n_elements=system.n_elements,
@@ -248,7 +248,7 @@ def _driver_body(
             return make_result(
                 algorithm=algorithm,
                 chosen=chosen,
-                labels=[system[set_id].label for set_id in chosen],
+                labels=[system.label_of(set_id) for set_id in chosen],
                 total_cost=system.cost_of(chosen),
                 covered=system.coverage_of(chosen),
                 n_elements=system.n_elements,
@@ -261,7 +261,7 @@ def _driver_body(
     partial = make_result(
         algorithm=algorithm,
         chosen=chosen,
-        labels=[system[set_id].label for set_id in chosen],
+        labels=[system.label_of(set_id) for set_id in chosen],
         total_cost=system.cost_of(chosen),
         covered=system.coverage_of(chosen),
         n_elements=system.n_elements,

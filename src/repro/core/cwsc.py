@@ -283,7 +283,7 @@ def _finish(
     return make_result(
         algorithm=algorithm,
         chosen=chosen,
-        labels=[system[set_id].label for set_id in chosen],
+        labels=[system.label_of(set_id) for set_id in chosen],
         total_cost=system.cost_of(chosen),
         covered=system.coverage_of(chosen),
         n_elements=system.n_elements,

@@ -87,17 +87,18 @@ def greedy_partial(system: SetSystem, k: int, s_hat: float) -> CoverResult:
     required = system.required_coverage(s_hat)
     tracker = make_tracker(system, metrics=metrics)
     chosen: list[int] = []
+    sets = system.sets
     while len(chosen) < k and tracker.covered_count < required:
         best_id = None
         best_key = None
         for set_id, size in tracker.live_items():
-            if not math.isfinite(system[set_id].cost):
+            if not math.isfinite(sets[set_id].cost):
                 continue
             key = gain_key(
                 tracker.marginal_gain(set_id),
                 size,
-                system[set_id].cost,
-                system[set_id].label,
+                sets[set_id].cost,
+                sets[set_id].label,
                 set_id,
             )
             if best_key is None or key > best_key:
@@ -112,7 +113,7 @@ def greedy_partial(system: SetSystem, k: int, s_hat: float) -> CoverResult:
     return make_result(
         algorithm="greedy_partial",
         chosen=chosen,
-        labels=[system[set_id].label for set_id in chosen],
+        labels=[system.label_of(set_id) for set_id in chosen],
         total_cost=system.cost_of(chosen),
         covered=covered,
         n_elements=system.n_elements,

@@ -135,7 +135,7 @@ def _lp_rounding_body(
             return make_result(
                 algorithm="lp_rounding",
                 chosen=chosen,
-                labels=[system[set_id].label for set_id in chosen],
+                labels=[system.label_of(set_id) for set_id in chosen],
                 total_cost=cost,
                 covered=system.coverage_of(chosen),
                 n_elements=system.n_elements,
@@ -192,7 +192,7 @@ def _lp_rounding_body(
     return make_result(
         algorithm="lp_rounding",
         chosen=chosen,
-        labels=[system[set_id].label for set_id in chosen],
+        labels=[system.label_of(set_id) for set_id in chosen],
         total_cost=cost,
         covered=system.coverage_of(chosen),
         n_elements=system.n_elements,

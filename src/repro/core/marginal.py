@@ -88,16 +88,17 @@ class MarginalTracker:
         metrics: Metrics | None = None,
     ) -> None:
         self._system = system
+        sets = system.sets  # the oracle reads per-set objects throughout
         self._metrics = metrics if metrics is not None else Metrics()
         ids = range(system.n_sets) if restrict_to is None else list(restrict_to)
         self._tracked: list[SetId] = [
-            set_id for set_id in ids if system[set_id].benefit
+            set_id for set_id in ids if sets[set_id].benefit
         ]
         # Static structures, shared across reset() rounds.
         self._element_to_sets: dict[ElementId, tuple[SetId, ...]] = {}
         owners: dict[ElementId, list[SetId]] = {}
         for set_id in self._tracked:
-            for element in system[set_id].benefit:
+            for element in sets[set_id].benefit:
                 owners.setdefault(element, []).append(set_id)
         self._element_to_sets = {
             element: tuple(ids) for element, ids in owners.items()
@@ -114,8 +115,9 @@ class MarginalTracker:
         Counts every live set as considered again, matching the paper's
         note that CMC's "patterns considered" sums over budget rounds.
         """
+        sets = self._system.sets
         self._mben_count = {
-            set_id: self._system[set_id].size for set_id in self._tracked
+            set_id: sets[set_id].size for set_id in self._tracked
         }
         self._covered = set()
         self._metrics.sets_considered += len(self._tracked)
@@ -160,13 +162,13 @@ class MarginalTracker:
         if set_id not in self._mben_count:
             return frozenset()
         return frozenset(
-            self._system[set_id].benefit - self._covered
+            self._system.sets[set_id].benefit - self._covered
         )
 
     def marginal_gain(self, set_id: SetId) -> float:
         """``MGain(s, S) = |MBen(s, S)| / Cost(s)``."""
         size = self.marginal_size(set_id)
-        cost = self._system[set_id].cost
+        cost = self._system.sets[set_id].cost
         if cost == 0:
             return float("inf") if size else 0.0
         return size / cost
@@ -185,7 +187,7 @@ class MarginalTracker:
         self._metrics.selections += 1
         newly = [
             element
-            for element in self._system[set_id].benefit
+            for element in self._system.sets[set_id].benefit
             if element not in self._covered
         ]
         counts = self._mben_count
@@ -236,8 +238,7 @@ def _packed_layout_bytes(system: SetSystem) -> int:
     """
     n_words = (system.n_elements + 63) >> 6
     dense = system.n_sets * n_words * 8
-    pairs = sum(ws.size for ws in system.sets)
-    return min(dense, pairs * 24)
+    return min(dense, system.n_pairs * 24)
 
 
 def resolve_backend(

@@ -51,7 +51,7 @@ def prune_redundant(
     return make_result(
         algorithm=f"{result.algorithm}+prune",
         chosen=kept,
-        labels=[system[set_id].label for set_id in kept],
+        labels=[system.label_of(set_id) for set_id in kept],
         total_cost=system.cost_of(kept),
         covered=system.coverage_of(kept),
         n_elements=system.n_elements,

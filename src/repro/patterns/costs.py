@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
+import numpy as np
+
 from repro.errors import ValidationError
 from repro.patterns.table import PatternTable
 
@@ -31,6 +33,11 @@ class CostFunction:
         Maps the full measure column (or row count) to a lower bound on
         the cost of *any* non-empty pattern. Used to seed the optimized
         CMC budget schedule without enumerating patterns.
+    reduce:
+        Optional vectorized form for :meth:`bind_csr`: maps the covered
+        rows' measure values in CSR order (``None`` without a measure)
+        and the CSR ``indptr`` to every set's cost, or returns ``None``
+        where it could not match ``aggregate`` bit for bit.
     """
 
     def __init__(
@@ -39,11 +46,13 @@ class CostFunction:
         aggregate: Callable[[list[float]], float],
         needs_measure: bool = True,
         row_lower_bound: Callable[[PatternTable], float] | None = None,
+        reduce: Callable | None = None,
     ) -> None:
         self.name = name
         self._aggregate = aggregate
         self.needs_measure = needs_measure
         self._row_lower_bound = row_lower_bound
+        self._reduce = reduce
 
     def bind(self, table: PatternTable) -> Callable[[Iterable[int]], float]:
         """Return ``ben_rows -> cost`` for one table.
@@ -72,6 +81,36 @@ class CostFunction:
 
         return compute
 
+    def bind_csr(self, table: PatternTable):
+        """Return ``(indptr, rows) -> float64[m]`` for one table.
+
+        Set ``p`` of the CSR covers ``rows[indptr[p]:indptr[p + 1]]``;
+        its cost equals :meth:`bind`'s on ``frozenset`` of those rows,
+        bit for bit. Validates the measure requirement up front.
+        """
+        compute = self.bind(table)
+        measure = (
+            None if table.measure is None
+            else np.asarray(table.measure, dtype=np.float64)
+        )
+
+        def costs(indptr, rows):
+            if self._reduce is not None:
+                values = None if measure is None else measure[rows]
+                out = self._reduce(values, indptr)
+                if out is not None:
+                    return out
+            # The frozenset's iteration order is the order float sums
+            # and max ties have always seen.
+            row_list, bounds = rows.tolist(), indptr.tolist()
+            return np.array(
+                [compute(frozenset(row_list[a:b]))
+                 for a, b in zip(bounds, bounds[1:])],
+                dtype=np.float64,
+            )
+
+        return costs
+
     def lower_bound(self, table: PatternTable) -> float:
         """Lower bound on any non-empty pattern's cost in this table."""
         if self._row_lower_bound is not None:
@@ -88,8 +127,23 @@ def _min_measure(table: PatternTable) -> float:
     return min(table.measure)
 
 
+def _reduce_max(values, indptr):
+    # Python's max keeps the first of equal values and never lets a NaN
+    # win a comparison; np.maximum propagates NaN and may pick either
+    # signed zero. Without NaN or -0.0 the two agree bit for bit.
+    if np.isnan(values).any() or np.signbit(values[values == 0]).any():
+        return None
+    return np.maximum.reduceat(values, indptr[:-1])
+
+
+def _reduce_count(values, indptr):
+    return np.diff(indptr).astype(np.float64)
+
+
 #: ``Cost(p) = max`` measure over covered rows (the paper's example).
-MAX_COST = CostFunction("max", max, row_lower_bound=_min_measure)
+MAX_COST = CostFunction(
+    "max", max, row_lower_bound=_min_measure, reduce=_reduce_max
+)
 
 #: ``Cost(p) = sum`` of measures over covered rows.
 SUM_COST = CostFunction("sum", sum, row_lower_bound=_min_measure)
@@ -102,7 +156,8 @@ MEAN_COST = CostFunction(
 
 #: ``Cost(p) = |Ben(p)|`` — measure-free, for tables without a measure.
 COUNT_COST = CostFunction(
-    "count", len, needs_measure=False, row_lower_bound=lambda table: 1.0
+    "count", len, needs_measure=False, row_lower_bound=lambda table: 1.0,
+    reduce=_reduce_count,
 )
 
 

@@ -971,7 +971,7 @@ class SolverPool:
             algorithm=claimed.algorithm,
             set_ids=claimed.set_ids,
             labels=tuple(
-                system[set_id].label for set_id in claimed.set_ids
+                system.label_of(set_id) for set_id in claimed.set_ids
             ),
             total_cost=claimed.total_cost,
             covered=claimed.covered,

@@ -68,6 +68,13 @@ logger = logging.getLogger(__name__)
 _TICKET_SLACK = 30.0
 
 
+#: The fields a ``/solve`` body or a ``/batch`` entry may carry.
+REQUEST_FIELDS = frozenset({
+    "system", "k", "s", "s_hat", "deadline", "solver", "chain", "seed",
+    "tag", "options", "stage_options", "backend",
+})
+
+
 def build_solve_request(
     payload: dict, config: ServeConfig, system=None
 ) -> SolveRequest:
@@ -75,12 +82,18 @@ def build_solve_request(
 
     ``system`` short-circuits deserialization for batch entries sharing
     a top-level system. Raises :class:`ValidationError` (bad schema or
-    parameters, including a solver, chain stage, or option key the
-    worker would reject) or :class:`ProtocolError` (bad system
-    payload), both of which the handler maps to 400.
+    parameters, including a field outside :data:`REQUEST_FIELDS`, or a
+    solver, chain stage, option key or option value the worker would
+    reject) or :class:`ProtocolError` (bad system payload), both of
+    which the handler maps to 400.
     """
     if not isinstance(payload, dict):
         raise ValidationError("request body must be a JSON object")
+    unknown = sorted(set(payload) - REQUEST_FIELDS)
+    if unknown:
+        raise ValidationError(
+            f"unknown field(s) {unknown}; accepted: {sorted(REQUEST_FIELDS)}"
+        )
     if system is None:
         system_payload = payload.get("system")
         if not isinstance(system_payload, dict):

@@ -207,6 +207,22 @@ class TestPackedTracker:
         assert tracker.select(0) == 0
         assert metrics.marginal_updates == 1
 
+    def test_negative_zero_cost_has_infinite_gain(self):
+        # The set oracle scores any zero-cost set's gain as +inf; 1/-0.0
+        # would be -inf, so the layout stores the cost as +0.0.
+        from repro.core.cwsc import cwsc
+
+        system = SetSystem.from_iterables(
+            3, benefits=[{0, 1, 2}, {0}], costs=[1.5, -0.0]
+        )
+        assert PackedMarginalTracker(system).marginal_gain(1) == np.inf
+        for k in (1, 2):
+            assert (
+                cwsc(system, k, 0.2, backend="packed").set_ids
+                == cwsc(system, k, 0.2, backend="set").set_ids
+                == (1,)
+            )
+
     def test_select_decrements_match_overlaps(self, system):
         tracker = PackedMarginalTracker(system)
         before = dict(tracker.live_items())
