@@ -7,8 +7,8 @@ also the "easy to see that our problem is in NP" checker from the proof of
 Theorem 1: given a collection of sets, verify benefit and cost.
 
 Coverage is recomputed by :meth:`SetSystem.coverage_of` (the cached
-packed layout when a solve built one, else a frozenset union over the
-chosen sets), so verifying is cheap enough that the resilient harness
+packed layout when a solve built one, else a set union over the chosen
+sets), so verifying is cheap enough that the resilient harness
 re-checks every worker claim without a measurable tax.
 """
 

@@ -262,12 +262,24 @@ def _label_from_payload(payload):
 # Set systems
 # ----------------------------------------------------------------------
 def system_to_payload(system: SetSystem) -> dict:
-    """A :class:`SetSystem` as JSON-safe lists (see module docstring)."""
+    """A :class:`SetSystem` as JSON-safe lists (see module docstring).
+
+    Reads the system's CSR, whose element lists are already sorted, so
+    no :class:`WeightedSet` is needed.
+    """
+    indptr, indices, costs = system.csr()
+    elements, bounds = indices.tolist(), indptr.tolist()
     return {
         "n": system.n_elements,
         "sets": [
-            [sorted(ws.benefit), ws.cost, _label_to_payload(ws.label)]
-            for ws in system.sets
+            [
+                elements[start:end],
+                cost,
+                _label_to_payload(system.label_of(set_id)),
+            ]
+            for set_id, (start, end, cost) in enumerate(
+                zip(bounds, bounds[1:], costs.tolist())
+            )
         ],
     }
 
