@@ -123,7 +123,7 @@ class Daemon:
 
 
 def check_trace(path: Path, required_events: set[str]) -> None:
-    problems = validate_trace_file(str(path))
+    problems = validate_trace_file(str(path), strict=True)
     if problems:
         for problem in problems[:20]:
             print(f"serve-smoke: {path}: {problem}", file=sys.stderr)

@@ -45,7 +45,7 @@ def run_cli(argv: list[str]) -> None:
 
 
 def check_valid(path: Path) -> list[dict]:
-    problems = validate_trace_file(str(path))
+    problems = validate_trace_file(str(path), strict=True)
     if problems:
         for problem in problems[:20]:
             print(f"trace-smoke: {path}: {problem}", file=sys.stderr)

@@ -6,11 +6,13 @@ resilience pool adds a second axis: *what happened to each request*.
 This package makes both first-class instead of debug logging:
 
 * :mod:`repro.obs.trace` — nested monotonic-clock spans with attributes
-  and a JSONL sink, threaded through every solver, both marginal-tracker
-  backends, and the process pool. Disabled by default and near-free when
-  off: ``span()`` returns a shared no-op and hot paths guard attribute
-  dicts behind a single ``enabled()`` check. Also home to the W3C-style
-  request :class:`~repro.obs.trace.TraceContext` (``traceparent``
+  from one tracer per process that writes to its sinks (JSONL file,
+  flight recorder, in-memory capture), threaded through every solver,
+  both marginal-tracker backends, and the process pool. Disabled by
+  default and near-free when off: ``span()`` returns a shared no-op
+  and hot paths guard attribute dicts behind a single ``enabled()``
+  check. Also home to the W3C-style request
+  :class:`~repro.obs.trace.TraceContext` (``traceparent``
   mint/parse/propagate) that stitches server and worker spans into
   one request tree.
 * :mod:`repro.obs.slo` — per-tenant/global latency+error SLOs with
@@ -39,8 +41,9 @@ This package makes both first-class instead of debug logging:
   ("repro")`` with a ``NullHandler``) and console-handler setup for the
   CLI and pool workers.
 * :mod:`repro.obs.flightrec` — the always-on flight recorder: bounded
-  ring buffers for spans/events/access/metrics that tee off the tracer
-  without flipping ``enabled()``, so the hot-path guards stay cold.
+  ring buffers for spans/events/access/metrics, a passive sink of the
+  tracer that leaves ``enabled()`` False, so the hot-path guards stay
+  cold.
 * :mod:`repro.obs.stacks` — ``sys._current_frames`` stack sampling (one
   shot, bursts, or a background :class:`~repro.obs.stacks.StackSampler`)
   with a collapsed-stack rollup.

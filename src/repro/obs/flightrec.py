@@ -17,17 +17,17 @@ grows, never blocks, and overwrites its oldest entry when full, counting
 what it dropped.
 
 Wiring: :func:`install` registers a :class:`FlightRecorder` as the
-module singleton *and* as the trace module's ring channel
-(:func:`repro.obs.trace.set_ring`), so
+module singleton *and* attaches its :meth:`~FlightRecorder.write` as a
+passive sink of the process's one tracer
+(:func:`repro.obs.trace.add_sink`). Every record the tracer writes —
+with ``--trace`` the same stream the file gets, without it the coarse
+call sites (``trace.span``/``trace.event``) — lands in the rings. A pool
+worker attaches a plain :class:`RingBuffer` the same way.
 
-* with ``--trace``, every record the full tracer writes is teed in;
-* without it, coarse call sites (``trace.span``/``trace.event``) fall
-  back to the ring channel on their own.
-
-Crucially :func:`repro.obs.trace.enabled` stays False when only the ring
-is armed, so the per-selection tracker hot loops are byte-identical with
-the recorder on or off — that is the whole <2% overhead budget story
-(enforced by ``tests/obs/test_flightrec_overhead.py``).
+Crucially :func:`repro.obs.trace.enabled` stays False when only rings
+are attached, so the per-selection tracker hot loops are byte-identical
+with the recorder on or off — that is the whole <2% overhead budget
+story (enforced by ``tests/obs/test_flightrec_overhead.py``).
 
 The recorder is a passive store; the trigger engine that turns its
 contents into on-disk postmortem bundles lives in
@@ -100,9 +100,9 @@ class RingBuffer:
 class FlightRecorder:
     """The in-process black box: typed rings plus a metrics poller.
 
-    Doubles as a trace *sink* (it has ``write(record)``) so it can be
-    installed as the ring channel of :mod:`repro.obs.trace`; records are
-    routed by their ``type`` field. An optional ``on_event`` callback
+    Doubles as a trace sink (``write(record)``) attached to the tracer
+    of :mod:`repro.obs.trace`; records are routed by their ``type``
+    field. An optional ``on_event`` callback
     (the postmortem trigger engine) observes every event record; it runs
     on the emitting thread and is exception-isolated so a broken trigger
     can never take down a solve.
@@ -149,9 +149,6 @@ class FlightRecorder:
                     callback(record)
                 except Exception:  # noqa: BLE001 - triggers must not break solves
                     pass
-
-    def close(self) -> None:  # pragma: no cover - sink-interface symmetry
-        pass
 
     # -- non-trace feeds -----------------------------------------------
 
@@ -263,7 +260,7 @@ class FlightRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Module singleton: one recorder per process, wired into the trace ring.
+# Module singleton: one recorder per process, a sink of the one tracer.
 # ---------------------------------------------------------------------------
 
 _RECORDER: FlightRecorder | None = None
@@ -271,27 +268,30 @@ _RECORDER: FlightRecorder | None = None
 
 def install(recorder: FlightRecorder | None = None, **capacities: int) -> FlightRecorder:
     """Install ``recorder`` (or a fresh one) as the process-wide flight
-    recorder and arm it as the trace module's ring channel."""
+    recorder and attach it as a passive sink of the tracer (replacing
+    a previously installed recorder)."""
     from repro.obs import trace as obs_trace
 
     global _RECORDER
     if recorder is None:
         recorder = FlightRecorder(**capacities)
+    if _RECORDER is not None:
+        obs_trace.remove_sink(_RECORDER.write)
     _RECORDER = recorder
-    obs_trace.set_ring(recorder)
+    obs_trace.add_sink(recorder.write)
     return recorder
 
 
 def uninstall() -> None:
-    """Disarm the ring channel and drop the singleton (stopping its
-    metrics poller if running)."""
+    """Detach the recorder from the tracer and drop the singleton
+    (stopping its metrics poller if running)."""
     from repro.obs import trace as obs_trace
 
     global _RECORDER
     if _RECORDER is not None:
         _RECORDER.stop_metrics_poll()
+        obs_trace.remove_sink(_RECORDER.write)
     _RECORDER = None
-    obs_trace.clear_ring()
 
 
 def get_recorder() -> FlightRecorder | None:

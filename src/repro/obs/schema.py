@@ -131,10 +131,10 @@ def validate_record(record: Any) -> list[str]:
 def find_orphan_spans(records: list[Any]) -> list[str]:
     """Span ids whose ``parent_id`` names a span that never appears.
 
-    The stitching pipeline (worker replay prefixes and re-parenting)
-    guarantees zero orphans in a well-formed trace; an orphan means a
-    replay prefix or ``root_parent`` went wrong, which the shape-only
-    schema check cannot see. Order follows the file; each id reports
+    The stitching pipeline (worker replay and re-parenting) guarantees
+    zero orphans in a well-formed trace; an orphan means a replay's
+    ``root_parent`` or a worker's trace truncation went wrong, which the
+    shape-only schema check cannot see. Order follows the file; each id reports
     once.
     """
     span_ids = {

@@ -1,34 +1,47 @@
-"""Span tracer: nested monotonic-clock spans with a JSONL sink.
+"""Span tracer: one tracer per process, writing each record to its sinks.
 
 Design constraints, in order:
 
-1. **Near-free when disabled.** The default state is "no tracer
-   configured". ``enabled()`` is a single global read; ``span(...)``
-   returns the shared :data:`NULL_SPAN` whose ``__enter__``/``__exit__``
-   do nothing. Hot loops (per-selection, per-update) must pre-fetch
-   ``traced = trace.enabled()`` once and only build attribute dicts when
-   it is true — the instrumented call sites follow the pattern::
+1. **Near-free when disabled.** ``enabled()`` is a single global read,
+   true only while a JSONL file (:func:`configure`) or an in-memory
+   capture (:func:`capture`) is attached. Hot loops (per-selection,
+   per-update) must pre-fetch ``traced = trace.enabled()`` once and
+   only build attribute dicts when it is true — the instrumented call
+   sites follow the pattern::
 
        traced = trace.enabled()
        ...
        with trace.span("select", pick=i) if traced else trace.NULL_SPAN:
            ...
 
+   Passive sinks — the flight recorder (:func:`repro.obs.flightrec.
+   install`) and each pool worker's ring — see every record written
+   while ``enabled()`` stays False, so the hot loops run the same code
+   with or without them. Coarse call sites (one span per HTTP request,
+   pool lifecycle events) write whenever :func:`recording` is true;
+   with no sink attached at all, ``span(...)`` returns the shared
+   :data:`NULL_SPAN` whose ``__enter__``/``__exit__`` do nothing.
+
 2. **Correct nesting without threading a context object.** The current
    span is a :mod:`contextvars` ContextVar, so spans nest correctly
    across threads and the pool's single-threaded select loop alike, and
    solver code never needs a ``trace=`` parameter.
 
-3. **One line per record, flushed.** The sink is JSONL so a killed
+3. **One span-id scheme.** Every span id is a fresh 64-bit W3C id
+   (:func:`new_span_id`) in every process, so a pool worker's captured
+   records replay into the parent's file unchanged (see :func:`replay`)
+   and the HTTP edge span's id is its ``traceparent`` span id.
+
+4. **One line per record, flushed.** The file sink is JSONL so a killed
    worker or a Ctrl-C leaves a readable prefix; the supervisor replays
-   worker-captured records into the same file (see :func:`replay`)
-   instead of letting two processes interleave writes.
+   worker-captured records into the same file instead of letting two
+   processes interleave writes.
 
 Record shapes (schema ``scwsc-trace/1``, validated by
 :mod:`repro.obs.schema`):
 
 * ``{"type": "meta", "schema": "scwsc-trace/1", "wall_time_unix": ...,
-  "t": 0.0, "attrs": {...}}`` — first record, written by
+  "t": ..., "attrs": {...}}`` — first record of a file, written by
   :func:`configure`.
 * ``{"type": "span", "name", "span_id", "parent_id", "t_start",
   "t_end", "duration", "attrs"}`` — written when the span closes, so
@@ -46,9 +59,9 @@ Record shapes (schema ``scwsc-trace/1``, validated by
   bound, coverage slack, sets used vs. ``k``), written by
   :mod:`repro.obs.quality`.
 
-All ``t`` values are seconds relative to the tracer's start on the
-monotonic clock (``time.perf_counter``); ``wall_time_unix`` in the meta
-record anchors them to wall time.
+All ``t`` values are seconds since the process's tracer was created,
+on the monotonic clock (``time.perf_counter``); the meta record pairs
+its ``t`` with ``wall_time_unix`` to anchor them to wall time.
 """
 
 from __future__ import annotations
@@ -61,7 +74,7 @@ import secrets
 import threading
 import time
 from contextvars import ContextVar
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 SCHEMA = "scwsc-trace/1"
 
@@ -96,7 +109,7 @@ class TraceContext:
     naming the whole request, a 64-bit ``span_id`` naming the caller's
     span, and a flags byte (``01`` = sampled). Carried with each pool
     request so worker-side spans replay under the originating request's
-    trace id instead of a synthetic per-request counter.
+    trace id and span.
     """
 
     __slots__ = ("trace_id", "span_id", "flags")
@@ -205,6 +218,7 @@ class JsonlSink:
 
     Flushing per record costs a syscall but means a SIGKILL'd process
     (the pool does that on purpose) leaves a valid, parseable prefix.
+    The lock keeps lines from two threads whole.
     """
 
     def __init__(self, target: str | io.TextIOBase):
@@ -227,24 +241,8 @@ class JsonlSink:
             self._fh.close()
 
 
-class MemorySink:
-    """Collects records in a list — used by workers and the bench harness
-    to capture a run's trace for shipping/rollup without touching disk."""
-
-    def __init__(self) -> None:
-        self.records: list[dict[str, Any]] = []
-        self._lock = threading.Lock()
-
-    def write(self, record: dict[str, Any]) -> None:
-        with self._lock:
-            self.records.append(record)
-
-    def close(self) -> None:  # pragma: no cover - symmetry with JsonlSink
-        pass
-
-
 class Span:
-    """A live span. Use via ``with tracer.span(...)`` / ``trace.span(...)``.
+    """A live span. Use via ``with trace.span(...)``.
 
     ``enabled`` is a class attribute so call sites can guard attribute
     computation with ``if sp.enabled:`` and the guard costs one
@@ -258,7 +256,7 @@ class Span:
     def __init__(self, tracer: "Tracer", name: str, attrs: dict[str, Any]):
         self._tracer = tracer
         self.name = name
-        self.span_id = tracer._next_id()
+        self.span_id = new_span_id()
         self.attrs = attrs
         self._t_start = 0.0
         self._token: Any = None
@@ -306,7 +304,7 @@ class Span:
 
 
 class _NullSpan:
-    """Shared no-op span returned whenever tracing is disabled."""
+    """Shared no-op span returned whenever no sink is attached."""
 
     enabled = False
 
@@ -327,50 +325,28 @@ class _NullSpan:
 
 NULL_SPAN = _NullSpan()
 
+#: A sink: any callable taking one record dict.
+Sink = Callable[[dict[str, Any]], None]
+
 
 class Tracer:
-    """Owns a sink, a monotonic epoch, and the span id counter."""
+    """The process's one tracer: a monotonic epoch and the attached sinks.
 
-    def __init__(
-        self,
-        sink: JsonlSink | MemorySink,
-        *,
-        id_prefix: str = "s",
-        write_meta: bool = True,
-        meta_attrs: dict[str, Any] | None = None,
-    ):
-        self._sink = sink
+    ``sinks`` is replaced whole (under the module lock) whenever a sink
+    is attached or detached, so a write iterates a snapshot and takes
+    no lock of its own.
+    """
+
+    def __init__(self) -> None:
         self._t0 = time.perf_counter()
-        self._lock = threading.Lock()
-        self._counter = 0
-        self._id_prefix = id_prefix
-        if write_meta:
-            self._write(
-                {
-                    "type": "meta",
-                    "schema": SCHEMA,
-                    "wall_time_unix": round(time.time(), 3),
-                    "t": 0.0,
-                    "attrs": meta_attrs or {},
-                }
-            )
+        self.sinks: tuple[Sink, ...] = ()
 
     def now(self) -> float:
         return time.perf_counter() - self._t0
 
-    def _next_id(self) -> str:
-        with self._lock:
-            self._counter += 1
-            return f"{self._id_prefix}{self._counter}"
-
     def _write(self, record: dict[str, Any]) -> None:
-        self._sink.write(record)
-        ring = _RING_TRACER
-        if ring is not None and ring is not self:
-            ring._sink.write(record)
-
-    def span(self, name: str, **attrs: Any) -> Span:
-        return Span(self, name, attrs)
+        for sink in self.sinks:
+            sink(record)
 
     def event(self, name: str, **attrs: Any) -> None:
         self._write(
@@ -395,174 +371,183 @@ class Tracer:
         """Write a pre-built record verbatim (used by :func:`replay`)."""
         self._write(record)
 
-    def close(self) -> None:
-        self._sink.close()
-
 
 # ---------------------------------------------------------------------------
 # Module-level tracer: the fast path all instrumentation goes through.
 # ---------------------------------------------------------------------------
 
-_TRACER: Tracer | None = None
-
-#: Secondary always-on channel for the flight recorder. Deliberately NOT
-#: consulted by :func:`enabled` — hot loops guarded by ``enabled()`` must
-#: stay byte-identical whether or not a ring is armed, which is what
-#: keeps the recorder inside its <2% overhead budget. Coarse call sites
-#: (one span per HTTP request, pool lifecycle events) flow into the ring
-#: through the fallbacks in :func:`span`/:func:`event`/:func:`write_raw`,
-#: and every record written through a full tracer is teed into the ring
-#: so ``--trace`` runs and ring-only runs see the same stream.
-_RING_TRACER: Tracer | None = None
-
-
-def set_ring(sink: Any) -> Tracer:
-    """Install ``sink`` (anything with ``write(record)``) as the ring
-    channel. Returns the internal tracer so callers can mint span ids."""
-    global _RING_TRACER
-    _RING_TRACER = Tracer(sink, id_prefix="fr", write_meta=False)
-    return _RING_TRACER
+_TRACER = Tracer()
+_LOCK = threading.Lock()
+#: Attached sinks that switch the hot-loop instrumentation on: the JSONL
+#: file and open captures.
+_ACTIVE: tuple[Sink, ...] = ()
+#: Attached passive sinks (rings): they see every record while
+#: :func:`enabled` stays False.
+_PASSIVE: tuple[Sink, ...] = ()
+_ENABLED = False
+_FILE: JsonlSink | None = None
 
 
-def clear_ring() -> None:
-    """Uninstall the ring channel (the sink itself is not closed —
-    ring buffers have no resources to release)."""
-    global _RING_TRACER
-    _RING_TRACER = None
+def _swap(active: tuple[Sink, ...], passive: tuple[Sink, ...]) -> None:
+    """Install new sink tuples; the caller holds ``_LOCK``."""
+    global _ACTIVE, _PASSIVE, _ENABLED
+    _ACTIVE, _PASSIVE = active, passive
+    _TRACER.sinks = active + passive
+    _ENABLED = bool(active)
 
 
-def ring_active() -> bool:
-    """True when a flight-recorder ring sink is installed."""
-    return _RING_TRACER is not None
+def add_sink(sink: Sink) -> None:
+    """Attach a passive sink, such as a ring buffer's ``append``: it
+    sees every record written, and :func:`enabled` stays False."""
+    with _LOCK:
+        if sink not in _PASSIVE:
+            _swap(_ACTIVE, _PASSIVE + (sink,))
+
+
+def remove_sink(sink: Sink) -> None:
+    """Detach ``sink`` (the sink itself is not closed)."""
+    with _LOCK:
+        _swap(
+            tuple(s for s in _ACTIVE if s != sink),
+            tuple(s for s in _PASSIVE if s != sink),
+        )
 
 
 def recording() -> bool:
-    """True when *any* channel — full tracer or ring — will observe
-    records. Coarse call sites (per-dispatch events, RSS samples) guard
-    on this; per-iteration hot loops keep guarding on :func:`enabled`."""
-    return _TRACER is not None or _RING_TRACER is not None
+    """True while *any* sink — file, capture or ring — is attached.
+    Coarse call sites (per-dispatch events, RSS samples) guard on this;
+    per-iteration hot loops keep guarding on :func:`enabled`."""
+    return bool(_TRACER.sinks)
 
 
 def configure(
     target: str | io.TextIOBase, **meta_attrs: Any
 ) -> Tracer:
-    """Install a global tracer writing JSONL to ``target``.
+    """Attach a JSONL file sink writing to ``target``.
 
-    Replaces (and closes) any previously configured tracer. ``meta_attrs``
-    land in the leading meta record (command line, dataset, config, ...).
+    Replaces (and closes) any previously configured file. ``meta_attrs``
+    land in the file's leading meta record (command line, dataset,
+    config, ...).
     """
-    global _TRACER
-    if _TRACER is not None:
-        _TRACER.close()
-    _TRACER = Tracer(JsonlSink(target), meta_attrs=meta_attrs)
+    global _FILE
+    sink = JsonlSink(target)
+    sink.write(
+        {
+            "type": "meta",
+            "schema": SCHEMA,
+            "wall_time_unix": round(time.time(), 3),
+            "t": round(_TRACER.now(), 6),
+            "attrs": meta_attrs,
+        }
+    )
+    with _LOCK:
+        previous, _FILE = _FILE, sink
+        active = _ACTIVE
+        if previous is not None:
+            active = tuple(s for s in active if s != previous.write)
+        _swap(active + (sink.write,), _PASSIVE)
+    if previous is not None:
+        previous.close()
     return _TRACER
 
 
 def shutdown(metrics_snapshot: dict[str, Any] | None = None) -> None:
-    """Flush and uninstall the global tracer.
+    """Flush, detach and close the configured file sink.
 
     When ``metrics_snapshot`` is given it is written as the final
     ``metrics`` record so a trace file is self-contained.
     """
-    global _TRACER
-    if _TRACER is None:
+    global _FILE
+    with _LOCK:
+        sink, _FILE = _FILE, None
+    if sink is None:
         return
     if metrics_snapshot is not None:
         _TRACER.write_metrics(metrics_snapshot)
-    _TRACER.close()
-    _TRACER = None
+    remove_sink(sink.write)
+    sink.close()
 
 
 def enabled() -> bool:
-    """True when a global tracer is installed. One global read — hot
-    loops fetch this once per solve/round, not per iteration."""
-    return _TRACER is not None
+    """True while a file or capture sink is attached. One global read —
+    hot loops fetch this once per solve/round, not per iteration."""
+    return _ENABLED
 
 
 def get_tracer() -> Tracer | None:
-    return _TRACER
+    """The tracer while :func:`enabled`, else None."""
+    return _TRACER if _ENABLED else None
 
 
 def span(name: str, **attrs: Any) -> Span | _NullSpan:
-    """Open a span on the global tracer, or return :data:`NULL_SPAN`.
+    """Open a span on the tracer, or return :data:`NULL_SPAN` when no
+    sink is attached.
 
-    Note the kwargs dict is built by the *caller* before we can check
-    ``enabled()`` — per-iteration call sites must guard with
-    ``if traced:`` themselves (see module docstring)."""
-    tracer = _TRACER
-    if tracer is None:
-        tracer = _RING_TRACER
-        if tracer is None:
-            return NULL_SPAN
-    return tracer.span(name, **attrs)
+    Note the kwargs dict is built by the *caller* before we can check —
+    per-iteration call sites must guard with ``if traced:`` themselves
+    (see module docstring)."""
+    if not _TRACER.sinks:
+        return NULL_SPAN
+    return Span(_TRACER, name, attrs)
 
 
 def event(name: str, **attrs: Any) -> None:
-    tracer = _TRACER or _RING_TRACER
-    if tracer is not None:
-        tracer.event(name, **attrs)
+    if _TRACER.sinks:
+        _TRACER.event(name, **attrs)
 
 
 def write_raw(record: dict[str, Any]) -> None:
-    tracer = _TRACER or _RING_TRACER
-    if tracer is not None:
-        tracer.write_raw(record)
+    _TRACER.write_raw(record)
 
 
 def replay(
     records: list[dict[str, Any]],
     *,
-    prefix: str = "",
     root_parent: str | None = None,
     **attrs: Any,
 ) -> None:
-    """Re-emit captured records (from a worker or a :func:`capture`)
-    into the global tracer.
+    """Re-emit records captured in another process (a pool worker's
+    :func:`capture`) through this process's sinks, while :func:`enabled`.
 
-    ``prefix`` namespaces span ids so records from different workers
-    cannot collide (the supervisor uses the request's trace id when one
-    exists, else ``r<request_id>a<attempt>.``); ``root_parent``
-    re-parents the capture's root spans (``parent_id`` None) under an
-    existing span id, stitching the worker subtree onto the request's
-    edge span so the whole request is one tree; ``attrs`` are merged
-    into every record's ``attrs`` so a pool run's spans carry
-    ``request_id``/``worker`` without the worker knowing either.
+    Span ids are random 64-bit ids in every process, so they replay
+    unchanged. ``root_parent`` re-parents the capture's root spans
+    (``parent_id`` None) under an existing span id, stitching the
+    worker subtree onto the request's edge span so the whole request is
+    one tree; ``attrs`` are merged into every record's ``attrs`` so a
+    pool run's records carry ``trace_id``/``request_id``/``worker``/
+    ``attempt`` without the worker knowing them.
     """
-    tracer = _TRACER
-    if tracer is None:
+    if not _ENABLED:
         return
     for record in records:
-        rec = dict(record)
-        if rec.get("type") == "meta":
+        if record.get("type") == "meta":
             continue  # the outer trace already has its meta record
-        if "span_id" in rec:
-            if prefix and rec["span_id"] is not None:
-                rec["span_id"] = f"{prefix}{rec['span_id']}"
-            if rec.get("parent_id") is not None:
-                if prefix:
-                    rec["parent_id"] = f"{prefix}{rec['parent_id']}"
-            elif root_parent is not None:
-                rec["parent_id"] = root_parent
+        rec = dict(record)
+        if (
+            root_parent is not None
+            and "span_id" in rec
+            and rec.get("parent_id") is None
+        ):
+            rec["parent_id"] = root_parent
         if attrs:
-            merged = dict(rec.get("attrs") or {})
-            merged.update(attrs)
-            rec["attrs"] = merged
-        tracer.write_raw(rec)
+            rec["attrs"] = {**(rec.get("attrs") or {}), **attrs}
+        _TRACER.write_raw(rec)
 
 
 @contextlib.contextmanager
 def capture() -> Iterator[list[dict[str, Any]]]:
-    """Temporarily install a memory-sink tracer and yield its records.
+    """Attach an in-memory sink for the ``with`` block; yield its records.
 
-    Used by pool workers (records ship home in the result frame) and by
-    the bench harness (records roll up into per-phase timings). The
-    previous tracer, if any, is restored on exit.
+    The capture turns :func:`enabled` on and sits beside the other
+    sinks: a file or ring attached meanwhile keeps receiving every
+    record. Used by pool workers (records ship home in the result
+    frame) and by the bench harness (records roll up into per-phase
+    timings).
     """
-    global _TRACER
-    previous = _TRACER
-    sink = MemorySink()
-    _TRACER = Tracer(sink, write_meta=False)
+    records: list[dict[str, Any]] = []
+    with _LOCK:
+        _swap(_ACTIVE + (records.append,), _PASSIVE)
     try:
-        yield sink.records
+        yield records
     finally:
-        _TRACER = previous
+        remove_sink(records.append)

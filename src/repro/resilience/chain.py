@@ -154,7 +154,9 @@ def _stage_specs(
     lp_opts.setdefault("seed", seed)
     specs["lp_rounding"] = _StageSpec(
         run=lambda d: lp_rounding(system, k, s_hat, deadline=d, **lp_opts),
-        k_bound=None,  # rounding may exceed k by design
+        # Rounding may exceed k by design (§III); the request's k still
+        # binds, so such an answer is rejected and the chain moves on.
+        k_bound=k,
         coverage_target=s_hat,
     )
 

@@ -397,8 +397,7 @@ class SolveRequest:
     trace: bool = False
     #: W3C ``traceparent`` of the originating request, when one exists.
     #: Parent-side only: the supervisor replays the worker's captured
-    #: spans under its trace id instead of a synthetic per-request
-    #: prefix.
+    #: spans under its trace id, rooted at its span.
     traceparent: str | None = None
 
 

@@ -875,25 +875,17 @@ class SolverPool:
                 recorder.note_worker_ring(worker.index, ring)
         records = frame.get("trace")
         if isinstance(records, list) and records and obs_trace.enabled():
-            # Prefix includes the attempt number: a retried request may
-            # ship a trace per attempt and span ids must not collide.
-            # When the request carried a traceparent, the prefix is its
-            # trace id and the worker subtree is re-parented under the
-            # caller's span, so the whole request renders as one tree.
+            # When the request carried a traceparent, the worker subtree
+            # is re-parented under the caller's span, so the whole
+            # request renders as one tree.
             ctx = pending.trace_ctx
-            if ctx is not None:
-                prefix = f"{ctx.trace_id}.a{pending.dispatches}."
-                root_parent = ctx.span_id
-            else:
-                prefix = f"r{pending.request_id}a{pending.dispatches}."
-                root_parent = None
             obs_trace.replay(
                 records,
-                prefix=prefix,
-                root_parent=root_parent,
+                root_parent=ctx.span_id if ctx is not None else None,
+                trace_id=pending.trace_id,
                 request_id=pending.request_id,
                 worker=worker.index,
-                **({"trace_id": ctx.trace_id} if ctx is not None else {}),
+                attempt=pending.dispatches,
             )
         rss = frame.get("peak_rss_bytes")
         if isinstance(rss, (int, float)) and rss > 0:

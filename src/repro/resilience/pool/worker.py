@@ -31,18 +31,18 @@ OOM) that are precisely the supervisor's job to detect.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import os
 import sys
-import time
 import traceback
 import types
 import typing
-from collections import deque
 
 from repro.core.result import CoverResult
 from repro.errors import ProtocolError, ReproError, ValidationError
 from repro.obs import trace as obs_trace
+from repro.obs.flightrec import RingBuffer
 from repro.obs.log import console_logging
 from repro.resilience import faults
 from repro.resilience.debug import hang_watchdog
@@ -60,27 +60,13 @@ __all__ = ["check_request_fields", "main", "run_request"]
 #: supervisor would treat as worker failure.
 _MAX_TRACE_RECORDS = 50_000
 
-#: Worker-side flight-recorder ring: the last few dozen lifecycle events
-#: (solve start/stage/end), shipped on *every* result frame. A worker is
-#: killed with SIGKILL (hard timeout, chaos, OOM) precisely when it
-#: cannot flush anything, so its last words must already be with the
-#: supervisor — the cost is ~a few KB per frame. Records use the
-#: ``scwsc-trace/1`` event shape so postmortem bundles validate them
-#: with the standard schema.
-_RING_CAPACITY = 64
-_ring: deque = deque(maxlen=_RING_CAPACITY)
-_ring_t0 = time.perf_counter()
-
-
-def _ring_event(name: str, **attrs) -> None:
-    _ring.append(
-        {
-            "type": "event",
-            "name": name,
-            "t": round(time.perf_counter() - _ring_t0, 6),
-            "attrs": attrs,
-        }
-    )
+#: Worker-side flight-recorder ring, attached to the worker's tracer at
+#: start: the newest records (the solve start/stage/end lifecycle events,
+#: plus a traced request's spans), shipped on *every* result frame. A
+#: worker is killed with SIGKILL (hard timeout, chaos, OOM) precisely
+#: when it cannot flush anything, so its last words must already be with
+#: the supervisor — the cost is ~a few KB per frame.
+_RING = RingBuffer(64)
 
 
 def _solver_registry() -> dict:
@@ -282,13 +268,12 @@ def _handle_solve(out, payload: dict) -> None:
         # Stage frames are tiny and drive circuit-breaker blame; they
         # are never chaos-corrupted so blame attribution itself stays
         # deterministic under IPC-corruption storms.
-        _ring_event("worker_stage", request=request_id, stage=stage)
+        obs_trace.event("worker_stage", request=request_id, stage=stage)
         write_frame(
             out, {"kind": "stage", "id": request_id, "stage": stage}
         )
 
-    trace_records: list | None = None
-    _ring_event(
+    obs_trace.event(
         "worker_solve_start",
         request=request_id,
         solver=request.solver,
@@ -296,37 +281,31 @@ def _handle_solve(out, payload: dict) -> None:
         timeout=request.timeout,
         tag=request.tag,
     )
-    try:
-        if injector is not None:
-            injector.worker_entry()
-        with hang_watchdog(
-            request.timeout, context=f"request {request_id}"
-        ):
-            if request.trace:
-                with obs_trace.capture() as trace_records:
-                    result = run_request(request, on_stage=emit_stage)
-            else:
+    with (
+        obs_trace.capture() if request.trace else contextlib.nullcontext([])
+    ) as trace_records:
+        try:
+            if injector is not None:
+                injector.worker_entry()
+            with hang_watchdog(
+                request.timeout, context=f"request {request_id}"
+            ):
                 result = run_request(request, on_stage=emit_stage)
-        response = _result_payload(request_id, result)
-    except (ReproError, MemoryError, ArithmeticError, ValueError,
-            KeyError, IndexError, TypeError, AttributeError,
-            RecursionError) as error:
-        response = _error_payload(request_id, error)
-        traceback.print_exc(file=sys.stderr)
+            response = _result_payload(request_id, result)
+        except (ReproError, MemoryError, ArithmeticError, ValueError,
+                KeyError, IndexError, TypeError, AttributeError,
+                RecursionError) as error:
+            response = _error_payload(request_id, error)
+            traceback.print_exc(file=sys.stderr)
+        dropped = len(trace_records) - _MAX_TRACE_RECORDS
+        if dropped > 0:
+            # Keep the newest records: spans are written as they close,
+            # so every kept span's parent closes later and is kept too.
+            del trace_records[:dropped]
+            obs_trace.event("trace_truncated", dropped_records=dropped)
     if trace_records:
         # Error frames keep whatever was captured before the failure:
         # a partial trace is exactly what explains a failed attempt.
-        if len(trace_records) > _MAX_TRACE_RECORDS:
-            dropped = len(trace_records) - _MAX_TRACE_RECORDS
-            trace_records = trace_records[:_MAX_TRACE_RECORDS]
-            trace_records.append(
-                {
-                    "type": "event",
-                    "name": "trace_truncated",
-                    "t": 0.0,
-                    "attrs": {"dropped_records": dropped},
-                }
-            )
         response["trace"] = trace_records
     # Peak RSS rides every result frame (one getrusage call): the
     # supervisor turns it into attempt provenance and a worker memory
@@ -336,13 +315,13 @@ def _handle_solve(out, payload: dict) -> None:
     rss = peak_rss_bytes()
     if rss is not None:
         response["peak_rss_bytes"] = rss
-    _ring_event(
+    obs_trace.event(
         "worker_solve_end", request=request_id, status=response.get("status")
     )
     # The worker's black box rides home on every frame — if the next
     # request SIGKILLs this process, the supervisor already holds the
     # freshest ring for the postmortem bundle.
-    response["flightrec"] = list(_ring)
+    response["flightrec"] = _RING.snapshot()
     write_frame(out, response, injector=injector)
 
 
@@ -390,6 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     # repro loggers (watchdog notices, etc.) a handler honouring
     # REPRO_LOG_LEVEL.
     console_logging()
+    obs_trace.add_sink(_RING.append)
 
     # Claim the frame stream, then point fd 1 at stderr so stray prints
     # from solver code cannot corrupt the protocol.

@@ -243,9 +243,10 @@ class _Handler(BaseHTTPRequestHandler):
         )
         if span.enabled:
             # The edge span IS the traceparent span: it takes the
-            # context's span id so worker subtrees replayed with
-            # ``root_parent=ctx.span_id`` attach to it, and upstream
-            # callers see their child span id in the echoed header.
+            # context's span id (the same 16-hex scheme as every span)
+            # so worker subtrees replayed with ``root_parent=ctx.span_id``
+            # attach to it, and upstream callers see their child span
+            # id in the echoed header.
             span.span_id = ctx.span_id
             if incoming is not None:
                 span.set(upstream_span_id=incoming.span_id)
@@ -692,7 +693,7 @@ class SolverServer(ThreadingHTTPServer):
                     min_interval=config.postmortem_interval,
                     config=config,
                 )
-                self.recorder.on_event = self._on_ring_event
+                self.recorder.on_event = self._on_recorder_event
             self.recorder.on_poll = self._check_fast_burn
             self.recorder.start_metrics_poll(
                 self.registry.snapshot, config.flightrec_metrics_interval
@@ -782,7 +783,7 @@ class SolverServer(ThreadingHTTPServer):
         "hard_timeout": "hard_timeout",
     }
 
-    def _on_ring_event(self, record: dict) -> None:
+    def _on_recorder_event(self, record: dict) -> None:
         """Flight-recorder event tap: map pool lifecycle events to
         postmortem triggers. Runs on the emitting thread (usually the
         pool dispatcher); the engine only does bookkeeping inline and

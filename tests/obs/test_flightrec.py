@@ -114,7 +114,6 @@ class TestInstallWiring:
     def test_install_arms_ring_without_flipping_enabled(self):
         rec = flightrec.install(span_capacity=8)
         assert flightrec.get_recorder() is rec
-        assert obs_trace.ring_active()
         assert obs_trace.recording()
         # THE invariant the overhead budget rests on:
         assert not obs_trace.enabled()

@@ -144,10 +144,11 @@ class TestQualityRecords:
 
 
 class TestCaptureReplayRoundTrip:
-    def test_profiled_capture_replays_with_prefixes(self, tmp_path):
-        """A worker-style MemorySink capture, replayed into a file trace
-        under a request/attempt prefix, must validate end to end with
-        every span id prefixed."""
+    def test_profiled_capture_replays_valid(self, tmp_path):
+        """A worker-style capture plus profile records, replayed into a
+        file trace with request/attempt attrs, must validate end to end
+        (strictly: the replayed spans form one tree) with every record
+        carrying the merged attrs."""
         import json
 
         from repro.obs import profile as obs_profile
@@ -168,11 +169,11 @@ class TestCaptureReplayRoundTrip:
         path = tmp_path / "replayed.jsonl"
         obs_trace.configure(str(path), command="test")
         try:
-            obs_trace.replay(captured, prefix="r7a2.", request_id=7)
+            obs_trace.replay(captured, request_id=7, attempt=2)
         finally:
             obs_trace.shutdown()
 
-        problems = validate_trace_file(str(path))
+        problems = validate_trace_file(str(path), strict=True)
         assert problems == []
         records = [
             json.loads(line)
@@ -181,7 +182,8 @@ class TestCaptureReplayRoundTrip:
         ]
         spans = [r for r in records if r["type"] == "span"]
         assert spans and all(
-            str(r["span_id"]).startswith("r7a2.") for r in spans
+            r["attrs"]["request_id"] == 7 and r["attrs"]["attempt"] == 2
+            for r in spans
         )
         assert any(r["type"] == "profile" for r in records)
         assert {r["name"] for r in spans if True} >= {"solve", "select"}

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 
 from repro.obs import trace as obs_trace
-from repro.obs.schema import validate_record
+from repro.obs.schema import validate_record, validate_trace_file
 
 
 def _records(buffer: io.StringIO) -> list[dict]:
@@ -111,10 +113,13 @@ class TestCaptureAndReplay:
             assert obs_trace.enabled()
             with obs_trace.span("solve"):
                 pass
-        # Back on the outer tracer after capture.
+        # Still tracing to the file after the capture ...
         assert obs_trace.get_tracer() is not None
         assert [r["name"] for r in records] == ["solve"]
         assert all(r["type"] != "meta" for r in records)
+        obs_trace.shutdown()
+        # ... which saw the captured span too: a capture is one more sink.
+        assert [r.get("name") for r in _records(buffer)] == [None, "solve"]
 
     def test_capture_works_without_outer_tracer(self):
         with obs_trace.capture() as records:
@@ -123,23 +128,82 @@ class TestCaptureAndReplay:
         assert not obs_trace.enabled()
         assert len(records) == 1
 
-    def test_replay_prefixes_ids_and_merges_attrs(self):
+    def test_concurrent_captures_never_lose_a_sink(self):
+        """Sink tuples are swapped under a lock: with many threads
+        attaching and detaching captures, each capture still receives
+        its own thread's event, and every sink is detached at the end."""
+        missed = []
+
+        def churn() -> None:
+            for _ in range(2000):
+                with obs_trace.capture() as records:
+                    obs_trace.event("tick", thread=threading.get_ident())
+                if not any(
+                    r["attrs"]["thread"] == threading.get_ident()
+                    for r in records
+                ):
+                    missed.append(threading.get_ident())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert missed == []
+        assert not obs_trace.recording()
+
+    def test_replay_keeps_ids_and_merges_attrs(self):
         with obs_trace.capture() as records:
             with obs_trace.span("solve"):
                 with obs_trace.span("select"):
                     pass
             obs_trace.event("tracker_update", updates=3)
+        captured = {r["name"]: r for r in records if r["type"] == "span"}
         buffer = io.StringIO()
         obs_trace.configure(buffer)
-        obs_trace.replay(records, prefix="r7a1.", request_id=7, worker=0)
+        obs_trace.replay(records, request_id=7, worker=0, attempt=1)
         obs_trace.shutdown()
         out = [r for r in _records(buffer) if r["type"] != "meta"]
         spans = {r["name"]: r for r in out if r["type"] == "span"}
-        assert spans["solve"]["span_id"].startswith("r7a1.")
+        assert spans["solve"]["span_id"] == captured["solve"]["span_id"]
         assert spans["select"]["parent_id"] == spans["solve"]["span_id"]
         for record in out:
             assert record["attrs"]["request_id"] == 7
             assert record["attrs"]["worker"] == 0
+            assert record["attrs"]["attempt"] == 1
+
+    def test_two_attempts_replay_into_one_valid_tree(self, tmp_path):
+        """Each attempt of a requeued request ships its own capture;
+        both replay under the edge span with no span id colliding."""
+        captures = []
+        for _ in range(2):
+            with obs_trace.capture() as records:
+                with obs_trace.span("solve"):
+                    with obs_trace.span("select"):
+                        pass
+            captures.append(records)
+        path = tmp_path / "trace.jsonl"
+        obs_trace.configure(str(path))
+        with obs_trace.span("server_request") as edge:
+            for attempt, records in enumerate(captures, start=1):
+                obs_trace.replay(
+                    records, root_parent=edge.span_id, attempt=attempt
+                )
+        obs_trace.shutdown()
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        spans = [r for r in records if r["type"] == "span"]
+        ids = [r["span_id"] for r in spans]
+        assert len(ids) == len(set(ids)) == 5
+        roots = [r for r in spans if r["name"] == "solve"]
+        assert [r["parent_id"] for r in roots] == [edge.span_id] * 2
+        assert sorted(r["attrs"]["attempt"] for r in roots) == [1, 2]
+        assert validate_trace_file(str(path), strict=True) == []
 
     def test_replay_skips_meta_records(self):
         buffer = io.StringIO()
@@ -226,13 +290,13 @@ class TestTraceContext:
             obs_trace.event("tracker_update", updates=1)
         buffer = io.StringIO()
         obs_trace.configure(buffer)
-        obs_trace.replay(records, prefix="t1.a1.", root_parent="edgespan01")
+        obs_trace.replay(records, root_parent="edgespan01")
         obs_trace.shutdown()
         out = [r for r in _records(buffer) if r["type"] != "meta"]
         spans = {r["name"]: r for r in out if r["type"] == "span"}
         # The worker's root span hangs off the request's edge span ...
         assert spans["solve"]["parent_id"] == "edgespan01"
-        # ... while nested spans keep their prefixed worker-side parent.
+        # ... while nested spans keep their worker-side parent.
         assert spans["select"]["parent_id"] == spans["solve"]["span_id"]
         # Events have no span ids and are never reparented.
         events = [r for r in out if r["type"] == "event"]

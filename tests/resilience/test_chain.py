@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.validate import verify_result
+from repro.datasets import load_dataset
 from repro.datasets.adversarial import bmc_adversarial_system
 from repro.errors import InfeasibleError, ValidationError
+from repro.patterns import build_set_system
 from repro.resilience import FaultConfig, chaos, resilient_solve
 from repro.resilience.chain import DEFAULT_CHAIN
 
@@ -141,6 +143,20 @@ class TestRejection:
         assert verify_result(
             system, result, k=prov["k_bound"], s_hat=prov["coverage_target"]
         ) == []
+
+    def test_lp_rounding_answer_over_k_is_rejected(self):
+        """§III rounding may pick more than k sets; the request's k binds
+        it anyway. On this table, seed 0 rounds to 11 sets at k = 10."""
+        system = build_set_system(load_dataset("lbl:250@2"), "max")
+        result = resilient_solve(
+            system, k=10, s_hat=0.7,
+            chain=("lp_rounding", "cwsc", "universal"), seed=0,
+        )
+        prov = provenance(result)
+        assert len(result.set_ids) <= 10
+        assert stage_status(prov)["lp_rounding"] == "rejected"
+        assert prov["stage"] == "cwsc"
+        assert verify_result(system, result, k=10, s_hat=0.7) == []
 
 
 class TestDeadlines:

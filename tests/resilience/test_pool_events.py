@@ -1,6 +1,6 @@
-"""Observability of the pool: breaker transition hooks and the event
+"""Observability of the pool: breaker transition hooks, the event
 stream a traced pool run writes (worker lifecycle + replayed solver
-spans keyed by request id)."""
+spans keyed by request id), and what a worker's result frame carries."""
 
 from __future__ import annotations
 
@@ -9,10 +9,16 @@ import json
 
 import pytest
 
+from repro.obs import flightrec as obs_flightrec
 from repro.obs import trace as obs_trace
-from repro.obs.schema import validate_record
+from repro.obs.schema import validate_record, validate_trace_file
+from repro.resilience.pool import worker
 from repro.resilience.pool.breaker import BreakerBoard, CircuitBreaker
-from repro.resilience.pool.protocol import SolveRequest
+from repro.resilience.pool.protocol import (
+    SolveRequest,
+    encode_request,
+    read_frame,
+)
 from repro.resilience.pool.supervisor import PoolConfig, SolverPool
 
 
@@ -183,7 +189,7 @@ class TestPoolEventStream:
             r for r in worker_spans if r["name"] == "solve"
         )
         assert solve_span["attrs"]["worker"] == 0
-        assert str(solve_span["span_id"]).startswith("r0a1.")
+        assert solve_span["attrs"]["attempt"] == 1
 
     def test_untraced_run_emits_nothing(self, random_system):
         system = random_system(n_elements=8, n_sets=5, seed=4)
@@ -196,3 +202,61 @@ class TestPoolEventStream:
             )
         assert outcome.status == "ok"
         assert not obs_trace.enabled()
+
+
+class TestWorkerFrames:
+    def test_flightrec_ring_carries_lifecycle_traced_or_not(
+        self, random_system, tmp_path
+    ):
+        system = random_system(n_elements=10, n_sets=6, seed=3)
+        recorder = obs_flightrec.install()
+        lifecycles = []
+        try:
+            with SolverPool(PoolConfig(workers=1)) as pool:
+                for request_id, traced in enumerate((False, True)):
+                    if traced:
+                        obs_trace.configure(str(tmp_path / "trace.jsonl"))
+                    outcome = pool.solve(
+                        SolveRequest(
+                            system=system, k=4, s_hat=0.8, solver="cwsc",
+                            timeout=30.0,
+                        )
+                    )
+                    assert outcome.status == "ok"
+                    ring = recorder.worker_rings()[0]
+                    lifecycles.append([
+                        r["name"] for r in ring
+                        if r.get("attrs", {}).get("request") == request_id
+                    ])
+        finally:
+            obs_flightrec.uninstall()
+        expected = ["worker_solve_start", "worker_stage", "worker_solve_end"]
+        assert lifecycles == [expected, expected]
+
+    def test_truncated_trace_keeps_newest_records_as_valid_tree(
+        self, random_system, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(worker, "_MAX_TRACE_RECORDS", 4)
+        system = random_system(n_elements=10, n_sets=6, seed=3)
+        payload = encode_request(
+            SolveRequest(
+                system=system, k=4, s_hat=0.8, solver="cwsc", timeout=30.0
+            ),
+            0,
+        )
+        payload["trace"] = True
+        out = io.BytesIO()
+        worker._handle_solve(out, payload)
+        frames = io.BytesIO(out.getvalue())
+        while (frame := read_frame(frames))["kind"] != "result":
+            pass
+        records = frame["trace"]
+        path = tmp_path / "trace.jsonl"
+        obs_trace.configure(str(path))
+        obs_trace.replay(records, request_id=0)
+        obs_trace.shutdown()
+        assert validate_trace_file(str(path), strict=True) == []
+        marker = records[-1]
+        assert marker["name"] == "trace_truncated"
+        assert marker["attrs"]["dropped_records"] > 0
+        assert marker["t"] > 0

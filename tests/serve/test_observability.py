@@ -30,11 +30,13 @@ def traceparent(tid: str) -> str:
 
 
 def spans_for(records: list[dict], tid: str) -> list[dict]:
+    """The worker spans replayed under trace id ``tid``."""
     return [
         r
         for r in records
         if r.get("type") == "span"
-        and str(r.get("span_id", "")).startswith(tid)
+        and r.get("attrs", {}).get("trace_id") == tid
+        and "worker" in r["attrs"]
     ]
 
 
@@ -207,7 +209,7 @@ class TestObservabilityAcceptance:
             ]
             assert len(edge) == 1, f"expected one edge span for {tid}"
             # The edge span carries the context's span id, so worker
-            # subtrees (prefixed with the trace id) parent onto it.
+            # subtrees replayed under the trace id parent onto it.
             assert edge[0]["span_id"] in span_ids
         # Worker spans replay under the request's trace id...
         for tid in (tids[0], greedy_tid, requeue_tid):
@@ -224,8 +226,8 @@ class TestObservabilityAcceptance:
         # takes the capture buffer with it); the surviving spans are all
         # attempt 2, and the requeue itself is an annotated event.
         requeue_spans = spans_for(records, requeue_tid)
-        attempts = {s["span_id"].split(".")[1] for s in requeue_spans}
-        assert attempts == {"a2"}, attempts
+        attempts = {s["attrs"]["attempt"] for s in requeue_spans}
+        assert attempts == {2}, attempts
         requeue_events = [
             r
             for r in records
