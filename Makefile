@@ -12,6 +12,8 @@
 #                     table-cold smokes (the latter runs 3 checked table
 #                     ops), so a change under src/ cannot silently break
 #                     the end-to-end benchmark
+#   make paper-bench  the paper-shape benches (pytest benchmarks/, full
+#                     scale, about 3 min); not in CI while some fail
 #   make trace-smoke  traced solves (plain + --isolate), schema-validated
 #   make profile-smoke  profiled solve, flamegraph export, dashboard render
 #   make serve-smoke  boot the real daemon twice: healthy mixed-deadline
@@ -31,7 +33,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONHASHSEED := 0
 
-.PHONY: test chaos verify bench bench-large perfbench-test trace-smoke profile-smoke serve-smoke debug-smoke dashboard
+.PHONY: test chaos verify bench bench-large perfbench-test paper-bench trace-smoke profile-smoke serve-smoke debug-smoke dashboard
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -51,6 +53,9 @@ perfbench-test:
 	$(PYTHON) -m pytest -q perfbench
 	$(PYTHON) perfbench/run.py --workload solve-sweep --seed 1 --seconds 2
 	$(PYTHON) perfbench/run.py --workload table-cold --seed 1 --seconds 2
+
+paper-bench:
+	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
 trace-smoke:
 	$(PYTHON) benchmarks/trace_smoke.py trace-smoke

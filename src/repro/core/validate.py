@@ -31,14 +31,11 @@ def verify_result(
     system:
         The set system the result claims to solve.
     k:
-        If given, the size bound the solution must respect. CMC results
-        should pass the *relaxed* bound (e.g.
-        :func:`repro.core.guarantees.max_sets_standard`), which is the
-        caller's choice.
+        If given, the size bound the solution must respect.
     s_hat:
         If given, the coverage fraction a *feasible* result must reach.
-        For CMC pass the discounted fraction
-        ``COVERAGE_DISCOUNT * s_hat``.
+        What each solver promises is :func:`repro.core.guarantees.contract`
+        (:func:`~repro.core.guarantees.contract_violations` checks it).
     """
     problems: list[str] = []
 

@@ -11,8 +11,9 @@ approximation ratio. This module makes those numbers first-class
 telemetry:
 
 * :func:`compute_quality` — the pure calculation: approximation ratio
-  vs. an LP lower bound, coverage slack vs. the target ``s_hat``, and
-  sets used vs. the size budget ``k``;
+  vs. an LP lower bound, and coverage and size slack vs. the contract
+  the solver promises for ``(k, s_hat)``
+  (:func:`repro.core.guarantees.contract`);
 * :func:`record_quality` — publishes one solve's quality into the
   process-global metrics registry (ratio histogram + last-value gauges)
   and, when a tracer is configured, writes a ``quality`` trace record
@@ -61,11 +62,12 @@ def compute_quality(
 ) -> dict[str, Any]:
     """Quality facts for one finished solve, as a JSON-ready dict.
 
-    ``k`` and ``s_hat`` default to the values the solver recorded in
-    ``result.params`` (every core solver stores both). ``lp_bound`` is
-    never computed here — solving the LP costs more than the solve being
-    measured on small instances, so callers decide when it is worth it
-    (the bench harness computes it once per workload cell).
+    ``k`` and ``s_hat`` are the request's and default to the values the
+    solver recorded in ``result.params`` (every core solver stores
+    both). ``lp_bound`` is never computed here — solving the LP costs
+    more than the solve being measured on small instances, so callers
+    decide when it is worth it (the bench harness computes it once per
+    workload cell).
 
     Keys
     ----
@@ -73,18 +75,30 @@ def compute_quality(
         ``total_cost / lp_bound`` — an upper bound on the true
         approximation ratio. ``None`` when no (positive, finite)
         ``lp_bound`` is available.
-    ``coverage_slack``
-        ``coverage_fraction - s_hat``: non-negative means the target was
-        met, with slack. ``None`` when ``s_hat`` is unknown.
+    ``coverage_target`` / ``coverage_slack``
+        The coverage fraction of the solver's
+        :func:`~repro.core.guarantees.contract` (``s_hat``, discounted
+        for CMC) and ``coverage_fraction`` minus it.
     ``sets_used`` / ``sets_budget`` / ``sets_slack``
-        Solution size vs. the size constraint ``k`` (CMC variants may
-        legitimately exceed ``k``; the slack goes negative and the
-        dashboard shows it).
+        Solution size, the contract's size bound (``k``, up to ``5k``
+        for CMC) and the bound minus the size. A slack is negative only
+        for an answer that broke its contract; all four are ``None``
+        unless both ``k`` and ``s_hat`` are known.
     """
     if k is None:
         k = result.params.get("k")
     if s_hat is None:
         s_hat = result.params.get("s_hat")
+    promised = sets_slack = coverage_slack = None
+    if k is not None and s_hat is not None:
+        # Imported here: repro.core's solvers import repro.obs.
+        from repro.core.guarantees import contract
+
+        promised = contract(
+            result.algorithm, int(k), float(s_hat), result.params
+        )
+        sets_slack = promised.max_sets - result.n_sets
+        coverage_slack = result.coverage_fraction - promised.coverage
     approx_ratio = None
     if (
         lp_bound is not None
@@ -93,10 +107,6 @@ def compute_quality(
         and math.isfinite(result.total_cost)
     ):
         approx_ratio = float(result.total_cost) / float(lp_bound)
-    coverage_slack = None
-    if s_hat is not None:
-        coverage_slack = result.coverage_fraction - float(s_hat)
-    sets_slack = None if k is None else int(k) - result.n_sets
     return {
         "total_cost": (
             float(result.total_cost)
@@ -110,10 +120,10 @@ def compute_quality(
         ),
         "approx_ratio": approx_ratio,
         "coverage_fraction": result.coverage_fraction,
-        "coverage_target": None if s_hat is None else float(s_hat),
+        "coverage_target": None if promised is None else promised.coverage,
         "coverage_slack": coverage_slack,
         "sets_used": result.n_sets,
-        "sets_budget": None if k is None else int(k),
+        "sets_budget": None if promised is None else promised.max_sets,
         "sets_slack": sets_slack,
         "feasible": bool(result.feasible),
     }

@@ -12,9 +12,10 @@ into a degradation ladder:
    injected) is retried with capped exponential backoff and
    deterministic, seeded jitter.
 3. Every candidate answer is re-verified from scratch with
-   :func:`~repro.core.validate.verify_result` against the stage's own
-   guarantee envelope — a stage that *claims* feasibility but lies (e.g.
-   under injected marginal-gain corruption) is rejected, not returned.
+   :func:`~repro.core.validate.verify_result` against the contract its
+   solver promises (:func:`repro.core.guarantees.contract`) — a stage
+   that *claims* feasibility but lies (e.g. under injected marginal-gain
+   corruption) or overruns its size bound is rejected, not returned.
 4. The terminal ``"universal"`` stage returns the cheapest full-coverage
    set, so on any system satisfying the paper's assumption the chain is
    guaranteed to produce a feasible, independently verified answer.
@@ -28,20 +29,19 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
-from repro.core.cmc import COVERAGE_DISCOUNT, cmc
+from repro.core.cmc import cmc
 from repro.core.cmc_epsilon import cmc_epsilon
 from repro.core.cwsc import cwsc
 from repro.core.exact import solve_exact
 from repro.core.fallbacks import universal_result
-from repro.core.guarantees import max_sets_epsilon, max_sets_standard
+from repro.core.guarantees import contract, contract_violations
 from repro.core.lp_rounding import lp_rounding
 from repro.core.marginal import KNOWN_BACKENDS, TrackerBackend
 from repro.core.result import CoverResult, Metrics, make_result
 from repro.core.setsystem import SetSystem
-from repro.core.validate import verify_result
 from repro.errors import (
     DeadlineExceeded,
     InfeasibleError,
@@ -108,86 +108,6 @@ class StageRecord:
         }
 
 
-@dataclass
-class _StageSpec:
-    """How to run and how to judge one stage."""
-
-    run: Callable[[Deadline | None], CoverResult]
-    k_bound: int | None
-    coverage_target: float
-
-
-def _stage_specs(
-    system: SetSystem,
-    k: int,
-    s_hat: float,
-    seed: int,
-    exact_node_limit: int | None,
-    stage_options: dict[str, dict],
-    backend: TrackerBackend | None = None,
-) -> dict[str, _StageSpec]:
-    """Build the known stages; per-stage kwargs come from stage_options.
-
-    ``backend`` seeds the greedy stages' tracker backend (their own
-    ``stage_options`` entries win).
-    """
-
-    def opts(name: str) -> dict:
-        return dict(stage_options.get(name, {}))
-
-    def greedy_run(solver, run_opts: dict):
-        if backend is not None:
-            run_opts.setdefault("backend", backend)
-        return lambda d: solver(system, k, s_hat, deadline=d, **run_opts)
-
-    specs: dict[str, _StageSpec] = {}
-
-    exact_opts = opts("exact")
-    exact_opts.setdefault("node_limit", exact_node_limit)
-    specs["exact"] = _StageSpec(
-        run=lambda d: solve_exact(system, k, s_hat, deadline=d, **exact_opts),
-        k_bound=k,
-        coverage_target=s_hat,
-    )
-
-    lp_opts = opts("lp_rounding")
-    lp_opts.setdefault("seed", seed)
-    specs["lp_rounding"] = _StageSpec(
-        run=lambda d: lp_rounding(system, k, s_hat, deadline=d, **lp_opts),
-        # Rounding may exceed k by design (§III); the request's k still
-        # binds, so such an answer is rejected and the chain moves on.
-        k_bound=k,
-        coverage_target=s_hat,
-    )
-
-    specs["cwsc"] = _StageSpec(
-        run=greedy_run(cwsc, opts("cwsc")),
-        k_bound=k,
-        coverage_target=s_hat,
-    )
-
-    specs["cmc"] = _StageSpec(
-        run=greedy_run(cmc, opts("cmc")),
-        k_bound=max_sets_standard(k),
-        coverage_target=COVERAGE_DISCOUNT * s_hat,
-    )
-
-    cmc_eps_opts = opts("cmc_epsilon")
-    eps = cmc_eps_opts.get("eps", 1.0)
-    specs["cmc_epsilon"] = _StageSpec(
-        run=greedy_run(cmc_epsilon, cmc_eps_opts),
-        k_bound=max_sets_epsilon(k, eps),
-        coverage_target=COVERAGE_DISCOUNT * s_hat,
-    )
-
-    specs["universal"] = _StageSpec(
-        run=lambda d: universal_result(system, k, s_hat),
-        k_bound=k,
-        coverage_target=s_hat,
-    )
-    return specs
-
-
 def _sanitize(
     system: SetSystem, source: CoverResult, required: int
 ) -> CoverResult:
@@ -210,6 +130,21 @@ def _sanitize(
         feasible=covered >= required,
         params=dict(source.params),
         metrics=source.metrics,
+    )
+
+
+def empty_result(system: SetSystem, k: int, s_hat: float) -> CoverResult:
+    """The no-sets answer left when no stage produced a usable one."""
+    return make_result(
+        algorithm="resilient_solve",
+        chosen=[],
+        labels=[],
+        total_cost=0.0,
+        covered=0,
+        n_elements=system.n_elements,
+        feasible=system.required_coverage(s_hat) == 0,
+        params={"k": k, "s_hat": s_hat},
+        metrics=Metrics(),
     )
 
 
@@ -302,9 +237,11 @@ def resilient_solve(
     -------
     CoverResult
         A verified answer whose ``params["resilience"]`` records the
-        winning stage, the guarantee envelope it was verified against
-        (``k_bound``, ``coverage_target``), and a per-stage provenance
-        list.
+        winning stage, a read-out of the contract it was verified
+        against (``k_bound``, ``coverage_target``; see
+        :func:`repro.core.guarantees.contract`), and a per-stage
+        provenance list. A degraded partial is kept only while it stays
+        within its solver's size bound.
     """
     if not chain:
         raise ValidationError("chain must name at least one stage")
@@ -349,14 +286,11 @@ def resilient_solve(
                 f"unknown tracker backend {backend!r}; "
                 f"expected one of {', '.join(KNOWN_BACKENDS)}"
             )
-    specs = _stage_specs(
-        system, k, s_hat, seed, exact_node_limit, stage_options or {},
-        backend=backend,
-    )
-    unknown = [name for name in chain if name not in specs]
+    unknown = [name for name in chain if name not in STAGE_SOLVERS]
     if unknown:
         raise ValidationError(
-            f"unknown chain stage(s) {unknown}; known: {sorted(specs)}"
+            f"unknown chain stage(s) {unknown}; "
+            f"known: {sorted(STAGE_SOLVERS)}"
         )
     if strict:
         system.validate_strict()
@@ -369,6 +303,17 @@ def resilient_solve(
         raise ValidationError(f"k must be >= 1, got {k}")
     required = system.required_coverage(s_hat)
 
+    # Stage kwargs a stage_options entry overrides; ``backend`` seeds
+    # the greedy stages only.
+    defaults: dict[str, dict] = {
+        "exact": {"node_limit": exact_node_limit},
+        "lp_rounding": {"seed": seed},
+    }
+    if backend is not None:
+        for name in ("cwsc", "cmc", "cmc_epsilon"):
+            defaults[name] = {"backend": backend}
+    stage_options = stage_options or {}
+
     rng = random.Random(seed)
     overall = Deadline.after(timeout) if timeout is not None else None
     records: list[StageRecord] = []
@@ -379,6 +324,8 @@ def resilient_solve(
         if candidate is None:
             return
         clean = _sanitize(system, candidate, required)
+        if contract_violations(system, clean, k, s_hat):
+            return
         if best_partial is None:
             best_partial = clean
             return
@@ -402,18 +349,17 @@ def resilient_solve(
                 elapsed_seconds=round(record.elapsed_seconds, 6),
             )
 
-    def finalize(result: CoverResult, record: StageRecord, spec: _StageSpec
-                 ) -> CoverResult:
+    def finalize(result: CoverResult, record: StageRecord) -> CoverResult:
+        promised = contract(result.algorithm, k, s_hat, result.params)
         result.params["resilience"] = {
             "stage": record.stage,
-            "k_bound": spec.k_bound,
-            "coverage_target": spec.coverage_target,
+            "k_bound": promised.max_sets,
+            "coverage_target": promised.coverage,
             "stages": [r.to_dict() for r in records],
         }
         return result
 
     for position, name in enumerate(chain):
-        spec = specs[name]
         record = StageRecord(stage=name, status="skipped")
         records.append(record)
         # The universal stage is a single O(m) scan: always allowed to
@@ -432,6 +378,9 @@ def resilient_solve(
             )
             stage_deadline = overall.sub(overall.remaining() / max(1, stages_left))
 
+        kwargs = {**defaults.get(name, {}), **stage_options.get(name, {})}
+        if name != "universal":
+            kwargs["deadline"] = stage_deadline
         if on_stage is not None:
             on_stage(name)
         stage_start = time.perf_counter()
@@ -443,7 +392,7 @@ def resilient_solve(
             record.attempts = attempt + 1
             try:
                 with hang_watchdog(watchdog_budget, context=f"stage {name}"):
-                    outcome = spec.run(stage_deadline)
+                    outcome = STAGE_SOLVERS[name](system, k, s_hat, **kwargs)
                 break
             except TransientSolverError as error:
                 record.status = "transient_exhausted"
@@ -480,9 +429,7 @@ def resilient_solve(
         if outcome is None:
             note_stage(record)
             continue
-        problems = verify_result(
-            system, outcome, k=spec.k_bound, s_hat=spec.coverage_target
-        )
+        problems = contract_violations(system, outcome, k, s_hat)
         if problems:
             record.status = "rejected"
             record.detail = "; ".join(problems)
@@ -497,23 +444,11 @@ def resilient_solve(
             continue
         record.status = "ok"
         note_stage(record)
-        return finalize(outcome, record, spec)
+        return finalize(outcome, record)
 
     # Every stage failed. Degrade to the best verified partial.
-    fallback_spec = _StageSpec(run=lambda d: None, k_bound=None,
-                               coverage_target=s_hat)
     if best_partial is None:
-        best_partial = make_result(
-            algorithm="resilient_solve",
-            chosen=[],
-            labels=[],
-            total_cost=0.0,
-            covered=0,
-            n_elements=system.n_elements,
-            feasible=required == 0,
-            params={"k": k, "s_hat": s_hat},
-            metrics=Metrics(),
-        )
+        best_partial = empty_result(system, k, s_hat)
     record = StageRecord(
         stage="best_partial",
         status="ok" if best_partial.feasible else "infeasible",
@@ -521,7 +456,7 @@ def resilient_solve(
     )
     records.append(record)
     note_stage(record)
-    result = finalize(best_partial, record, fallback_spec)
+    result = finalize(best_partial, record)
     if not result.feasible and on_failure == "raise":
         raise InfeasibleError(
             "resilient_solve: no stage produced a feasible verified "

@@ -18,9 +18,11 @@ children cannot be trusted to —
   one solver open its breaker and subsequent chains are routed around
   it, reusing the fallback-chain semantics;
 * **verified results**: every answer a worker returns is independently
-  re-verified against the parent's own copy of the set system before it
-  is accepted — a lying or IPC-corrupted result is requeued, not
-  returned.
+  re-verified against the parent's own copy of the set system, and
+  against the contract its solver promises for the parent's own
+  ``(k, s_hat)`` (:func:`repro.core.guarantees.contract`), before it is
+  accepted — a lying, IPC-corrupted or over-bound result is requeued,
+  not returned.
 
 When a request exhausts its retry budget the supervisor falls back to
 the paper's default solution (`universal_result`) computed in-parent, so
@@ -43,8 +45,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.core.fallbacks import universal_result
+from repro.core.guarantees import contract_violations
 from repro.core.result import CoverResult, result_from_dict
-from repro.core.validate import verify_result
 from repro.errors import (
     InfeasibleError,
     ProtocolError,
@@ -972,14 +974,10 @@ class SolverPool:
             params=dict(claimed.params),
             metrics=claimed.metrics,
         )
-        k_bound = None
-        coverage_target = None
         if isinstance(resilience, dict):
-            k_bound = resilience.get("k_bound")
-            coverage_target = resilience.get("coverage_target")
             result.params["resilience"] = resilience
-        problems = verify_result(
-            system, result, k=k_bound, s_hat=coverage_target
+        problems = contract_violations(
+            system, result, pending.request.k, pending.request.s_hat
         )
         if problems:
             self._record_failure(
@@ -1128,8 +1126,8 @@ class SolverPool:
         except ValidationError as error:
             self._finalize(pending, "failed", None, failure=str(error))
             return
-        problems = verify_result(
-            request.system, result, k=request.k, s_hat=request.s_hat
+        problems = contract_violations(
+            request.system, result, request.k, request.s_hat
         )
         if problems:  # pragma: no cover - universal_result is trusted
             self._finalize(
@@ -1210,19 +1208,10 @@ def run_isolated(
         outcome = pool.solve(request)
     result = outcome.result
     if result is None:
-        from repro.core.result import Metrics, make_result
+        from repro.resilience.chain import empty_result
 
-        result = make_result(
-            algorithm="resilient_solve",
-            chosen=[],
-            labels=[],
-            total_cost=0.0,
-            covered=0,
-            n_elements=system.n_elements,
-            feasible=system.required_coverage(s_hat) == 0,
-            params={"k": k, "s_hat": s_hat, "pool": outcome.provenance},
-            metrics=Metrics(),
-        )
+        result = empty_result(system, k, s_hat)
+        result.params["pool"] = outcome.provenance
     if not result.feasible and on_failure == "raise":
         raise InfeasibleError(
             "run_isolated: no feasible verified answer "

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+from repro.core.cmc import COVERAGE_DISCOUNT
+from repro.core.guarantees import max_sets_standard
 from repro.core.result import CoverResult
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
@@ -87,8 +90,27 @@ class TestComputeQuality:
         assert quality["approx_ratio"] is None
 
     def test_negative_sets_slack_for_cmc_overshoot(self):
-        quality = compute_quality(_result(n_sets=3), k=2)
+        # The size budget is the contract's, so it needs both k and s_hat.
+        quality = compute_quality(_result(n_sets=3), k=2, s_hat=0.9)
         assert quality["sets_slack"] == -1
+
+    def test_cmc_slack_is_measured_against_its_contract(self):
+        # Theorem 4: CMC may use up to max_sets_standard(k) sets and
+        # promises only (1 - 1/e) * s_hat coverage.
+        k, s_hat = 2, 0.9
+        result = replace(
+            _result(n_sets=3, covered=70), algorithm="cmc",
+            params={"variant": "standard"},
+        )
+        assert k < result.n_sets <= max_sets_standard(k)
+        assert COVERAGE_DISCOUNT * s_hat < result.coverage_fraction < s_hat
+        quality = compute_quality(result, k=k, s_hat=s_hat)
+        assert quality["sets_budget"] == max_sets_standard(k)
+        assert quality["sets_slack"] >= 0
+        assert quality["coverage_target"] == pytest.approx(
+            COVERAGE_DISCOUNT * s_hat
+        )
+        assert quality["coverage_slack"] >= 0.0
 
     def test_json_ready(self):
         quality = compute_quality(_result(), k=5, s_hat=0.9, lp_bound=3.0)
