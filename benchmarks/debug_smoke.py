@@ -148,6 +148,8 @@ def main() -> int:
         fail("bundle has no metrics snapshot")
     if not bundle["workers"]:
         fail("bundle has no shipped worker ring")
+    if bundle["build"]["backend"] != "packed":
+        fail(f"bundle build.backend is {bundle['build']['backend']!r}")
 
     # The public CLI must agree.
     if cli_main(["debug", "validate", str(bundle_path)]) != 0:

@@ -81,9 +81,9 @@ def cmc(
         heap pop; expiry raises :class:`~repro.errors.DeadlineExceeded`
         with the current round's partial selection attached.
     backend:
-        Marginal-tracker backend (``"set"``, ``"packed"``, ``"auto"``);
-        defaults to the auto/env selection of
-        :func:`repro.core.marginal.resolve_backend`. All backends
+        Marginal tracker: the packed kernel by default, or ``"set"`` for
+        the reference oracle. Only the backend-equivalence property
+        tests and ``scwsc bench``'s ``set`` cells name the oracle; both
         select identical sets with identical metrics.
     """
     params = {"k": k, "s_hat": s_hat, "b": b, "variant": "standard"}

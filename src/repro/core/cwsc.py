@@ -65,9 +65,9 @@ def cwsc(
         :class:`~repro.errors.DeadlineExceeded` with the best partial
         result attached.
     backend:
-        Marginal-tracker backend (``"set"``, ``"packed"``, ``"auto"``);
-        defaults to the auto/env selection of
-        :func:`repro.core.marginal.resolve_backend`. All backends
+        Marginal tracker: the packed kernel by default, or ``"set"`` for
+        the reference oracle. Only the backend-equivalence property
+        tests and ``scwsc bench``'s ``set`` cells name the oracle; both
         select identical sets with identical metrics.
 
     Returns
@@ -150,7 +150,7 @@ def _cwsc_body(
     injector = faults.active()
     # The packed tracker exposes a vectorized argmax that
     # reproduces gain_key's lexicographic order exactly; the Python scan
-    # below is the reference path for the dict-based backends.
+    # below is the reference path for the set oracle.
     fast_argmax = getattr(tracker, "best_gain_candidate", None)
     canon_keys = canonical_keys(system) if fast_argmax is None else None
     for i in range(k, 0, -1):

@@ -21,10 +21,10 @@ Two interchangeable trackers implement the bookkeeping:
   Its constants win only on tiny instances.
 
 Both produce **identical selections and identical metrics counters** —
-property-tested in ``tests/property/test_props_backend.py`` — so
-:func:`make_tracker` is free to pick by instance size (overridable via
-its ``backend`` argument or the ``REPRO_SETCOVER_BACKEND`` environment
-variable; see docs/PERFORMANCE.md).
+property-tested in ``tests/property/test_props_backend.py``.
+:func:`make_tracker` always builds the packed kernel; the oracle runs
+only when a caller names it with ``backend="set"`` (the equivalence
+tests and ``scwsc bench``'s ``set`` cells; see docs/PERFORMANCE.md).
 
 CMC restarts from scratch for every budget guess ``B``; :meth:`reset`
 supports that without rebuilding the static structures.
@@ -32,7 +32,6 @@ supports that without rebuilding the static structures.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Literal
 
 from repro._typing import ElementId, SetId
@@ -41,23 +40,10 @@ from repro.core.setsystem import SetSystem
 from repro.errors import ValidationError
 from repro.obs import trace as obs_trace
 
-TrackerBackend = Literal["auto", "set", "packed"]
+TrackerBackend = Literal["packed", "set"]
 
 #: Backend names accepted by :func:`resolve_backend`.
-KNOWN_BACKENDS = ("auto", "set", "packed")
-
-#: Environment override for the default tracker backend.
-BACKEND_ENV_VAR = "REPRO_SETCOVER_BACKEND"
-
-#: ``auto`` picks the packed kernel from this many ``n_elements *
-#: n_sets`` cells. Below it the inverted index's constants can win, by
-#: a few milliseconds per solve at most; docs/PERFORMANCE.md §2 records
-#: the cold set-vs-packed sweep behind the number.
-AUTO_PACKED_MIN_CELLS = 1 << 12
-
-#: ``auto`` only picks ``packed`` when the estimated layout footprint
-#: stays below this fraction of ``MemAvailable``.
-AUTO_PACKED_MEM_FRACTION = 0.5
+KNOWN_BACKENDS = ("packed", "set")
 
 
 class MarginalTracker:
@@ -217,66 +203,21 @@ class MarginalTracker:
         return len(newly)
 
 
-def _available_memory_bytes() -> int | None:
-    """``MemAvailable`` from /proc/meminfo; None when unknowable."""
-    try:
-        with open("/proc/meminfo") as handle:
-            for line in handle:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):  # pragma: no cover
-        pass
-    return None
-
-
-def _packed_layout_bytes(system: SetSystem) -> int:
-    """Estimated packed-layout footprint: min(dense, CSR) in bytes.
-
-    Dense needs ``n_sets * ceil(n/64) * 8`` bytes; the CSR form needs
-    roughly 24 bytes per (set, element) pair (word + col + owner entry),
-    so density — not just cell count — decides affordability.
-    """
-    n_words = (system.n_elements + 63) >> 6
-    dense = system.n_sets * n_words * 8
-    return min(dense, system.n_pairs * 24)
-
-
 def resolve_backend(
     system: SetSystem, backend: TrackerBackend | None = None
 ) -> str:
-    """Resolve ``backend`` to ``"set"`` or ``"packed"``.
+    """Resolve ``backend`` to ``"packed"`` (the default) or ``"set"``.
 
-    Precedence: the explicit ``backend`` argument wins, then the
-    ``REPRO_SETCOVER_BACKEND`` environment variable, then ``"auto"``.
-
-    Auto picks ``"packed"`` from :data:`AUTO_PACKED_MIN_CELLS`
-    element-set cells, unless no layout is cached yet and the estimated
-    columnar footprint (the cheaper of the dense and CSR forms, so
-    sparse instances qualify even when the dense matrix would not)
-    exceeds :data:`AUTO_PACKED_MEM_FRACTION` of ``MemAvailable``;
-    otherwise ``"set"``.
+    ``system`` is unused; the signature is kept for existing callers.
+    Raises :class:`ValidationError` for any other name.
     """
-    choice = backend or os.environ.get(BACKEND_ENV_VAR) or "auto"
+    choice = backend or "packed"
     if choice not in KNOWN_BACKENDS:
         raise ValidationError(
             f"unknown tracker backend {choice!r}; "
             f"expected one of {', '.join(repr(b) for b in KNOWN_BACKENDS)}"
         )
-    if choice != "auto":
-        return choice
-    if system.n_elements * system.n_sets < AUTO_PACKED_MIN_CELLS:
-        return "set"
-    from repro.core.packed import cached_layout
-
-    if cached_layout(system) is not None:
-        # The layout's memory is already spent; skip the O(m) estimate.
-        return "packed"
-    budget = _available_memory_bytes()
-    if budget is not None and (
-        _packed_layout_bytes(system) > AUTO_PACKED_MEM_FRACTION * budget
-    ):
-        return "set"
-    return "packed"
+    return choice
 
 
 def make_tracker(
@@ -285,10 +226,11 @@ def make_tracker(
     metrics: Metrics | None = None,
     backend: TrackerBackend | None = None,
 ):
-    """Build the marginal tracker for a system, choosing the backend.
+    """Build the marginal tracker for a system.
 
-    See :func:`resolve_backend` for the selection rules. Both backends
-    yield identical selections and metrics; only speed differs.
+    The packed kernel unless ``backend="set"`` names the reference
+    oracle. Both yield identical selections and metrics; only speed
+    differs.
     """
     if resolve_backend(system, backend) == "packed":
         from repro.core.packed import PackedMarginalTracker

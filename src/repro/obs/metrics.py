@@ -18,7 +18,6 @@ package dependency-free per the repo rule.
 
 from __future__ import annotations
 
-import os
 import platform
 import threading
 from typing import Any, Iterable, Mapping
@@ -295,15 +294,14 @@ def publish_build_info(registry: MetricsRegistry | None = None) -> None:
 
     The Prometheus build-info idiom: a gauge whose value is always 1 and
     whose labels identify the scraped instance — package version, python
-    runtime, and the configured marginal-tracker backend — so a fleet
-    operator can tell which build served which metrics. Called at CLI
-    startup and by ``scwsc serve``; idempotent.
+    runtime, and the marginal-tracker backend (always ``"packed"``, the
+    one production kernel) — so a fleet operator can tell which build
+    served which metrics. Called at CLI startup and by ``scwsc serve``;
+    idempotent.
     """
     from repro import __version__
-    from repro.core.marginal import BACKEND_ENV_VAR
 
     registry = registry or _REGISTRY
-    backend = os.environ.get(BACKEND_ENV_VAR, "").strip() or "auto"
     registry.gauge(
         "scwsc_build_info",
         "Build/runtime identity of this process (value is always 1)",
@@ -311,7 +309,7 @@ def publish_build_info(registry: MetricsRegistry | None = None) -> None:
         1,
         version=__version__,
         python=platform.python_version(),
-        backend=backend,
+        backend="packed",
     )
 
 

@@ -39,7 +39,6 @@ from repro.core.exact import solve_exact
 from repro.core.fallbacks import universal_result
 from repro.core.guarantees import contract, contract_violations
 from repro.core.lp_rounding import lp_rounding
-from repro.core.marginal import KNOWN_BACKENDS, TrackerBackend
 from repro.core.result import CoverResult, Metrics, make_result
 from repro.core.setsystem import SetSystem
 from repro.errors import (
@@ -172,7 +171,6 @@ def resilient_solve(
     on_stage: Callable[[str], None] | None = None,
     isolation: Literal["inline", "process"] = "inline",
     memory_limit_mb: int | None = None,
-    backend: TrackerBackend | None = None,
 ) -> CoverResult:
     """Solve with a verified fallback chain; degrade instead of crashing.
 
@@ -227,11 +225,6 @@ def resilient_solve(
     memory_limit_mb:
         Address-space headroom for the worker (``isolation="process"``
         only; rejected inline, where it cannot be enforced).
-    backend:
-        Default marginal-tracker backend for the greedy stages
-        (``"set"``, ``"packed"``, ``"auto"``); an
-        explicit per-stage ``stage_options`` entry wins. ``None``
-        leaves each stage to the usual env/auto resolution.
 
     Returns
     -------
@@ -273,19 +266,12 @@ def resilient_solve(
             strict=strict,
             exact_node_limit=exact_node_limit,
             on_failure=on_failure,
-            backend=backend,
         )
     if memory_limit_mb is not None:
         raise ValidationError(
             "memory_limit_mb requires isolation='process'; an in-process "
             "rlimit would take down the caller too"
         )
-    if backend is not None:
-        if backend not in KNOWN_BACKENDS:
-            raise ValidationError(
-                f"unknown tracker backend {backend!r}; "
-                f"expected one of {', '.join(KNOWN_BACKENDS)}"
-            )
     unknown = [name for name in chain if name not in STAGE_SOLVERS]
     if unknown:
         raise ValidationError(
@@ -303,15 +289,11 @@ def resilient_solve(
         raise ValidationError(f"k must be >= 1, got {k}")
     required = system.required_coverage(s_hat)
 
-    # Stage kwargs a stage_options entry overrides; ``backend`` seeds
-    # the greedy stages only.
+    # Stage kwargs a stage_options entry overrides.
     defaults: dict[str, dict] = {
         "exact": {"node_limit": exact_node_limit},
         "lp_rounding": {"seed": seed},
     }
-    if backend is not None:
-        for name in ("cwsc", "cmc", "cmc_epsilon"):
-            defaults[name] = {"backend": backend}
     stage_options = stage_options or {}
 
     rng = random.Random(seed)

@@ -47,6 +47,7 @@ from typing import Callable, Sequence
 from repro.core.fallbacks import universal_result
 from repro.core.guarantees import contract_violations
 from repro.core.result import CoverResult, result_from_dict
+from repro.core.validate import verify_result
 from repro.errors import (
     InfeasibleError,
     ProtocolError,
@@ -831,6 +832,7 @@ class SolverPool:
         detail: str,
         blame: str | None,
         partial: CoverResult | None = None,
+        requeue: bool = True,
     ) -> None:
         pending.attempts.append(
             {
@@ -843,7 +845,7 @@ class SolverPool:
             }
         )
         self.board.record_failure(blame)
-        if pending.dispatches <= self.config.max_requeues:
+        if requeue and pending.dispatches <= self.config.max_requeues:
             obs_trace.event(
                 "requeue",
                 request_id=pending.request_id,
@@ -980,11 +982,15 @@ class SolverPool:
             system, result, pending.request.k, pending.request.s_hat
         )
         if problems:
+            # An answer whose own claims recompute but break its solver's
+            # contract is deterministic: a retry would only repeat it.
+            # Claims that do not recompute (IPC damage) are requeued.
             self._record_failure(
                 pending, worker, "rejected",
                 "worker answer failed parent-side verification: "
                 + "; ".join(problems),
                 worker.last_stage or self._blame_default(pending),
+                requeue=bool(verify_result(system, result)),
             )
             return
         self._credit_breakers(pending, resilience)
@@ -1163,7 +1169,6 @@ def run_isolated(
     max_requeues: int = 2,
     grace: float = 2.0,
     worker_env: dict | None = None,
-    backend: str | None = None,
 ) -> CoverResult:
     """One process-isolated resilient solve; the pool-of-one convenience.
 
@@ -1172,8 +1177,7 @@ def run_isolated(
     verified result whose ``params`` carry both the in-worker
     ``resilience`` provenance and the supervisor's ``pool`` provenance.
     ``on_failure`` applies when even the parent-side fallback cannot
-    produce a feasible answer. ``backend`` rides the request options
-    into the worker's ``resilient_solve``.
+    produce a feasible answer.
     """
     if on_failure not in ("partial", "raise"):
         raise ValidationError(
@@ -1184,8 +1188,6 @@ def run_isolated(
     options: dict = {"max_retries": max_retries, "strict": strict}
     if exact_node_limit is not None:
         options["exact_node_limit"] = exact_node_limit
-    if backend is not None:
-        options["backend"] = backend
     request = SolveRequest(
         system=system,
         k=k,

@@ -71,7 +71,7 @@ _TICKET_SLACK = 30.0
 #: The fields a ``/solve`` body or a ``/batch`` entry may carry.
 REQUEST_FIELDS = frozenset({
     "system", "k", "s", "s_hat", "deadline", "solver", "chain", "seed",
-    "tag", "options", "stage_options", "backend",
+    "tag", "options", "stage_options",
 })
 
 
@@ -133,20 +133,6 @@ def build_solve_request(
         if payload.get(key) is not None and not isinstance(payload[key], dict):
             raise ValidationError(f"'{key}' must be an object")
     options = payload.get("options")
-    # The top-level backend knob (documented in docs/SERVING.md) is
-    # sugar for the matching solver option; an explicit options entry
-    # wins.
-    backend = payload.get("backend")
-    if backend is not None:
-        from repro.core.marginal import KNOWN_BACKENDS
-
-        if backend not in KNOWN_BACKENDS:
-            raise ValidationError(
-                f"'backend' must be one of {', '.join(KNOWN_BACKENDS)}, "
-                f"got {backend!r}"
-            )
-        options = dict(options or {})
-        options.setdefault("backend", backend)
     check_request_fields(solver, chain, options, payload.get("stage_options"))
     return SolveRequest(
         system=system,

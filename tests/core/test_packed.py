@@ -8,8 +8,6 @@ import pytest
 
 from repro.core.budget import standard_levels
 from repro.core.marginal import (
-    AUTO_PACKED_MIN_CELLS,
-    BACKEND_ENV_VAR,
     KNOWN_BACKENDS,
     MarginalTracker,
     make_tracker,
@@ -250,6 +248,9 @@ class TestAssignLevels:
 
 
 class TestResolveBackend:
+    #: The retired environment override, now ignored.
+    RETIRED_ENV = "REPRO_SETCOVER_BACKEND"
+
     def _sized_system(self, cells_target: int) -> SetSystem:
         # n_elements * n_sets >= cells_target with tiny actual content.
         n_sets = cells_target // 1024 + 1
@@ -259,54 +260,18 @@ class TestResolveBackend:
             costs=[1.0] * n_sets,
         )
 
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "set")
-        system = self._sized_system(1)
-        assert resolve_backend(system, "packed") == "packed"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "packed")
-        assert resolve_backend(system, "set") == "set"
+    def test_explicit_argument_wins_over_env(self, monkeypatch, small_system):
+        from repro.core.cwsc import cwsc
 
-    def test_explicit_argument_wins_over_auto(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        small = self._sized_system(1)
-        large = self._sized_system(AUTO_PACKED_MIN_CELLS)
-        assert resolve_backend(small, "packed") == "packed"
-        assert resolve_backend(large, "set") == "set"
-        assert resolve_backend(large, "auto") == "packed"
-
-    def test_env_overrides_auto_on_large_system(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "set")
-        system = self._sized_system(AUTO_PACKED_MIN_CELLS)  # auto: packed
-        assert resolve_backend(system) == "set"
-        tracker = make_tracker(system, metrics=Metrics())
-        assert tracker.backend_name == "set"
-
-    def test_env_wins_over_auto(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "packed")
-        system = self._sized_system(1)  # auto would say "set"
-        assert resolve_backend(system) == "packed"
-        tracker = make_tracker(system, metrics=Metrics())
-        assert tracker.backend_name == "packed"
-
-    def test_auto_small_picks_set(self):
-        system = SetSystem.from_iterables(
-            4, benefits=[{0, 1}, {2, 3}], costs=[1.0, 1.0]
-        )
-        assert resolve_backend(system) == "set"
-
-    def test_auto_by_instance_size(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        below = SetSystem.from_iterables(
-            AUTO_PACKED_MIN_CELLS - 1, benefits=[{0}], costs=[1.0]
-        )
-        assert resolve_backend(below) == "set"
-        at = SetSystem.from_iterables(
-            AUTO_PACKED_MIN_CELLS, benefits=[{0}], costs=[1.0]
-        )
-        assert resolve_backend(at) == "packed"
+        monkeypatch.setenv(self.RETIRED_ENV, "set")
+        assert resolve_backend(small_system) == "packed"
+        assert cwsc(small_system, 2, 1.0).params["tracker_backend"] == "packed"
+        assert resolve_backend(small_system, "set") == "set"
+        monkeypatch.setenv(self.RETIRED_ENV, "packed")
+        assert resolve_backend(small_system, "set") == "set"
 
     def test_auto_large_picks_packed(self):
-        system = self._sized_system(AUTO_PACKED_MIN_CELLS)
+        system = self._sized_system(1 << 12)
         assert resolve_backend(system) == "packed"
 
     def test_auto_mid_picks_packed(self):
@@ -317,39 +282,20 @@ class TestResolveBackend:
             assert system.n_elements * system.n_sets < 1 << 24
             assert resolve_backend(system) == "packed"
 
-    def test_auto_large_respects_memory_budget(self, monkeypatch):
-        import repro.core.marginal as marginal
-
-        system = self._sized_system(AUTO_PACKED_MIN_CELLS)
-        monkeypatch.setattr(
-            marginal, "_available_memory_bytes", lambda: 64
-        )
-        assert resolve_backend(system) == "set"
-        # Once a layout is cached its memory is spent: packed it is.
-        packed_layout(system)
-        assert resolve_backend(system) == "packed"
-
-    def test_unknown_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "gpu")
-        with pytest.raises(ValidationError):
-            resolve_backend(self._sized_system(1))
-
     #: The retired middle backend's name, spelled in two parts so the
     #: tree keeps no live reference to it.
     RETIRED = "bit" "set"
 
-    def test_unknown_backend_rejected(self, monkeypatch):
-        assert KNOWN_BACKENDS == ("auto", "set", "packed")
+    def test_unknown_backend_rejected(self):
+        assert KNOWN_BACKENDS == ("packed", "set")
         system = self._sized_system(1)
-        for name in ("quantum", self.RETIRED):
-            with pytest.raises(ValidationError, match="'set', 'packed'"):
+        for name in ("quantum", self.RETIRED, "auto"):
+            with pytest.raises(ValidationError, match="'packed', 'set'"):
                 resolve_backend(system, name)
-        monkeypatch.setenv(BACKEND_ENV_VAR, self.RETIRED)
-        with pytest.raises(ValidationError):
-            resolve_backend(system)
+            with pytest.raises(ValidationError):
+                make_tracker(system, backend=name)
 
-    def test_make_tracker_types(self, small_system, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_make_tracker_types(self, small_system, entities_system):
         assert isinstance(
             make_tracker(small_system, backend="set"), MarginalTracker
         )
@@ -357,3 +303,6 @@ class TestResolveBackend:
             make_tracker(small_system, backend="packed"),
             PackedMarginalTracker,
         )
+        # No size rule: Table II's 384 cells get the packed kernel too.
+        for system in (small_system, entities_system):
+            assert isinstance(make_tracker(system), PackedMarginalTracker)

@@ -159,7 +159,7 @@ class TestRecordCoverResult:
 
 
 class TestBuildInfo:
-    def _labels(self, backend: str = "auto") -> dict:
+    def _labels(self) -> dict:
         import platform
 
         from repro import __version__
@@ -167,34 +167,21 @@ class TestBuildInfo:
         return {
             "version": __version__,
             "python": platform.python_version(),
-            "backend": backend,
+            "backend": "packed",
         }
 
     def test_publishes_identity_gauge(self, monkeypatch):
-        from repro.core.marginal import BACKEND_ENV_VAR
         from repro.obs.metrics import publish_build_info
 
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        # The retired backend override no longer moves the label.
+        monkeypatch.setenv("REPRO_SETCOVER_BACKEND", "set")
         registry = MetricsRegistry()
         publish_build_info(registry)
         assert registry.gauge("scwsc_build_info").value(**self._labels()) == 1
 
-    def test_backend_label_tracks_env(self, monkeypatch):
-        from repro.core.marginal import BACKEND_ENV_VAR
+    def test_idempotent_single_sample(self):
         from repro.obs.metrics import publish_build_info
 
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        registry = MetricsRegistry()
-        publish_build_info(registry)
-        assert registry.gauge("scwsc_build_info").value(
-            **self._labels("python")
-        ) == 1
-
-    def test_idempotent_single_sample(self, monkeypatch):
-        from repro.core.marginal import BACKEND_ENV_VAR
-        from repro.obs.metrics import publish_build_info
-
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         registry = MetricsRegistry()
         publish_build_info(registry)
         publish_build_info(registry)

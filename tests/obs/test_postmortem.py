@@ -76,6 +76,7 @@ class TestBuildAndValidate:
         assert isinstance(bundle["metrics"], dict)
         assert all(isinstance(v, str)
                    for v in bundle["build"].values())
+        assert bundle["build"]["backend"] == "packed"
 
     def test_validate_rejects_wrong_schema_and_trigger(self):
         assert validate_bundle(make_bundle(schema="nope"))

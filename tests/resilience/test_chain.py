@@ -228,9 +228,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             resilient_solve(random_system(), k=3, s_hat=0.5, timeout=0.0)
 
-    def test_unknown_backend_rejected(self, random_system):
-        with pytest.raises(ValidationError, match="unknown tracker backend"):
-            resilient_solve(random_system(), k=4, s_hat=0.8, backend="gpu")
+    def test_unknown_backend_rejected(self):
+        # The chain takes no tracker backend, so a resilient request
+        # that names one fails validation before dispatch.
+        from repro.resilience.pool.worker import check_request_fields
+
+        with pytest.raises(ValidationError, match="unknown key"):
+            check_request_fields("resilient", None, {"backend": "set"}, None)
 
     def test_negative_retries_rejected(self, random_system):
         with pytest.raises(ValidationError):

@@ -100,9 +100,11 @@ class TestBuildSolveRequest:
             {"options": {"max_retries": 1.5}},
             {"stage_options": {"lp_rounding": {"trials": "10"}}},
             # Fields no request takes, such as the retired top-level
-            # "shards".
+            # "shards" and "backend", or a backend for the chain.
             {"shards": 2},
             {"bogus": None},
+            {"backend": "packed"},
+            {"options": {"backend": "set"}},
         ],
     )
     def test_bad_fields_raise_validation(self, random_system, mutation):
@@ -140,31 +142,26 @@ class TestBuildSolveRequest:
 
 
 class TestBackendKnob(TestBuildSolveRequest):
-    """The top-level ``backend`` request field flows into solver options
-    (and validates before any solve starts)."""
+    """A request cannot pick the tracker kernel: ``backend`` is no
+    top-level field, and only a single solver's own ``options`` carry it
+    through, like any other keyword of that solver."""
 
     def test_backend_lands_in_options(self, random_system):
         request = build_solve_request(
-            self.payload(random_system, backend="packed"), self.config()
-        )
-        assert request.options == {"backend": "packed"}
-
-    def test_explicit_options_win_over_top_level(self, random_system):
-        request = build_solve_request(
             self.payload(
-                random_system,
-                backend="set",
-                options={"backend": "packed"},
+                random_system, solver="cwsc", options={"backend": "set"}
             ),
             self.config(),
         )
-        assert request.options["backend"] == "packed"
+        assert request.options == {"backend": "set"}
 
     def test_unknown_backend_rejected(self, random_system):
-        with pytest.raises(ValidationError):
-            build_solve_request(
-                self.payload(random_system, backend="gpu"), self.config()
-            )
+        for backend in ("gpu", "packed"):
+            with pytest.raises(ValidationError, match="unknown field"):
+                build_solve_request(
+                    self.payload(random_system, backend=backend),
+                    self.config(),
+                )
 
 
 class TestEndpoints:
@@ -241,16 +238,14 @@ class TestEndpoints:
         code, _, _ = server.post("/solve", solve_body())
         assert code == 200
 
-    def test_removed_backend_400_names_known_backends(
+    def test_top_level_backend_400_lists_accepted_fields(
         self, make_server, solve_body
     ):
-        # The retired middle backend, spelled in two parts so the tree
-        # keeps no live reference to its name.
-        body = dict(solve_body(), backend="bit" "set")
+        body = dict(solve_body(), backend="packed")
         server = make_server()
         code, response, _ = server.post("/solve", body, timeout=10)
         assert code == 400
-        assert "auto, set, packed" in response["error"]
+        assert "unknown field(s) ['backend']; accepted: [" in response["error"]
 
     @pytest.mark.parametrize("endpoint", ["/solve", "/batch"])
     def test_mistyped_option_and_unknown_field_400_before_dispatch(
@@ -264,7 +259,8 @@ class TestEndpoints:
         )
         for fields, expected in (
             ({"solver": "cmc", "options": {"b": "two"}}, "must be a number"),
-            ({"shards": 2}, "accepted: ['backend', 'chain', 'deadline'"),
+            ({"shards": 2}, "accepted: ['chain', 'deadline'"),
+            ({"options": {"backend": "set"}}, "unknown key(s) ['backend']"),
         ):
             body = dict(solve_body(), **fields)
             if endpoint == "/batch":
