@@ -3,11 +3,6 @@
 #   make test         tier-1 suite (what CI gates on)
 #   make chaos        fault-injection suite only, fixed seeds so failures reproduce
 #   make verify       tier-1 followed by the chaos suite — the full gate
-#   make bench        quick benchmark matrix, gated against the committed baseline
-#                     (runtime AND quality); appends to BENCH_history.jsonl
-#   make bench-large  n = 10^5 packed-kernel matrix (--scale large), gated
-#                     against the committed baseline's large cells (runtime,
-#                     quality, and peak RSS)
 #   make perfbench-test  perfbench's own tests plus 2 s solve-sweep and
 #                     table-cold smokes (the latter runs 3 checked table
 #                     ops), so a change under src/ cannot silently break
@@ -22,8 +17,7 @@
 #                     pool worker mid-service, assert exactly one
 #                     schema-valid flight-recorder bundle appears and the
 #                     public debug CLI accepts it
-#   make dashboard    render trace-smoke's solve trace + bench history to
-#                     report.html
+#   make dashboard    render trace-smoke's solve trace to report.html
 #
 # PYTHONHASHSEED is pinned so set/dict iteration orders (and thus any
 # order-dependent tie-breaking bug the suites might expose) reproduce
@@ -33,7 +27,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONHASHSEED := 0
 
-.PHONY: test chaos verify bench bench-large perfbench-test paper-bench trace-smoke profile-smoke serve-smoke debug-smoke dashboard
+.PHONY: test chaos verify perfbench-test paper-bench trace-smoke profile-smoke serve-smoke debug-smoke dashboard
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -42,12 +36,6 @@ chaos:
 	$(PYTHON) -m pytest -x -q -m chaos
 
 verify: test chaos
-
-bench:
-	$(PYTHON) -m repro.bench --quick --check --out BENCH_micro.json
-
-bench-large:
-	$(PYTHON) -m repro.bench --scale large --repeat 2 --check --out BENCH_large.json
 
 perfbench-test:
 	$(PYTHON) -m pytest -q perfbench

@@ -96,7 +96,7 @@ def main() -> int:
     report_path = out_dir / "report.html"
     run_cli(["report", str(trace_path), "-o", str(report_path)])
     html = report_path.read_text()
-    for panel in ("waterfall", "self-time", "quality", "profile", "bench-trends"):
+    for panel in ("waterfall", "self-time", "quality", "profile"):
         if f'id="{panel}"' not in html:
             fail(f"report.html missing panel id={panel!r}")
     if "<script src=" in html or "http://" in html or "https://" in html.replace(

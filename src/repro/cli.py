@@ -13,18 +13,15 @@ Subcommands:
 * ``batch`` — execute a JSONL stream of solve requests against one CSV
   on the worker pool, emitting one JSONL result (with provenance) per
   request as it completes;
-* ``bench`` — run the benchmark regression harness
-  (:mod:`repro.bench`): paper-shaped workloads on both marginal-tracker
-  backends, JSON report, tolerance check against a committed baseline;
 * ``trace`` — summarize (with per-phase self time), schema-validate, or
   flamegraph-export a JSONL trace produced with ``--trace`` (available
-  on ``run``, ``solve``, ``batch``, ``bench``, which also take
+  on ``run``, ``solve`` and ``batch``, which also take
   ``--profile`` for per-phase cProfile/tracemalloc records; see
   docs/OBSERVABILITY.md);
 * ``report`` — with a trace argument, render the run dashboard: a
   single self-contained HTML file with the span waterfall, self-time
-  table, quality panel, and bench-history sparklines (``scwsc report
-  run.jsonl -o report.html``); without one, regenerate the markdown
+  table, quality panel, and profile panel (``scwsc report run.jsonl -o
+  report.html``); without one, regenerate the markdown
   experiment report as before;
 * ``serve`` — run the fault-tolerant solver daemon: a warm supervised
   pool behind an HTTP front door with admission control, per-tenant
@@ -328,14 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the enumeration-based algorithms and the LP bound",
     )
 
-    bench_parser = commands.add_parser(
-        "bench",
-        help="run the benchmark regression harness (see docs/PERFORMANCE.md)",
-    )
-    from repro.bench import add_bench_arguments
-
-    add_bench_arguments(bench_parser)
-
     trace_parser = commands.add_parser(
         "trace",
         help="inspect a JSONL trace written with --trace",
@@ -400,13 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="report.html",
         metavar="PATH",
         help="HTML output path for the dashboard (default: report.html)",
-    )
-    report_parser.add_argument(
-        "--history",
-        default=None,
-        metavar="PATH",
-        help="bench history JSONL for the trend panel "
-        "(default: BENCH_history.jsonl when it exists)",
     )
     report_parser.add_argument(
         "--title",
@@ -737,10 +719,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_report(args)
         if args.command == "trace":
             return _cmd_trace(args)
-        if args.command == "bench":
-            from repro.bench import run_from_args
-
-            return run_from_args(args)
         if args.command == "batch":
             return _cmd_batch(args)
         if args.command == "serve":
@@ -1296,21 +1274,16 @@ def _cmd_report_dashboard(args: argparse.Namespace) -> int:
     """``scwsc report TRACE [-o report.html]``: the HTML run dashboard."""
     from pathlib import Path
 
-    from repro.bench import DEFAULT_HISTORY
-    from repro.obs.dashboard import load_history, render_dashboard
+    from repro.obs.dashboard import render_dashboard
     from repro.obs.report import load_trace
 
     records = load_trace(args.trace_file)
-    history_path = args.history or str(DEFAULT_HISTORY)
-    history = load_history(history_path)
     postmortems = _load_postmortems(args.postmortem)
-    html = render_dashboard(
-        records, history, title=args.title, postmortems=postmortems
-    )
+    html = render_dashboard(records, title=args.title, postmortems=postmortems)
     Path(args.output).write_text(html, encoding="utf-8")
     print(
         f"report: dashboard written to {args.output} "
-        f"({len(records)} trace record(s), {len(history)} bench run(s), "
+        f"({len(records)} trace record(s), "
         f"{len(postmortems)} postmortem(s))",
         file=sys.stderr,
     )

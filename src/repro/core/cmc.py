@@ -83,8 +83,8 @@ def cmc(
     backend:
         Marginal tracker: the packed kernel by default, or ``"set"`` for
         the reference oracle. Only the backend-equivalence property
-        tests and ``scwsc bench``'s ``set`` cells name the oracle; both
-        select identical sets with identical metrics.
+        tests name the oracle; both select identical sets with identical
+        metrics.
     """
     params = {"k": k, "s_hat": s_hat, "b": b, "variant": "standard"}
     return run_cmc_driver(

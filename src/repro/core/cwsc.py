@@ -67,8 +67,8 @@ def cwsc(
     backend:
         Marginal tracker: the packed kernel by default, or ``"set"`` for
         the reference oracle. Only the backend-equivalence property
-        tests and ``scwsc bench``'s ``set`` cells name the oracle; both
-        select identical sets with identical metrics.
+        tests name the oracle; both select identical sets with identical
+        metrics.
 
     Returns
     -------

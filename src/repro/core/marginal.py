@@ -23,8 +23,8 @@ Two interchangeable trackers implement the bookkeeping:
 Both produce **identical selections and identical metrics counters** —
 property-tested in ``tests/property/test_props_backend.py``.
 :func:`make_tracker` always builds the packed kernel; the oracle runs
-only when a caller names it with ``backend="set"`` (the equivalence
-tests and ``scwsc bench``'s ``set`` cells; see docs/PERFORMANCE.md).
+only when a caller names it with ``backend="set"``, which only the
+equivalence tests do (see docs/PERFORMANCE.md).
 
 CMC restarts from scratch for every budget guess ``B``; :meth:`reset`
 supports that without rebuilding the static structures.

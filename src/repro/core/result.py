@@ -14,10 +14,10 @@ from typing import Hashable, Sequence
 from repro._typing import Cost, SetId
 
 #: The one authoritative list of Metrics fields with their (type, default).
-#: Serializers everywhere — result payloads, pool IPC frames, bench report
-#: entries, the obs metrics registry — derive from this instead of
-#: hand-copying field names; adding a counter means adding it here and to
-#: the dataclass, nowhere else.
+#: Serializers everywhere — result payloads, pool IPC frames, the obs
+#: metrics registry — derive from this instead of hand-copying field
+#: names; adding a counter means adding it here and to the dataclass,
+#: nowhere else.
 METRIC_FIELDS: tuple[tuple[str, type, float], ...] = (
     ("sets_considered", int, 0),
     ("marginal_updates", int, 0),

@@ -34,7 +34,7 @@ This package makes both first-class instead of debug logging:
   collapsed-stack (flamegraph) exporter.
 * :mod:`repro.obs.quality` — solution-quality telemetry (approximation
   ratio vs. the LP lower bound, coverage slack, sets-vs-budget),
-  published on every recorded solve and gated by ``scwsc bench --check``.
+  published on every recorded solve.
 * :mod:`repro.obs.dashboard` — the single-file static HTML run report
   behind ``scwsc report TRACE -o report.html``.
 * :mod:`repro.obs.log` — the package logger (``logging.getLogger
@@ -55,7 +55,7 @@ This package makes both first-class instead of debug logging:
 See docs/OBSERVABILITY.md for the record schema and overhead numbers.
 """
 
-from repro.obs.dashboard import load_history, render_dashboard
+from repro.obs.dashboard import render_dashboard
 from repro.obs.flightrec import (
     FlightRecorder,
     RingBuffer,
@@ -134,7 +134,6 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "install",
-    "load_history",
     "parse_traceparent",
     "quality_records",
     "record_cover_result",

@@ -1,7 +1,7 @@
 """Static HTML run dashboard: one trace, one file, no dependencies.
 
 ``scwsc report run.jsonl -o report.html`` renders a finished run's trace
-(plus, optionally, the bench history file) into a single self-contained
+(plus, optionally, flight-recorder bundles) into a single self-contained
 HTML page — inline CSS, inline SVG, no JavaScript frameworks, no CDN —
 so the file can be attached to a CI run or mailed around and still open
 a year later. Panels:
@@ -16,8 +16,6 @@ a year later. Panels:
   the closing metrics snapshot;
 * **profile panel** — top functions per profiled phase and the memory /
   peak-RSS samples, when the run used ``--profile``;
-* **bench trends** — per-cell sparklines of ``median_seconds`` and the
-  approximation ratio over ``BENCH_history.jsonl``;
 * **postmortems** — trigger/reason/ring-occupancy summaries of
   ``scwsc-postmortem/1`` flight-recorder bundles passed via
   ``--postmortem``.
@@ -29,7 +27,6 @@ heavy lifting (rollups, quality math) lives in the sibling modules.
 from __future__ import annotations
 
 import html
-import json
 from typing import Any
 
 from repro.obs.report import event_counts, phase_rollups
@@ -243,60 +240,6 @@ def _profile_panel(records: list[dict[str, Any]]) -> str:
     return "".join(parts)
 
 
-def _sparkline(values: list[float], width: int = 140, height: int = 28) -> str:
-    if not values:
-        return ""
-    if len(values) == 1:
-        values = values * 2
-    low, high = min(values), max(values)
-    extent = (high - low) or 1.0
-    step = width / (len(values) - 1)
-    points = " ".join(
-        f"{i * step:.1f},{height - 2 - (height - 4) * (v - low) / extent:.1f}"
-        for i, v in enumerate(values)
-    )
-    return (
-        f'<svg class="spark" width="{width}" height="{height}">'
-        f'<polyline points="{points}" fill="none" stroke="#4c72b0" '
-        'stroke-width="1.5"/></svg>'
-    )
-
-
-def _bench_trends(history: list[dict[str, Any]]) -> str:
-    if not history:
-        return (
-            '<p class="muted">no bench history — run <code>scwsc bench'
-            "</code> to start BENCH_history.jsonl</p>"
-        )
-    series: dict[str, dict[str, list[float | None]]] = {}
-    for entry in history:
-        for cell in entry.get("cells", []):
-            bench_id = cell.get("bench_id")
-            if not bench_id:
-                continue
-            slot = series.setdefault(bench_id, {"seconds": [], "ratio": []})
-            slot["seconds"].append(cell.get("median_seconds"))
-            slot["ratio"].append(cell.get("approx_ratio"))
-    rows = []
-    for bench_id, slot in sorted(series.items()):
-        seconds = [v for v in slot["seconds"] if v is not None]
-        ratios = [v for v in slot["ratio"] if v is not None]
-        latest_s = seconds[-1] if seconds else None
-        latest_r = ratios[-1] if ratios else None
-        rows.append(
-            f'<tr><td class="name">{html.escape(bench_id)}</td>'
-            f"<td>{_fmt(latest_s, 5)}</td><td>{_sparkline(seconds)}</td>"
-            f"<td>{_fmt(latest_r)}</td><td>{_sparkline(ratios)}</td></tr>"
-        )
-    return (
-        f'<p class="muted">{len(history)} bench run(s) in history</p>'
-        '<table><tr><th class="name">bench cell</th><th>median_s</th>'
-        "<th>trend</th><th>approx_ratio</th><th>trend</th></tr>"
-        + "".join(rows)
-        + "</table>"
-    )
-
-
 def _postmortem_panel(bundles: list[dict[str, Any]]) -> str:
     if not bundles:
         return (
@@ -365,21 +308,18 @@ def _events_line(records: list[dict[str, Any]]) -> str:
 
 def render_dashboard(
     records: list[dict[str, Any]] | None = None,
-    history: list[dict[str, Any]] | None = None,
     title: str = "scwsc run report",
     postmortems: list[dict[str, Any]] | None = None,
 ) -> str:
     """The full dashboard page as one HTML string.
 
     ``records`` is a loaded trace (:func:`repro.obs.report.load_trace`);
-    ``history`` is the parsed BENCH_history.jsonl entries
-    (:func:`load_history`); ``postmortems`` is a list of loaded
-    ``scwsc-postmortem/1`` bundles. Any may be ``None``/empty — the
+    ``postmortems`` is a list of loaded ``scwsc-postmortem/1`` bundles.
+    Either may be ``None``/empty — the
     matching panels degrade to a hint instead of disappearing, so the
     page shape is stable for tooling that greps for panel ids.
     """
     records = records or []
-    history = history or []
     postmortems = postmortems or []
     return f"""<!DOCTYPE html>
 <html lang="en">
@@ -400,26 +340,9 @@ def render_dashboard(
 <div id="quality" class="panel">{_quality_panel(records)}</div>
 <h2>Profile</h2>
 <div id="profile" class="panel">{_profile_panel(records)}</div>
-<h2>Bench trends</h2>
-<div id="bench-trends" class="panel">{_bench_trends(history)}</div>
 <h2>Postmortems</h2>
 <div id="postmortems" class="panel">{_postmortem_panel(postmortems)}</div>
 </body>
 </html>
 """
 
-
-def load_history(path: str) -> list[dict[str, Any]]:
-    """Parse a BENCH_history.jsonl file; tolerant of a missing file (an
-    empty history, not an error) but not of corrupt lines."""
-    entries: list[dict[str, Any]] = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        return entries
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries

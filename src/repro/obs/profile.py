@@ -3,7 +3,7 @@
 The span tracer answers "how long did ``solve`` take"; this module
 answers the next question an operator asks — which functions burned that
 time, and what did the phase allocate. Activated by ``--profile`` on the
-CLI (``solve``/``run``/``batch``/``bench``), it attaches to the tracer's
+CLI (``solve``/``run``/``batch``), it attaches to the tracer's
 span hooks (:func:`repro.obs.trace.add_span_hook`) and:
 
 * runs a :mod:`cProfile` profiler across each **outermost** profiled

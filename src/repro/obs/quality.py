@@ -23,9 +23,7 @@ telemetry:
 
 :func:`repro.obs.metrics.record_cover_result` calls
 :func:`record_quality` for every published solve, so quality telemetry
-rides the exact same path runtime telemetry already takes; the bench
-harness persists the same dict per cell and gates regressions on it
-(see :mod:`repro.bench` and docs/PERFORMANCE.md).
+rides the exact same path runtime telemetry already takes.
 """
 
 from __future__ import annotations
@@ -64,10 +62,13 @@ def compute_quality(
 
     ``k`` and ``s_hat`` are the request's and default to the values the
     solver recorded in ``result.params`` (every core solver stores
-    both). ``lp_bound`` is never computed here — solving the LP costs
-    more than the solve being measured on small instances, so callers
-    decide when it is worth it (the bench harness computes it once per
-    workload cell).
+    both). ``lp_bound`` must be the LP relaxation at the contract's
+    target, ``lp_lower_bound(system, c.max_sets, c.coverage)`` for
+    ``c = contract(...)``: only that LP bounds what the solver promised,
+    and one at the request's full ``s_hat`` can exceed a CMC answer's
+    cost, so its ratio reads below 1. It is never computed here —
+    solving the LP costs more than the solve being measured on small
+    instances, so callers decide when it is worth it.
 
     Keys
     ----

@@ -541,8 +541,7 @@ def capture() -> Iterator[list[dict[str, Any]]]:
     The capture turns :func:`enabled` on and sits beside the other
     sinks: a file or ring attached meanwhile keeps receiving every
     record. Used by pool workers (records ship home in the result
-    frame) and by the bench harness (records roll up into per-phase
-    timings).
+    frame).
     """
     records: list[dict[str, Any]] = []
     with _LOCK:

@@ -194,35 +194,13 @@ class TestReportDashboard:
         parser = _PanelParser()
         parser.feed(page)
         assert parser.div_ids >= {
-            "waterfall", "self-time", "quality", "profile", "bench-trends"
+            "waterfall", "self-time", "quality", "profile"
         }
         assert parser.external == []  # self-contained: no src/href at all
         assert "acceptance run" in "".join(parser.title_chunks)
         # The run's data actually landed in the panels.
         assert "cpu: solve" in page
         assert 'class="bar' in page
-
-    def test_report_includes_bench_history(
-        self, profiled_trace, tmp_path, capsys
-    ):
-        history = tmp_path / "history.jsonl"
-        history.write_text(
-            json.dumps(
-                {"schema": "scwsc-bench-history/1", "wall_time_unix": 0.0,
-                 "cells": [{"bench_id": "cell-a", "median_seconds": 0.01,
-                            "approx_ratio": 1.2, "coverage_slack": 0.0,
-                            "feasible": True}]}
-            ) + "\n"
-        )
-        out = tmp_path / "report.html"
-        code = main(
-            ["report", profiled_trace, "-o", str(out),
-             "--history", str(history)]
-        )
-        assert code == 0
-        page = out.read_text()
-        assert "cell-a" in page
-        assert "1 bench run(s) in history" in page
 
     def test_report_missing_trace_is_an_error(self, tmp_path, capsys):
         code = main(

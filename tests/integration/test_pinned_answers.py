@@ -1,0 +1,77 @@
+"""Pinned answers on the paper's ``max`` cost, and the packed kernel at n = 10^5.
+
+The solvers are deterministic, so a bench cell's answer quality does not
+need a tolerance: each answer is pinned set for set and bit for bit,
+checked against the contract its solver promises (Theorems 4 and 5), and
+its cost is held at or above the LP relaxation at that contract's
+target, so an approximation ratio below 1 fails here.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core import cmc, cmc_epsilon, cwsc, verify_result
+from repro.core.guarantees import contract
+from repro.core.lp_bound import lp_lower_bound
+from repro.core.packed import packed_layout
+from repro.datasets import load_dataset
+from repro.patterns import build_set_system
+
+K = 10
+S_HAT = 0.5
+
+#: solver, keyword arguments, then its answer on ``lbl:1200@7``:
+#: set ids in selection order and total cost.
+PINNED = (
+    ("cwsc", {}, (9912, 6648, 9938, 9895), 6.65),
+    ("cmc", {}, (6648, 9100, 9938, 15258, 9981, 10954, 9912), 4.0427),
+    ("cmc_epsilon", {"eps": 0.5}, (6648, 9100, 9912, 9938, 15258, 9981), 3.55),
+)
+SOLVERS = {"cwsc": cwsc, "cmc": cmc, "cmc_epsilon": cmc_epsilon}
+
+#: ``data`` plus ``dense`` bytes of the packed layout of ``lbl:100000@7``
+#: (``max`` cost, 451 266 sets) when this test was written.
+LARGE_LAYOUT_BYTES = 17_905_184
+
+
+@pytest.fixture(scope="module")
+def lbl_1200():
+    return build_set_system(load_dataset("lbl:1200@7"), "max")
+
+
+class TestPinnedAnswers:
+    def test_instance_is_the_papers_cost(self, lbl_1200):
+        assert lbl_1200.n_sets == 16_440
+
+    @pytest.mark.parametrize(
+        "name, kwargs, set_ids, total_cost", PINNED, ids=[p[0] for p in PINNED]
+    )
+    def test_answer_is_pinned_and_keeps_its_contract(
+        self, lbl_1200, name, kwargs, set_ids, total_cost
+    ):
+        result = SOLVERS[name](lbl_1200, k=K, s_hat=S_HAT, **kwargs)
+        assert result.set_ids == set_ids
+        assert result.n_sets == len(set_ids)
+        assert result.total_cost == total_cost
+        promised = contract(result.algorithm, K, S_HAT, result.params)
+        assert verify_result(
+            lbl_1200, result, k=promised.max_sets, s_hat=promised.coverage
+        ) == []
+        bound = lp_lower_bound(lbl_1200, promised.max_sets, promised.coverage)
+        assert result.total_cost >= bound
+
+
+class TestLargeN:
+    def test_packed_kernel_at_n_1e5(self):
+        system = build_set_system(load_dataset("lbl:100000@7"), "max")
+        assert (system.n_elements, system.n_sets) == (100_000, 451_266)
+        layout = packed_layout(system)
+        dense = 0 if layout.dense is None else layout.dense.nbytes
+        assert layout.data.nbytes + dense < 2 * LARGE_LAYOUT_BYTES
+        for solver in (cwsc, cmc):
+            result = solver(system, k=K, s_hat=S_HAT)
+            promised = contract(result.algorithm, K, S_HAT, result.params)
+            assert verify_result(
+                system, result, k=promised.max_sets, s_hat=promised.coverage
+            ) == []

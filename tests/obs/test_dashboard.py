@@ -1,10 +1,8 @@
-"""Dashboard rendering: stable panel shape, escaping, history loading."""
+"""Dashboard rendering: stable panel shape and escaping."""
 
 from __future__ import annotations
 
-import json
-
-from repro.obs.dashboard import load_history, render_dashboard
+from repro.obs.dashboard import render_dashboard
 from repro.obs.trace import SCHEMA
 
 PANEL_IDS = (
@@ -12,7 +10,7 @@ PANEL_IDS = (
     'id="self-time"',
     'id="quality"',
     'id="profile"',
-    'id="bench-trends"',
+    'id="postmortems"',
 )
 
 
@@ -48,27 +46,18 @@ def _full_trace():
     ]
 
 
-def _history_entry(seconds, ratio):
-    return {
-        "schema": "scwsc-bench-history/1", "wall_time_unix": 0.0,
-        "cells": [{"bench_id": "bench_fig5_datasize[cwsc-n600-packed]",
-                   "median_seconds": seconds, "approx_ratio": ratio,
-                   "coverage_slack": 0.0, "feasible": True}],
-    }
-
-
 class TestRenderDashboard:
     def test_all_panels_present_even_when_empty(self):
-        page = render_dashboard([], [])
+        page = render_dashboard([])
         for panel in PANEL_IDS:
             assert panel in page
         assert "no spans in trace" in page
         assert "no quality records" in page
         assert "--profile" in page
-        assert "no bench history" in page
+        assert "no postmortem bundles" in page
 
     def test_self_contained_html(self):
-        page = render_dashboard(_full_trace(), [_history_entry(0.01, 1.5)])
+        page = render_dashboard(_full_trace())
         assert page.startswith("<!DOCTYPE html>")
         assert "<style>" in page
         for marker in ("http://", "https://", "<script", "src="):
@@ -93,13 +82,6 @@ class TestRenderDashboard:
         assert "mem: solve" in page
         assert "rss: process" in page
 
-    def test_bench_trends_sparkline(self):
-        history = [_history_entry(0.010, 1.2), _history_entry(0.012, 1.3)]
-        page = render_dashboard([], history)
-        assert "2 bench run(s) in history" in page
-        assert "bench_fig5_datasize[cwsc-n600-packed]" in page
-        assert "<polyline" in page
-
     def test_html_escaping_of_attacker_controlled_names(self):
         records = [
             _span("<script>alert(1)</script>", "s1"),
@@ -107,13 +89,13 @@ class TestRenderDashboard:
              "algorithm": "<img onerror=x>",
              "quality": {"approx_ratio": None, "feasible": True}},
         ]
-        page = render_dashboard(records, [])
+        page = render_dashboard(records)
         assert "<script>alert(1)</script>" not in page
         assert "&lt;script&gt;" in page
         assert "<img onerror=x>" not in page
 
     def test_title_escaped_and_shown(self):
-        page = render_dashboard([], [], title="run <#42>")
+        page = render_dashboard([], title="run <#42>")
         assert "run &lt;#42&gt;" in page
 
     def test_waterfall_clips_to_longest_spans(self):
@@ -125,22 +107,3 @@ class TestRenderDashboard:
         assert "showing the 400 longest spans" in page
         assert page.count('<div class="lane">') == 400
 
-
-class TestLoadHistory:
-    def test_missing_file_is_empty_history(self, tmp_path):
-        assert load_history(str(tmp_path / "nope.jsonl")) == []
-
-    def test_reads_jsonl_lines(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        entries = [_history_entry(0.01, 1.1), _history_entry(0.02, 1.2)]
-        path.write_text(
-            "".join(json.dumps(e) + "\n" for e in entries)
-        )
-        loaded = load_history(str(path))
-        assert len(loaded) == 2
-        assert loaded[0]["cells"][0]["median_seconds"] == 0.01
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text("\n" + json.dumps(_history_entry(0.01, 1.0)) + "\n\n")
-        assert len(load_history(str(path))) == 1
