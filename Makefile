@@ -3,10 +3,14 @@
 #   make test         tier-1 suite (what CI gates on)
 #   make chaos        fault-injection suite only, fixed seeds so failures reproduce
 #   make verify       tier-1 followed by the chaos suite — the full gate
-#   make perfbench-test  perfbench's own tests plus 2 s solve-sweep and
-#                     table-cold smokes (the latter runs 3 checked table
-#                     ops), so a change under src/ cannot silently break
-#                     the end-to-end benchmark
+#   make perfbench-test  perfbench's own tests plus 2 s solve-sweep,
+#                     table-cold and serve-solve smokes, each failing the
+#                     target on any failed op or wrong answer (table-cold
+#                     runs 3 checked table ops; serve-solve boots the
+#                     daemon and posts one pass of 32 /solve requests
+#                     through the full resilient chain, about 25 s on
+#                     2 vCPU), so a change under src/ cannot silently
+#                     break the end-to-end benchmark
 #   make paper-bench  the paper-shape benches (pytest benchmarks/, full
 #                     scale, about 3 min); not in CI while some fail
 #   make trace-smoke  traced solves (plain + --isolate), schema-validated
@@ -37,10 +41,19 @@ chaos:
 
 verify: test chaos
 
+# perfbench/run.py exits 0 whatever its ops did; its last line is a JSON
+# summary. This filter echoes the output and fails on any failed op or
+# wrong answer (and on no output at all).
+PERFBENCH_CHECK = $(PYTHON) -c 'import json, sys; \
+	lines = sys.stdin.read().splitlines(); print(*lines, sep="\n"); \
+	last = json.loads(lines[-1]); \
+	sys.exit(bool(last["failed"]) or not last["correct"])'
+
 perfbench-test:
 	$(PYTHON) -m pytest -q perfbench
-	$(PYTHON) perfbench/run.py --workload solve-sweep --seed 1 --seconds 2
-	$(PYTHON) perfbench/run.py --workload table-cold --seed 1 --seconds 2
+	$(PYTHON) perfbench/run.py --workload solve-sweep --seed 1 --seconds 2 | $(PERFBENCH_CHECK)
+	$(PYTHON) perfbench/run.py --workload table-cold --seed 1 --seconds 2 | $(PERFBENCH_CHECK)
+	$(PYTHON) perfbench/run.py --workload serve-solve --seed 1 --seconds 2 | $(PERFBENCH_CHECK)
 
 paper-bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q

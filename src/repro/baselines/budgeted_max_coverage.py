@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import time
 
-from repro.core.greedy_common import gain_key
+import numpy as np
+
 from repro.core.marginal import make_tracker
 from repro.core.result import CoverResult, Metrics, make_result
 from repro.core.setsystem import SetSystem
@@ -54,27 +55,13 @@ def budgeted_max_coverage(
     tracker = make_tracker(system, metrics=metrics)
     spent = 0.0
     chosen: list[int] = []
-    sets = system.sets
 
     while max_sets is None or len(chosen) < max_sets:
-        best_id = None
-        best_key = None
-        for set_id, size in tracker.live_items():
-            if spent + sets[set_id].cost > budget:
-                continue
-            key = gain_key(
-                tracker.marginal_gain(set_id),
-                size,
-                sets[set_id].cost,
-                sets[set_id].label,
-                set_id,
-            )
-            if best_key is None or key > best_key:
-                best_id = set_id
-                best_key = key
+        affordable = np.nonzero(spent + tracker.costs <= budget)[0]
+        best_id = tracker.best_gain_candidate(0, affordable)
         if best_id is None:
             break
-        spent += sets[best_id].cost
+        spent += float(tracker.costs[best_id])
         tracker.select(best_id)
         chosen.append(best_id)
 

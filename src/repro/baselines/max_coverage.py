@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import time
 
-from repro.core.greedy_common import benefit_key
+import numpy as np
+
 from repro.core.marginal import make_tracker
 from repro.core.result import CoverResult, Metrics, make_result
 from repro.core.setsystem import SetSystem
@@ -50,20 +51,12 @@ def max_coverage(
     tracker = make_tracker(system, metrics=metrics)
     target = s_hat * system.n_elements if s_hat is not None else None
     chosen: list[int] = []
-    sets = system.sets
+    all_ids = np.arange(system.n_sets)
 
     for _ in range(k):
         if target is not None and tracker.covered_count >= target - _EPS:
             break
-        best_id = None
-        best_key = None
-        for set_id, size in tracker.live_items():
-            key = benefit_key(
-                size, sets[set_id].cost, sets[set_id].label, set_id
-            )
-            if best_key is None or key > best_key:
-                best_id = set_id
-                best_key = key
+        best_id = tracker.best_benefit_in(all_ids)
         if best_id is None:
             break
         tracker.select(best_id)

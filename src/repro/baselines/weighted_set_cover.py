@@ -6,21 +6,16 @@ met. It optimizes cost and coverage but has *no size constraint*, which is
 exactly the limitation Table VI demonstrates: as the coverage fraction
 grows, the number of selected patterns far exceeds any reasonable ``k``.
 
-Unlike CWSC (bounded by ``k`` iterations) this heuristic can select
-hundreds of sets, so the argmax uses a lazy heap: marginal benefits only
-shrink, so a popped entry whose recorded size is still current is a true
-maximum (the CELF argument). The heap keys encode the same tie-break
-order as :func:`repro.core.greedy_common.gain_key` — gain, then marginal
-size, then lower cost, then the canonical label key — and staleness is
-detected on the (integer) marginal size, never on float gains.
+Each pick is the tracker's ``best_gain_candidate`` with no threshold —
+CWSC's selection step without the ``rem / i`` floor — so ties break as
+:func:`repro.core.greedy_common.gain_key` orders them: gain, then
+marginal size, then lower cost, then the canonical label key.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 
-from repro.core.greedy_common import canonical_key
 from repro.core.marginal import make_tracker
 from repro.core.result import CoverResult, Metrics, make_result
 from repro.core.setsystem import SetSystem
@@ -64,49 +59,8 @@ def weighted_set_cover(
     rem = s_hat * system.n_elements
     chosen: list[int] = []
 
-    # Lazy max-gain heap: heapq pops the smallest tuple, so gains are
-    # negated; ties resolve toward larger size, lower cost, smaller
-    # canonical key (matching greedy_common.gain_key).
-    heap: list[tuple] = []
-    sets = system.sets
-    for set_id, size in tracker.live_items():
-        ws = sets[set_id]
-        heap.append(
-            (
-                -tracker.marginal_gain(set_id),
-                -size,
-                ws.cost,
-                canonical_key(ws.label, set_id),
-                set_id,
-                size,
-            )
-        )
-    heapq.heapify(heap)
-
     while rem > _EPS:
-        best_id = None
-        while heap:
-            entry = heapq.heappop(heap)
-            set_id, recorded_size = entry[4], entry[5]
-            current = tracker.marginal_size(set_id)
-            if current == 0:
-                continue
-            if current != recorded_size:
-                ws = sets[set_id]
-                heapq.heappush(
-                    heap,
-                    (
-                        -tracker.marginal_gain(set_id),
-                        -current,
-                        ws.cost,
-                        canonical_key(ws.label, set_id),
-                        set_id,
-                        current,
-                    ),
-                )
-                continue
-            best_id = set_id
-            break
+        best_id = tracker.best_gain_candidate(0)
         if best_id is None or (max_sets is not None and len(chosen) >= max_sets):
             metrics.runtime_seconds = time.perf_counter() - start
             partial = make_result(

@@ -22,16 +22,14 @@ def warm_system_caches(system: SetSystem, backends: Iterable[str]) -> None:
     when a cache is shared across cells — the *first* cell of a workload
     paid the layout/canonical-key builds inside its timed loop and
     showed up as a cold-run outlier in committed baselines. Each
-    backend warms only what its solvers read: the columnar layout and
-    tie-break ranks for ``packed``, the canonical keys and CMC's sorted
-    heap entries for ``set``.
+    backend warms only what its tracker's argmax reads: the columnar
+    layout and tie-break ranks for ``packed``, the canonical keys for
+    ``set``.
     """
     if "set" in backends:
-        from repro.core.cmc import _sorted_entries
         from repro.core.greedy_common import canonical_keys
 
         canonical_keys(system)
-        _sorted_entries(system)
     if "packed" in backends:
         from repro.core.packed import canonical_ranks, packed_layout
 

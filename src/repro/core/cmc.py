@@ -9,29 +9,28 @@ restarts. Theorem 4: at most ``5k`` sets, cost within
 ``(1 + b)(2 ceil(log2 k) + 1)`` of optimal, coverage at least
 ``(1 - 1/e) * s_hat * n``.
 
-The per-level argmax uses a lazy heap (CELF-style): marginal benefits only
-shrink, so a popped entry whose recorded size is still current is a true
-maximum. Tie-breaking (larger benefit, then lower cost, then canonical
-label key) is encoded directly in the heap entries and matches
-:func:`repro.core.greedy_common.benefit_key`.
+Each per-level pick is the tracker's ``best_benefit_in`` over that level's
+set ids (assigned once per round by :func:`repro.core.packed.assign_levels`):
+larger marginal benefit, then lower cost, then the canonical label key, as
+:func:`repro.core.greedy_common.benefit_key` orders them.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
-import weakref
 from typing import Callable, Literal
+
+import numpy as np
 
 from repro._typing import Cost
 from repro.core.budget import LevelScheme, budget_schedule, standard_levels
-from repro.core.greedy_common import canonical_keys
 from repro.core.marginal import (
     TrackerBackend,
     make_tracker,
     resolve_backend,
 )
+from repro.core.packed import assign_levels
 from repro.core.result import CoverResult, Metrics, make_result
 from repro.core.setsystem import SetSystem
 from repro.errors import DeadlineExceeded, InfeasibleError, ValidationError
@@ -78,7 +77,7 @@ def cmc(
         ``feasible=False``.
     deadline:
         Optional cooperative deadline, polled per budget round and per
-        heap pop; expiry raises :class:`~repro.errors.DeadlineExceeded`
+        pick; expiry raises :class:`~repro.errors.DeadlineExceeded`
         with the current round's partial selection attached.
     backend:
         Marginal tracker: the packed kernel by default, or ``"set"`` for
@@ -232,7 +231,7 @@ def _driver_body(
             scheme = scheme_factory(budget, k)
             try:
                 chosen, reached = _run_round(
-                    system, tracker, scheme, target, deadline, traced
+                    tracker, scheme, target, deadline, traced
                 )
             except _RoundDeadline as signal:
                 raise DeadlineExceeded(
@@ -286,42 +285,7 @@ class _RoundDeadline(Exception):
         self.chosen = chosen
 
 
-#: Sorted heap entries per system (see :func:`_sorted_entries`).
-_ENTRY_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _sorted_entries(system: SetSystem) -> list[tuple]:
-    """Heap entries for every nonempty set, sorted ascending.
-
-    Entries are ``(-|Ben|, cost, canonical_key, set_id)`` — exactly what
-    :func:`_run_round` feeds its per-level lazy heaps. Every budget round
-    needs the same entries (a fresh tracker's marginal sizes are the full
-    benefit sizes), and building the canonical keys dominates round
-    startup on large systems, so the list is built once per system.
-    Filtering a sorted list by level keeps it sorted, and a sorted list
-    is already a valid min-heap, so rounds also skip ``heapify``.
-    """
-    try:
-        entries = _ENTRY_CACHE.get(system)
-    except TypeError:  # unhashable/unweakrefable stand-in: build fresh
-        entries = None
-    if entries is not None:
-        return entries
-    keys = canonical_keys(system)
-    entries = sorted(
-        (-ws.size, ws.cost, keys[ws.set_id], ws.set_id)
-        for ws in system.sets
-        if ws.size
-    )
-    try:
-        _ENTRY_CACHE[system] = entries
-    except TypeError:  # pragma: no cover - stand-in objects only
-        pass
-    return entries
-
-
 def _run_round(
-    system: SetSystem,
     tracker,
     scheme: LevelScheme,
     target: float,
@@ -330,89 +294,11 @@ def _run_round(
 ) -> tuple[list[int], bool]:
     """One budget round: level-by-level quota-bounded greedy max coverage.
 
-    Expects a *fresh, unrestricted* tracker (every live set at its full
-    benefit size), which is what the driver builds each round. Returns
-    the selections of this round and whether the target was hit. Raises
-    :class:`_RoundDeadline` (carrying the round's selections so far)
-    when the deadline expires mid-round.
+    Expects a *fresh, unrestricted* tracker, which is what the driver
+    builds each round. Returns the selections of this round and whether
+    the target was hit. Raises :class:`_RoundDeadline` (carrying the
+    round's selections so far) when the deadline expires mid-round.
     """
-    if getattr(tracker, "best_benefit_in", None) is not None:
-        return _run_round_vector(
-            system, tracker, scheme, target, deadline, traced
-        )
-    # Partition live sets into per-level lazy heaps. Heap entries are
-    # (-|MBen|, cost, canonical_key, set_id): heapq pops the smallest
-    # tuple, i.e. the largest benefit with ties to cheaper cost. The
-    # cached entries arrive sorted, so each filtered level list is
-    # already a valid heap — no heapify.
-    heaps: list[list[tuple]] = [[] for _ in range(scheme.n_levels)]
-    level_of = scheme.level_of
-    for entry in _sorted_entries(system):
-        level = level_of(entry[1])
-        if level is not None:
-            heaps[level].append(entry)
-
-    chosen: list[int] = []
-    rem = target
-    if rem <= _EPS:
-        return chosen, True
-    injector = faults.active()
-    for level in range(scheme.n_levels):
-        heap = heaps[level]
-        quota = scheme.quotas[level]
-        picked = 0
-        while picked < quota and heap:
-            if deadline is not None and deadline.poll():
-                raise _RoundDeadline(chosen)
-            neg_size, cost, canon, set_id = heapq.heappop(heap)
-            current = tracker.marginal_size(set_id)
-            if current == 0:
-                continue
-            if current != -neg_size:
-                # Stale entry: re-insert with the up-to-date benefit.
-                heapq.heappush(heap, (-current, cost, canon, set_id))
-                continue
-            if injector is not None:
-                injector.iteration()
-            with (
-                obs_trace.span("select", level=level, set_id=set_id)
-                if traced
-                else obs_trace.NULL_SPAN
-            ) as pick_span:
-                newly = tracker.select(set_id)
-                if pick_span.enabled:
-                    pick_span.set(marginal_covered=newly)
-            if injector is not None:
-                newly = injector.corrupt_marginal(newly)
-            chosen.append(set_id)
-            picked += 1
-            rem -= newly
-            if rem <= _EPS:
-                return chosen, True
-    return chosen, False
-
-
-def _run_round_vector(
-    system: SetSystem,
-    tracker,
-    scheme: LevelScheme,
-    target: float,
-    deadline: Deadline | None = None,
-    traced: bool = False,
-) -> tuple[list[int], bool]:
-    """One budget round on the packed tracker.
-
-    Replaces the lazy heaps with the tracker's
-    ``best_benefit_in(member_ids)`` argmax, which reproduces
-    :func:`repro.core.greedy_common.benefit_key` exactly (max current
-    marginal, then min cost, then the canonical key) — the same winner
-    the heap's pop-and-reinsert loop converges to — so selections and
-    metrics are identical to the heap path.
-    """
-    import numpy as np  # tracker presence implies numpy is importable
-
-    from repro.core.packed import assign_levels
-
     levels = assign_levels(tracker.costs, scheme)
     chosen: list[int] = []
     rem = target

@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from typing import Literal
 
-from repro.core.greedy_common import canonical_keys, gain_key
 from repro.core.marginal import TrackerBackend, make_tracker, resolve_backend
 from repro.core.result import CoverResult, Metrics, make_result
 from repro.core.setsystem import SetSystem
@@ -60,10 +59,9 @@ def cwsc(
         Fallback policy when the threshold selection fails; see
         :data:`OnInfeasible`.
     deadline:
-        Optional cooperative deadline, polled once per pick and every few
-        candidate scans; expiry raises
-        :class:`~repro.errors.DeadlineExceeded` with the best partial
-        result attached.
+        Optional cooperative deadline, checked once per pick; expiry
+        raises :class:`~repro.errors.DeadlineExceeded` with the best
+        partial result attached.
     backend:
         Marginal tracker: the packed kernel by default, or ``"set"`` for
         the reference oracle. Only the backend-equivalence property
@@ -77,9 +75,10 @@ def cwsc(
 
     Notes
     -----
-    Ties on marginal gain are broken toward larger marginal benefit, then
-    lower cost, then the canonical label key — identical to the optimized
-    patterned variant, so the two select the same sets.
+    Each pick is the tracker's ``best_gain_candidate``: ties on marginal
+    gain are broken toward larger marginal benefit, then lower cost, then
+    the canonical label key — identical to the optimized patterned
+    variant, so the two select the same sets.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -148,11 +147,6 @@ def _cwsc_body(
         return _finish(system, "cwsc", chosen, True, params, metrics, start)
 
     injector = faults.active()
-    # The packed tracker exposes a vectorized argmax that
-    # reproduces gain_key's lexicographic order exactly; the Python scan
-    # below is the reference path for the set oracle.
-    fast_argmax = getattr(tracker, "best_gain_candidate", None)
-    canon_keys = canonical_keys(system) if fast_argmax is None else None
     for i in range(k, 0, -1):
         if deadline is not None and deadline.expired():
             raise DeadlineExceeded(
@@ -169,24 +163,7 @@ def _cwsc_body(
             if traced
             else obs_trace.NULL_SPAN
         ) as pick_span:
-            if deadline is not None and fast_argmax is not None and deadline.poll():
-                raise DeadlineExceeded(
-                    f"cwsc: deadline expired scanning candidates for pick "
-                    f"{len(chosen) + 1}",
-                    partial=_finish(
-                        system, "cwsc", chosen, False, params, metrics, start
-                    ),
-                )
-            if fast_argmax is not None:
-                best_id = fast_argmax(threshold)
-            else:
-                best_id = _scan_candidates(
-                    system, tracker, threshold, canon_keys, deadline,
-                    lambda: _finish(
-                        system, "cwsc", chosen, False, params, metrics, start
-                    ),
-                    len(chosen),
-                )
+            best_id = tracker.best_gain_candidate(threshold)
             if best_id is None:
                 return _bail(
                     system,
@@ -222,52 +199,6 @@ def _cwsc_body(
     return _bail(
         system, "cwsc", chosen, rem, on_infeasible, params, metrics, start
     )  # pragma: no cover
-
-
-def _scan_candidates(
-    system: SetSystem,
-    tracker,
-    threshold: float,
-    canon_keys,
-    deadline: Deadline | None,
-    make_partial,
-    picks_done: int,
-):
-    """Reference argmax: scan live candidates for the best gain key."""
-    best_id = None
-    best_key = None
-    sets = system.sets
-    for set_id, size in tracker.live_items():
-        if deadline is not None and deadline.poll():
-            raise DeadlineExceeded(
-                f"cwsc: deadline expired scanning candidates for pick "
-                f"{picks_done + 1}",
-                partial=make_partial(),
-            )
-        if size < threshold:
-            continue
-        ws = sets[set_id]
-        cost = ws.cost
-        # MGain(s, S) = |MBen| / cost, inlined (live sets have
-        # size > 0, so a zero cost means infinite gain).
-        gain = size / cost if cost else float("inf")
-        if best_key is not None and gain < best_key[0]:
-            # gain is the leading key component; a strictly smaller
-            # gain can never win the lexicographic comparison, so
-            # skip building the full key.
-            continue
-        key = gain_key(
-            gain,
-            size,
-            cost,
-            ws.label,
-            set_id,
-            canon_key=canon_keys[set_id],
-        )
-        if best_key is None or key > best_key:
-            best_id = set_id
-            best_key = key
-    return best_id
 
 
 def _finish(

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 import time
 
-from repro.core.greedy_common import gain_key
+import numpy as np
+
 from repro.core.marginal import make_tracker
 from repro.core.result import CoverResult, Metrics, make_result
 from repro.core.setsystem import SetSystem
@@ -86,24 +87,10 @@ def greedy_partial(system: SetSystem, k: int, s_hat: float) -> CoverResult:
     metrics = Metrics()
     required = system.required_coverage(s_hat)
     tracker = make_tracker(system, metrics=metrics)
+    finite_ids = np.nonzero(np.isfinite(tracker.costs))[0]
     chosen: list[int] = []
-    sets = system.sets
     while len(chosen) < k and tracker.covered_count < required:
-        best_id = None
-        best_key = None
-        for set_id, size in tracker.live_items():
-            if not math.isfinite(sets[set_id].cost):
-                continue
-            key = gain_key(
-                tracker.marginal_gain(set_id),
-                size,
-                sets[set_id].cost,
-                sets[set_id].label,
-                set_id,
-            )
-            if best_key is None or key > best_key:
-                best_id = set_id
-                best_key = key
+        best_id = tracker.best_gain_candidate(0, finite_ids)
         if best_id is None:
             break
         tracker.select(best_id)

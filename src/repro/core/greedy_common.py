@@ -5,14 +5,23 @@ choose exactly the same sets as their unoptimized counterparts *provided
 both break ties the same way*. We therefore centralize tie-breaking so the
 equivalence is testable:
 
-* benefit-greedy steps (CMC) order by larger ``|MBen|``, then smaller cost,
-  then smaller canonical key;
-* gain-greedy steps (CWSC, WSC, BMC) order by larger ``MGain``, then larger
-  ``|MBen|``, then smaller cost, then smaller canonical key.
+* benefit-greedy steps (CMC, max coverage) order by larger ``|MBen|``,
+  then smaller cost, then smaller canonical key;
+* gain-greedy steps (CWSC, WSC, BMC, LP-rounding repair, greedy partials)
+  order by larger ``MGain``, then larger ``|MBen|``, then smaller cost,
+  then smaller canonical key.
 
 The canonical key of a set is ``(repr(label), set_id)`` so that systems
 built from the same patterns in a different id order still tie-break
 identically.
+
+No solver applies these keys itself: the trackers' ``best_gain_candidate``
+and ``best_benefit_in`` make every pick. The ``set`` oracle
+(:class:`repro.core.marginal.MarginalTracker`) runs :func:`argbest` with
+:func:`gain_key` / :func:`benefit_key`; the packed kernel reproduces the
+same order with numpy filters and :func:`repro.core.packed.canonical_ranks`.
+The optimized pattern solvers order their ``Candidate`` objects by the
+same keys.
 """
 
 from __future__ import annotations
@@ -51,9 +60,8 @@ def canonical_keys(system) -> tuple[tuple, ...]:
     """``canonical_keys(system)[set_id]`` — cached per-set tie-break keys.
 
     Equal to ``canonical_key(ws.label, ws.set_id)`` for every set of the
-    system, computed once per system and shared by every solver run
-    against it (CMC rebuilds its heaps each budget round; CWSC scans all
-    candidates each pick).
+    system, computed once per system and shared by every oracle argmax
+    and :func:`repro.core.packed.canonical_ranks` on that system.
     """
     try:
         keys = _CANON_CACHE.get(system)

@@ -29,7 +29,6 @@ import time
 import numpy as np
 
 from repro.core.fallbacks import greedy_partial
-from repro.core.greedy_common import canonical_keys, gain_key
 from repro.core.lp_bound import solve_lp_relaxation
 from repro.core.marginal import make_tracker
 from repro.core.result import CoverResult, Metrics, make_result
@@ -113,9 +112,9 @@ def _lp_rounding_body(
     start = time.perf_counter()
     metrics = Metrics()
     required = system.required_coverage(s_hat)
-    if deadline is not None:
-        deadline.require(
-            "lp_rounding (before LP solve)",
+    if deadline is not None and deadline.expired():
+        raise DeadlineExceeded(
+            "lp_rounding (before LP solve): deadline expired",
             partial=greedy_partial(system, k, s_hat),
         )
     relaxation = solve_lp_relaxation(system, k, s_hat)
@@ -231,35 +230,13 @@ def _repair(
         return list(chosen)
 
     tracker = make_tracker(system, metrics=metrics)
-    canon_keys = canonical_keys(system)
     for set_id in chosen:
         tracker.select(set_id)
     repaired = list(chosen)
-    sets = system.sets
     while tracker.covered_count < required:
-        best_id = None
-        best_key = None
-        for set_id, size in tracker.live_items():
-            if deadline is not None and deadline.poll():
-                raise _RepairDeadline()
-            ws = sets[set_id]
-            cost = ws.cost
-            gain = size / cost if cost else float("inf")
-            if best_key is not None and gain < best_key[0]:
-                # gain leads the lexicographic key; strictly smaller
-                # cannot win, so skip building the full key.
-                continue
-            key = gain_key(
-                gain,
-                size,
-                cost,
-                ws.label,
-                set_id,
-                canon_key=canon_keys[set_id],
-            )
-            if best_key is None or key > best_key:
-                best_id = set_id
-                best_key = key
+        if deadline is not None and deadline.expired():
+            raise _RepairDeadline()
+        best_id = tracker.best_gain_candidate(0)
         if best_id is None:
             return None
         tracker.select(best_id)

@@ -6,19 +6,24 @@ yet covered by the partial solution ``S``. A naive implementation recomputes
 ``Ben(s) \\ covered`` for every set after every selection (the loops in
 Fig. 1 lines 24–27 and Fig. 2 lines 12–15).
 
-Two interchangeable trackers implement the bookkeeping:
+Two interchangeable trackers implement the bookkeeping, and each is also
+the one place that makes a greedy pick: every greedy loop asks its tracker
+for ``best_gain_candidate(threshold, ids)`` (the gain-greedy step of CWSC,
+weighted set cover, budgeted max coverage, LP-rounding repair and
+``greedy_partial``) or ``best_benefit_in(ids)`` (the benefit-greedy step of
+CMC and max coverage), then calls ``select``:
 
 * :class:`~repro.core.packed.PackedMarginalTracker` — the production
   kernel (:mod:`repro.core.packed`): benefits live in a columnar
   ``(n_sets, ceil(n/64))`` ``uint64`` matrix (dense or CSR-blocked by
-  density), selection updates are vectorized gather/AND/popcount
-  passes with no per-set Python, and the solvers use its vectorized
-  argmax helpers instead of scanning ``live_items()``.
+  density), and selection updates and both argmaxes are vectorized
+  numpy passes with no per-set Python.
 * :class:`MarginalTracker` — the reference oracle: a static inverted
   index ``element -> sets containing it`` plus per-set marginal
   *counts*, so selecting a set only touches the sets that actually
   intersect it (the standard lazy implementation of greedy set cover).
-  Its constants win only on tiny instances.
+  Its argmaxes are plain :func:`~repro.core.greedy_common.argbest` loops
+  over its live sets with ``gain_key`` / ``benefit_key``.
 
 Both produce **identical selections and identical metrics counters** —
 property-tested in ``tests/property/test_props_backend.py``.
@@ -34,7 +39,15 @@ from __future__ import annotations
 
 from typing import Iterable, Literal
 
+import numpy as np
+
 from repro._typing import ElementId, SetId
+from repro.core.greedy_common import (
+    argbest,
+    benefit_key,
+    canonical_keys,
+    gain_key,
+)
 from repro.core.result import Metrics
 from repro.core.setsystem import SetSystem
 from repro.errors import ValidationError
@@ -89,6 +102,7 @@ class MarginalTracker:
         self._element_to_sets = {
             element: tuple(ids) for element, ids in owners.items()
         }
+        self._costs = np.array([ws.cost for ws in sets], dtype=np.float64)
         # Mutable per-round state.
         self._mben_count: dict[SetId, int] = {}
         self._covered: set[ElementId] = set()
@@ -123,6 +137,11 @@ class MarginalTracker:
     def covered_count(self) -> int:
         """``|covered|`` without copying."""
         return len(self._covered)
+
+    @property
+    def costs(self) -> "np.ndarray":
+        """Per-set costs, for vectorized level assignment."""
+        return self._costs
 
     @property
     def live_ids(self) -> list[SetId]:
@@ -162,6 +181,55 @@ class MarginalTracker:
     def drop(self, set_id: SetId) -> None:
         """Remove a set from consideration without selecting it."""
         self._mben_count.pop(set_id, None)
+
+    def best_gain_candidate(
+        self, threshold: float, ids=None
+    ) -> SetId | None:
+        """Argmax of ``gain_key`` over live sets with size >= threshold,
+        among ``ids`` when given (the reference for the packed kernel's
+        vectorized pick)."""
+        sets = self._system.sets
+        keys = canonical_keys(self._system)
+        best = argbest(
+            (item for item in self._live_among(ids) if item[1] >= threshold),
+            key=lambda item: gain_key(
+                self.marginal_gain(item[0]),
+                item[1],
+                sets[item[0]].cost,
+                sets[item[0]].label,
+                item[0],
+                canon_key=keys[item[0]],
+            ),
+        )
+        return None if best is None else best[0]
+
+    def best_benefit_in(self, member_ids) -> SetId | None:
+        """Argmax of ``benefit_key`` over live sets among ``member_ids``."""
+        sets = self._system.sets
+        keys = canonical_keys(self._system)
+        best = argbest(
+            self._live_among(member_ids),
+            key=lambda item: benefit_key(
+                item[1],
+                sets[item[0]].cost,
+                sets[item[0]].label,
+                item[0],
+                canon_key=keys[item[0]],
+            ),
+        )
+        return None if best is None else best[0]
+
+    def _live_among(self, ids) -> list[tuple[SetId, int]]:
+        """``(set_id, |MBen|)`` for the live sets among ``ids`` (all
+        live sets when ``ids`` is ``None``)."""
+        if ids is None:
+            return self.live_items()
+        counts = self._mben_count
+        return [
+            (set_id, counts[set_id])
+            for set_id in map(int, ids)
+            if set_id in counts
+        ]
 
     def select(self, set_id: SetId) -> int:
         """Mark a set as chosen; returns the number of newly covered elements.

@@ -21,11 +21,11 @@ Two layers and their helpers:
   (:func:`repro.core.marginal.make_tracker` backend ``"packed"``): same
   API, same selections, same :class:`~repro.core.result.Metrics`
   counters as the ``set`` reference oracle, property-tested in
-  ``tests/property/test_props_backend.py``. Its vectorized argmax
-  helpers (:meth:`~PackedMarginalTracker.best_gain_candidate` for
-  CWSC's threshold/gain selection,
-  :meth:`~PackedMarginalTracker.best_benefit_in` for CMC's per-level
-  selection) reproduce the exact lexicographic tie-breaks of
+  ``tests/property/test_props_backend.py``. Its vectorized argmaxes
+  (:meth:`~PackedMarginalTracker.best_gain_candidate` for every
+  gain-greedy pick, :meth:`~PackedMarginalTracker.best_benefit_in` for
+  every benefit-greedy pick) are the production selection step of every
+  greedy solver and reproduce the exact lexicographic tie-breaks of
   :mod:`repro.core.greedy_common`.
 * Helpers shared with the solvers: :func:`canonical_ranks` and
   :func:`assign_levels`.
@@ -394,43 +394,43 @@ class PackedMarginalTracker:
         self._metrics.sets_considered += self._n_tracked
 
     # ------------------------------------------------------------------
-    def best_gain_candidate(self, threshold: float) -> SetId | None:
+    def best_gain_candidate(
+        self, threshold: float, ids=None
+    ) -> SetId | None:
         """Argmax of ``gain_key`` over live sets with size >= threshold.
 
-        The CWSC selection step (Fig. 2 lines 5-6): maximize marginal
-        gain, ties to larger benefit, then lower cost, then the
-        canonical key.
+        The gain-greedy selection step (CWSC's Fig. 2 lines 5-6 and the
+        baselines with threshold 0): maximize marginal gain, ties to
+        larger benefit, then lower cost, then the canonical key.
+        ``ids``, an optional ``int64`` id array, restricts the candidates
+        without evicting anything.
         """
         counts = self._counts
-        eligible = self._live & (counts >= threshold)
-        if not eligible.any():
+        if ids is None:
+            ids = np.nonzero(self._live & (counts >= threshold))[0]
+        else:
+            ids = ids[self._live[ids] & (counts[ids] >= threshold)]
+        if ids.size == 0:
             return None
-        costs = self._layout.costs
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            gains = np.where(eligible, counts / costs, -np.inf)
-        best = gains.max()
-        candidates = np.nonzero(gains == best)[0]
-        if candidates.size > 1:
-            sizes = counts[candidates]
-            candidates = candidates[sizes == sizes.max()]
-        if candidates.size > 1:
-            cand_costs = costs[candidates]
-            candidates = candidates[cand_costs == cand_costs.min()]
-        if candidates.size > 1:
-            ranks = canonical_ranks(self._system)[candidates]
-            return int(candidates[ranks.argmin()])
-        return int(candidates[0])
+        with np.errstate(divide="ignore", over="ignore"):
+            gains = counts[ids] / self._layout.costs[ids]
+        return self._break_ties(ids[gains == gains.max()])
 
     def best_benefit_in(self, member_ids) -> SetId | None:
         """Argmax of ``benefit_key`` over live sets among ``member_ids``.
 
-        The CMC per-level selection step: maximize marginal benefit,
-        ties to lower cost, then the canonical key. ``member_ids`` is a
-        precomputed ``int64`` id array (one cost level).
+        The benefit-greedy selection step (CMC's per-level pick, max
+        coverage): maximize marginal benefit, ties to lower cost, then
+        the canonical key. ``member_ids`` is an ``int64`` id array.
         """
         ids = member_ids[self._live[member_ids]]
         if ids.size == 0:
             return None
+        return self._break_ties(ids)
+
+    def _break_ties(self, ids) -> SetId:
+        """The id in ``ids`` with the largest marginal benefit, then the
+        lowest cost, then the smallest canonical key."""
         sizes = self._counts[ids]
         ids = ids[sizes == sizes.max()]
         if ids.size > 1:

@@ -13,9 +13,10 @@ Differences from the unoptimized CMC (Fig. 1), per the paper:
   once total attempts exceed the total quota — this bounds the work of a
   round whose budget is hopeless.
 
-The marginal-benefit argmax is a lazy heap (marginal benefits only shrink;
-same CELF argument as in :mod:`repro.core.cmc`), and the inner loops run on
-raw value tuples (see :mod:`repro.patterns.candidates`).
+The marginal-benefit argmax is a lazy heap (marginal benefits only shrink,
+so a popped entry whose recorded size is still current is a true maximum —
+the CELF argument), and the inner loops run on raw value tuples (see
+:mod:`repro.patterns.candidates`).
 
 Documented deviation: Fig. 4 line 1 seeds the budget with "the cost of the
 ``k`` cheapest patterns", which cannot be known without enumerating

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 
-from repro.errors import DeadlineExceeded, ValidationError
+from repro.errors import ValidationError
 
 __all__ = ["Deadline"]
 
@@ -114,13 +114,6 @@ class Deadline:
             return False
         self._countdown = self._stride - 1
         return time.monotonic() >= self._expires_at
-
-    def require(self, context: str, partial=None) -> None:
-        """Raise :class:`DeadlineExceeded` if expired (full clock read)."""
-        if self.expired():
-            raise DeadlineExceeded(
-                f"{context}: deadline expired", partial=partial
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Deadline(remaining={self.remaining():.3f}s)"

@@ -1,5 +1,7 @@
 """Unit tests for the randomized LP rounding strawman (Section III)."""
 
+import importlib
+
 import pytest
 
 from repro.core.cwsc import cwsc
@@ -7,6 +9,7 @@ from repro.core.lp_bound import solve_lp_relaxation
 from repro.core.lp_rounding import lp_rounding
 from repro.core.setsystem import SetSystem
 from repro.errors import InfeasibleError, ValidationError
+from repro.resilience import Deadline
 
 
 class TestRelaxation:
@@ -79,3 +82,28 @@ class TestRounding:
             lp_rounding(random_system(), 2, 0.5, trials=0)
         with pytest.raises(ValidationError):
             lp_rounding(random_system(), 2, 0.5, alpha=0.0)
+
+
+class TestDeadlinePartial:
+    def test_unexpired_deadline_builds_no_greedy_partial(
+        self, random_system, monkeypatch
+    ):
+        """The greedy partial rides along only on a raised deadline, so
+        a call whose deadline never expires never pays for one."""
+        # ``repro.core.lp_rounding`` names the function, so fetch the
+        # module itself.
+        module = importlib.import_module("repro.core.lp_rounding")
+        calls = []
+        real = module.greedy_partial
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "greedy_partial", counting)
+        result = lp_rounding(
+            random_system(seed=5), 3, 0.8, trials=3,
+            deadline=Deadline.after(60.0),
+        )
+        assert result.feasible
+        assert calls == []

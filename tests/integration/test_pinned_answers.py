@@ -5,15 +5,26 @@ need a tolerance: each answer is pinned set for set and bit for bit,
 checked against the contract its solver promises (Theorems 4 and 5), and
 its cost is held at or above the LP relaxation at that contract's
 target, so an approximation ratio below 1 fails here.
+
+The baselines and the greedy fallback always run on the packed kernel,
+so the backend-equivalence property tests never see their loops; their
+answers and work counters are pinned here instead.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.baselines import (
+    budgeted_max_coverage,
+    max_coverage,
+    weighted_set_cover,
+)
 from repro.core import cmc, cmc_epsilon, cwsc, verify_result
+from repro.core.fallbacks import greedy_partial
 from repro.core.guarantees import contract
 from repro.core.lp_bound import lp_lower_bound
+from repro.core.lp_rounding import lp_rounding
 from repro.core.packed import packed_layout
 from repro.datasets import load_dataset
 from repro.patterns import build_set_system
@@ -29,6 +40,56 @@ PINNED = (
     ("cmc_epsilon", {"eps": 0.5}, (6648, 9100, 9912, 9938, 15258, 9981), 3.55),
 )
 SOLVERS = {"cwsc": cwsc, "cmc": cmc, "cmc_epsilon": cmc_epsilon}
+
+#: Baseline, its call, then its answer on ``lbl:1200@7``: set ids in
+#: selection order, total cost, covered elements, and the metrics
+#: counters (sets_considered, marginal_updates, budget_rounds,
+#: selections). The budgeted call has the shape of the Section III
+#: instance: the budget of a known k-set answer (the ``cwsc`` pin's
+#: cost) and room for c k sets with c = 3.
+PINNED_BASELINES = (
+    (
+        "weighted_set_cover",
+        lambda system: weighted_set_cover(system, S_HAT),
+        (6664, 6682, 9912, 6648, 9938, 9895), 6.779999999999999, 724,
+        (16_440, 22_444, 1, 6),
+    ),
+    (
+        "max_coverage",
+        lambda system: max_coverage(system, K),
+        (0,), 74.6466, 1200,
+        (16_440, 37_200, 1, 1),
+    ),
+    (
+        "budgeted_max_coverage",
+        lambda system: budgeted_max_coverage(
+            system, budget=6.65, max_sets=3 * K
+        ),
+        (6664, 6682, 9912, 6648, 9938, 13993, 15258, 8296, 9981, 9923,
+         9100, 9931, 8305, 13355), 6.59, 461,
+        (16_440, 14_291, 1, 14),
+    ),
+    (
+        "greedy_partial",
+        lambda system: greedy_partial(system, K, S_HAT),
+        (6664, 6682, 9912, 6648, 9938, 9895), 6.779999999999999, 724,
+        (16_440, 22_444, 1, 6),
+    ),
+    (
+        "lp_rounding",
+        lambda system: lp_rounding(system, K, S_HAT, seed=0),
+        (6648, 9895), 6.0, 724,
+        (0, 0, 1, 0),
+    ),
+    # At s = 0.9 the roundings fall short and the greedy repair runs.
+    (
+        "lp_rounding_repair",
+        lambda system: lp_rounding(system, K, 0.9, seed=0),
+        (22, 2648, 6648, 8284, 9641, 9895, 13979, 15244, 1851, 9087,
+         13365, 13770), 49.1513, 1080,
+        (49_320, 100_440, 1, 36),
+    ),
+)
 
 #: ``data`` plus ``dense`` bytes of the packed layout of ``lbl:100000@7``
 #: (``max`` cost, 451 266 sets) when this test was written.
@@ -60,6 +121,26 @@ class TestPinnedAnswers:
         ) == []
         bound = lp_lower_bound(lbl_1200, promised.max_sets, promised.coverage)
         assert result.total_cost >= bound
+
+    @pytest.mark.parametrize(
+        "name, call, set_ids, total_cost, covered, counters",
+        PINNED_BASELINES,
+        ids=[p[0] for p in PINNED_BASELINES],
+    )
+    def test_baseline_answer_is_pinned(
+        self, lbl_1200, name, call, set_ids, total_cost, covered, counters
+    ):
+        result = call(lbl_1200)
+        assert result.set_ids == set_ids
+        assert result.total_cost == total_cost
+        assert result.covered == covered
+        metrics = result.metrics
+        assert (
+            metrics.sets_considered,
+            metrics.marginal_updates,
+            metrics.budget_rounds,
+            metrics.selections,
+        ) == counters
 
 
 class TestLargeN:

@@ -10,6 +10,9 @@ cost-pruned ``remove_dominated`` keeps exactly the survivors of the
 naive frozenset dominance predicate.
 """
 
+import math
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,7 @@ from repro.core.marginal import MarginalTracker
 from repro.core.packed import PackedMarginalTracker
 from repro.core.preprocess import remove_dominated
 from repro.core.result import Metrics
+from repro.core.setsystem import SetSystem
 
 from tests.property.strategies import set_systems
 
@@ -27,6 +31,38 @@ ks = st.integers(1, 4)
 fractions = st.floats(min_value=0.0, max_value=1.0)
 
 EQUIV_BACKENDS = ("set", "packed")
+
+
+@st.composite
+def tie_systems(draw):
+    """Systems whose picks hinge on the edge cases of the argmax: costs
+    of zero, negative zero and infinity, and so few distinct costs and
+    sizes that gain, size and cost often all tie, leaving the canonical
+    key (shuffled labels, so not the set id order) to decide."""
+    n = draw(st.integers(1, 8))
+    n_sets = draw(st.integers(1, 10))
+    benefits = draw(
+        st.lists(
+            st.sets(st.integers(0, n - 1), max_size=n),
+            min_size=n_sets,
+            max_size=n_sets,
+        )
+    )
+    costs = draw(
+        st.lists(
+            st.sampled_from([0.0, -0.0, math.inf, 1.0, 2.0]),
+            min_size=n_sets,
+            max_size=n_sets,
+        )
+    )
+    labels = draw(st.permutations([f"s{i}" for i in range(n_sets)]))
+    return SetSystem.from_iterables(n, benefits, costs, labels=labels)
+
+
+def _random_ids(rng, n_sets):
+    """A random id array in random order, possibly empty."""
+    ids = rng.sample(range(n_sets), rng.randint(0, n_sets))
+    return np.asarray(ids, dtype=np.int64)
 
 
 def _run_both(fn, system, **kwargs):
@@ -118,6 +154,32 @@ class TestTrackerStepEquivalence:
                 set_metrics.marginal_updates
                 == other.metrics.marginal_updates
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(set_systems(), tie_systems()),
+        st.randoms(use_true_random=False),
+    )
+    def test_same_pick_after_any_selection_sequence(self, system, rng):
+        """After any selections, both trackers make the same greedy
+        pick for random thresholds and random or absent id arrays."""
+        oracle = MarginalTracker(system)
+        packed = PackedMarginalTracker(system)
+        for _ in range(4):
+            for _ in range(3):
+                threshold = rng.choice(
+                    [0, 1, 2, rng.uniform(0.0, system.n_elements)]
+                )
+                ids = rng.choice([None, _random_ids(rng, system.n_sets)])
+                assert oracle.best_gain_candidate(
+                    threshold, ids
+                ) == packed.best_gain_candidate(threshold, ids)
+                members = _random_ids(rng, system.n_sets)
+                assert oracle.best_benefit_in(
+                    members
+                ) == packed.best_benefit_in(members)
+            set_id = rng.randrange(system.n_sets)
+            assert oracle.select(set_id) == packed.select(set_id)
 
 
 class TestRemoveDominatedEquivalence:

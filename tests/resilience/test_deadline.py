@@ -38,12 +38,6 @@ class TestDeadlineBasics:
         # Within at most `stride` polls the expiry must be observed.
         assert any(deadline.poll() for _ in range(8))
 
-    def test_require_raises_with_partial(self):
-        deadline = Deadline.after(0.0)
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            deadline.require("unit-test", partial="the-partial")
-        assert excinfo.value.partial == "the-partial"
-
     def test_sub_is_capped_by_parent(self):
         parent = Deadline.after(0.05)
         child = parent.sub(1000.0)
