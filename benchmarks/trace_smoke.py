@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """CI trace-smoke: a tiny end-to-end exercise of ``--trace``.
 
-Generates a small LBL-style CSV, runs ``scwsc solve --trace`` both
-in-process and pool-isolated, then checks that
+Generates a small LBL-style CSV, runs ``scwsc solve --trace`` in-process
+(default CWSC and ``--algorithm cmc``) and pool-isolated, then checks that
 
 1. every record in each trace file validates against ``scwsc-trace/1``
    (:mod:`repro.obs.schema`);
-2. the in-process trace contains solver spans (``solve``/``select``);
+2. the in-process traces contain solver spans (``solve``/``select``), and
+   the CMC one the lattice path's ``budget_round`` spans;
 3. the isolated trace interleaves pool lifecycle events
    (``worker_spawn``/``dispatch``/``request_complete``) with replayed
    worker solver spans carrying ``request_id``;
@@ -53,6 +54,13 @@ def check_valid(path: Path) -> list[dict]:
     return load_trace(str(path))
 
 
+def check_phases(path: Path, phases: tuple[str, ...]) -> None:
+    rollups = phase_rollups(check_valid(path))
+    for phase in phases:
+        if phase not in rollups:
+            fail(f"{path} has no {phase!r} spans; got {sorted(rollups)}")
+
+
 def main() -> int:
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("trace-smoke")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -70,13 +78,23 @@ def main() -> int:
             "--trace", str(solve_trace),
         ]
     )
-    records = check_valid(solve_trace)
-    rollups = phase_rollups(records)
-    for phase in ("solve", "select"):
-        if phase not in rollups:
-            fail(f"{solve_trace} has no {phase!r} spans; got {sorted(rollups)}")
+    check_phases(solve_trace, ("solve", "select"))
 
-    # 2. Pool-isolated solve: lifecycle events + replayed worker spans.
+    # 2. In-process optimized CMC: budget rounds on the lattice path.
+    cmc_trace = out_dir / "solve-cmc.jsonl"
+    run_cli(
+        [
+            "solve", str(csv_path),
+            "--attributes", ATTRIBUTES,
+            "--measure", "duration",
+            "-k", "4", "-s", "0.6",
+            "--algorithm", "cmc",
+            "--trace", str(cmc_trace),
+        ]
+    )
+    check_phases(cmc_trace, ("budget_round", "select"))
+
+    # 3. Pool-isolated solve: lifecycle events + replayed worker spans.
     isolate_trace = out_dir / "isolate.jsonl"
     run_cli(
         [
@@ -102,12 +120,12 @@ def main() -> int:
     if not worker_spans:
         fail(f"{isolate_trace} has no replayed worker spans with request_id")
 
-    # 3. The summarizer renders.
+    # 4. The summarizer renders.
     summary = summarize_file(str(solve_trace))
     if "phase rollup" not in summary:
         fail("summarize produced no phase rollup")
     print(summary)
-    print(f"trace-smoke: ok ({solve_trace}, {isolate_trace})")
+    print(f"trace-smoke: ok ({solve_trace}, {cmc_trace}, {isolate_trace})")
     return 0
 
 

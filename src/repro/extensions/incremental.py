@@ -11,11 +11,12 @@ module implements a practical maintainer for the patterned case:
   grown table. While the coverage fraction still meets ``s_hat`` the
   solution is kept (a cheap O(batch) update). When it drops below:
 
-  - with spare capacity (``|S| < k``) it runs a *repair*: a CWSC-style
-    threshold-greedy over the remaining picks, seeded with the rows the
-    current patterns already cover;
-  - otherwise it *recomputes* from scratch with
-    :func:`repro.patterns.optimized_cwsc`.
+  - with spare capacity (``|S| < k``) it runs a *repair*: Fig. 3's pick
+    loop (:func:`repro.patterns.optimized_cwsc.cwsc_picks`) over the
+    remaining picks, seeded with the rows the current patterns already
+    cover;
+  - otherwise, or when the repair dead-ends, it *recomputes* from scratch
+    with :func:`repro.patterns.optimized_cwsc`.
 
 The maintainer tracks how often each path fired, so experiments can report
 maintenance cost against recompute-always.
@@ -27,12 +28,11 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.result import CoverResult, Metrics, make_result
-from repro.errors import InfeasibleError, ValidationError
-from repro.patterns.candidates import CandidatePool
+from repro.errors import ValidationError
 from repro.patterns.costs import CostFunction, get_cost_function
 from repro.patterns.index import PatternIndex
-from repro.patterns.optimized_cwsc import optimized_cwsc, _expand
-from repro.patterns.pattern import ALL, Pattern
+from repro.patterns.optimized_cwsc import cwsc_picks, optimized_cwsc
+from repro.patterns.pattern import Pattern
 from repro.patterns.table import PatternTable
 
 _EPS = 1e-9
@@ -101,7 +101,9 @@ class IncrementalCWSC:
 
     def current_result(self) -> CoverResult:
         """The maintained solution evaluated on the current table."""
-        index = PatternIndex(self._table)
+        return self._result(PatternIndex(self._table))
+
+    def _result(self, index: PatternIndex) -> CoverResult:
         cost_fn = self._cost_obj.bind(self._table)
         covered: set[int] = set()
         total_cost = 0.0
@@ -144,7 +146,7 @@ class IncrementalCWSC:
             self._recompute()
             self._stats.recomputed += 1
         self._stats.metrics.runtime_seconds += time.perf_counter() - start
-        return self.current_result()
+        return self._result(index)
 
     # ------------------------------------------------------------------
     def _repair(self, index: PatternIndex, covered: set[int]) -> bool:
@@ -154,43 +156,29 @@ class IncrementalCWSC:
         Returns False (leaving the solution untouched) if the thresholded
         selection dead-ends, in which case the caller recomputes.
         """
-        cost_fn = self._cost_obj.bind(self._table)
-        pool = CandidatePool(cost_fn, self._stats.metrics, covered=covered)
-        all_values = (ALL,) * self._table.n_attributes
-        pool.add(pool.materialize(all_values, index.all_rows))
-        selected_values = {pattern.values for pattern in self._patterns}
-        additions: list[Pattern] = []
-        rem = self._s_hat * self._table.n_rows - len(covered)
-        picks_left = self._k - len(self._patterns)
-        for i in range(picks_left, 0, -1):
-            threshold = rem / i - _EPS
-            pool.prune(lambda candidate: candidate.mben_size >= threshold)
-            _expand(pool, index, selected_values, threshold)
-            best = pool.best_by_gain()
-            if best is None:
-                self._stats.repair_failures += 1
-                return False
-            newly = pool.select(best)
-            additions.append(Pattern(best.values))
-            selected_values.add(best.values)
-            rem -= len(newly)
-            if rem <= _EPS:
-                self._patterns.extend(additions)
-                return True
-        self._stats.repair_failures += 1
-        return False
+        picks, reached = cwsc_picks(
+            index,
+            self._cost_obj.bind(self._table),
+            self._stats.metrics,
+            rem=self._s_hat * self._table.n_rows - len(covered),
+            picks=self._k - len(self._patterns),
+            covered=covered,
+            selected_values=[pattern.values for pattern in self._patterns],
+        )
+        if not reached:
+            self._stats.repair_failures += 1
+            return False
+        self._patterns.extend(Pattern(pick.values) for pick in picks)
+        return True
 
     def _recompute(self) -> None:
         """Full optimized-CWSC run on the current table."""
-        try:
-            result = optimized_cwsc(
-                self._table,
-                self._k,
-                self._s_hat,
-                cost=self._cost_obj,
-                on_infeasible="full_cover",
-            )
-        except InfeasibleError:  # pragma: no cover - full_cover never raises
-            raise
+        result = optimized_cwsc(
+            self._table,
+            self._k,
+            self._s_hat,
+            cost=self._cost_obj,
+            on_infeasible="full_cover",
+        )
         self._patterns = list(result.labels)
         self._stats.metrics = self._stats.metrics.merge(result.metrics)

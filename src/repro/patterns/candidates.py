@@ -7,6 +7,9 @@ implements the two update loops both figures share: materializing a child
 pattern discovered via the lattice, and subtracting a selection's newly
 covered rows from every remaining candidate (Fig. 3 lines 27–30, Fig. 4
 lines 26–29 — candidates whose marginal benefit empties are evicted).
+It also answers CWSC's argmax (:meth:`CandidatePool.best_by_gain`), and
+:func:`lattice_result` turns either algorithm's picks into a
+:class:`~repro.core.result.CoverResult`.
 
 For speed the pool works on raw pattern *value tuples* (with the
 :data:`~repro.patterns.pattern.ALL` sentinel), not :class:`Pattern`
@@ -18,11 +21,13 @@ the optimized and unoptimized algorithms select identical sets.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+import time
+from typing import Callable, Iterable, Iterator, KeysView
 
 from repro._typing import AttrValue
-from repro.core.result import Metrics
-from repro.patterns.pattern import values_sort_key
+from repro.core.result import CoverResult, Metrics, make_result
+from repro.patterns.pattern import Pattern, values_sort_key
+from repro.patterns.table import PatternTable
 
 #: A candidate's identity: one value-or-ALL per attribute.
 Values = tuple[AttrValue, ...]
@@ -102,15 +107,18 @@ class CandidatePool:
         """Rows covered by all selections so far (do not mutate)."""
         return self._covered
 
-    @property
-    def covered_count(self) -> int:
-        return len(self._covered)
-
     def __len__(self) -> int:
         return len(self._candidates)
 
     def __contains__(self, values: Values) -> bool:
         return values in self._candidates
+
+    @property
+    def members(self) -> KeysView[Values]:
+        """Live view of the values in ``C``. The lattice filter tests
+        membership once per child, so it takes this view, whose ``in``
+        needs no Python call, rather than the pool itself."""
+        return self._candidates.keys()
 
     def __iter__(self) -> Iterator[Candidate]:
         return iter(self._candidates.values())
@@ -202,9 +210,9 @@ class CandidatePool:
         return newly
 
     # ------------------------------------------------------------------
-    def best_by_gain(self, min_mben: float = 0.0) -> Candidate | None:
-        """Candidate maximizing marginal gain among those with
-        ``|mben| >= min_mben`` — CWSC's selection rule (Fig. 2/3).
+    def best_by_gain(self) -> Candidate | None:
+        """Candidate maximizing marginal gain — CWSC's selection rule
+        (Fig. 2/3); the caller prunes ``C`` to the threshold first.
 
         Ties: larger ``|mben|``, then lower cost, then smaller sort key —
         the same order as :func:`repro.core.greedy_common.gain_key` with
@@ -213,10 +221,7 @@ class CandidatePool:
         best: Candidate | None = None
         best_key = None
         for candidate in self._candidates.values():
-            size = candidate.mben_size
-            if size < min_mben:
-                continue
-            key = (candidate.mgain, size, -candidate.cost)
+            key = (candidate.mgain, candidate.mben_size, -candidate.cost)
             if best_key is None or key > best_key or (
                 key == best_key
                 and candidate.sort_key() < best.sort_key()
@@ -225,16 +230,30 @@ class CandidatePool:
                 best_key = key
         return best
 
-    def best_by_mben(self) -> Candidate | None:
-        """Candidate maximizing marginal benefit — CMC's selection rule."""
-        best: Candidate | None = None
-        best_key = None
-        for candidate in self._candidates.values():
-            key = (candidate.mben_size, -candidate.cost)
-            if best_key is None or key > best_key or (
-                key == best_key
-                and candidate.sort_key() < best.sort_key()
-            ):
-                best = candidate
-                best_key = key
-        return best
+
+def lattice_result(
+    algorithm: str,
+    table: PatternTable,
+    selected: list[Candidate],
+    feasible: bool,
+    params: dict,
+    metrics: Metrics,
+    start: float,
+) -> CoverResult:
+    """The :class:`CoverResult` of a lattice solver's picks, timed from
+    ``start`` (a :func:`time.perf_counter` reading)."""
+    metrics.runtime_seconds = time.perf_counter() - start
+    covered: set[int] = set()
+    for candidate in selected:
+        covered.update(candidate.ben)
+    return make_result(
+        algorithm=algorithm,
+        chosen=list(range(len(selected))),
+        labels=[Pattern(candidate.values) for candidate in selected],
+        total_cost=sum(candidate.cost for candidate in selected),
+        covered=len(covered),
+        n_elements=table.n_rows,
+        feasible=feasible,
+        params=params,
+        metrics=metrics,
+    )

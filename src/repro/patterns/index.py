@@ -4,16 +4,18 @@ Supports the two benefit-set operations the algorithms need:
 
 * :meth:`PatternIndex.benefit` — the rows matching an arbitrary pattern,
   via intersection of per-value row sets (smallest first);
-* :meth:`PatternIndex.children_of` — all non-empty children of a pattern
-  together with their benefit sets, by partitioning the parent's benefit
-  per wildcard attribute. This is the primitive behind the lattice-pruned
-  algorithms of Section V-C: a child's rows are exactly one value-group of
-  its parent's rows, so children with empty benefit are never materialized.
+* :meth:`PatternIndex.children_values` — the non-empty children of a
+  pattern with their benefit sets, by partitioning the parent's benefit
+  per wildcard attribute, filtered by the lattice rule of Section V-C:
+  Fig. 3 and Fig. 4 admit a child only when all of its parents are in a
+  given set (``C`` or ``V``). A child's rows are exactly one value-group
+  of its parent's rows, so children with empty benefit are never
+  materialized.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from repro._typing import AttrValue
 from repro.errors import ValidationError
@@ -53,10 +55,6 @@ class PatternIndex:
         """Row ids of the whole table (benefit of the all-ALL pattern)."""
         return self._all_rows
 
-    def rows_with_value(self, position: int, value: AttrValue) -> frozenset[int]:
-        """Rows whose ``position``-th attribute equals ``value``."""
-        return self._by_value[position].get(value, frozenset())
-
     # ------------------------------------------------------------------
     def benefit(self, pattern: Pattern) -> frozenset[int]:
         """``Ben(p)``: rows matching the pattern.
@@ -85,48 +83,31 @@ class PatternIndex:
         return result
 
     # ------------------------------------------------------------------
-    def children_of(
-        self,
-        pattern: Pattern,
-        benefit: Iterable[int] | None = None,
-    ) -> Iterator[tuple[Pattern, frozenset[int]]]:
-        """Yield every non-empty child with its benefit set.
-
-        For each wildcard position, the parent's benefit is partitioned by
-        that attribute's value; each group is exactly one child's benefit.
-        Children are yielded in deterministic order (position, then value
-        repr) so callers inherit reproducibility.
-
-        Parameters
-        ----------
-        pattern:
-            The parent pattern.
-        benefit:
-            The parent's benefit set, if the caller already has it
-            (children partition it); computed via :meth:`benefit`
-            otherwise.
-        """
-        parent_rows = (
-            list(benefit) if benefit is not None else self.benefit(pattern)
-        )
-        for position, child, rows in self.children_values(
-            pattern.values, parent_rows
-        ):
-            yield Pattern(child), frozenset(rows)
-
     def children_values(
         self,
         values: tuple[AttrValue, ...],
         benefit: Iterable[int],
+        parents_in: Container[tuple[AttrValue, ...]] | None = None,
+        exclude: tuple[Container[tuple[AttrValue, ...]], ...] = (),
+        min_rows: float = 0.0,
     ) -> Iterator[tuple[int, tuple[AttrValue, ...], list[int]]]:
-        """Hot-path variant of :meth:`children_of` on raw value tuples.
+        """Yield the qualifying children of ``values`` with their rows.
 
-        Yields ``(position, child_values, child_rows)`` without
-        constructing :class:`Pattern` objects — ``position`` is the
-        attribute that was specialized, letting callers skip the parent
-        they expanded from in the all-parents check. The optimized
-        algorithms run their inner loops on plain tuples and only wrap
-        the final solution in patterns.
+        For each wildcard position, the parent's ``benefit`` is
+        partitioned by that attribute's value; each group is exactly one
+        child's benefit. Yields ``(position, child_values, child_rows)``,
+        where ``position`` is the attribute that was specialized, in
+        deterministic order (position, then value repr). Works on raw
+        value tuples: the optimized algorithms run their inner loops on
+        plain tuples and only wrap the final solution in patterns.
+
+        A child is skipped when it has fewer than ``min_rows`` rows, when
+        it is in any container of ``exclude``, or — if ``parents_in`` is
+        given — when one of its parents other than ``values`` is not in
+        ``parents_in`` (the all-parents rule of Fig. 3 line 16 and Fig. 4
+        line 33). The checks run as each child is reached, so a caller
+        that adds yielded children to those containers sees the same
+        decisions as checking after each yield.
         """
         columns = self._columns
         for position, value in enumerate(values):
@@ -138,7 +119,28 @@ class PatternIndex:
             for row_id in benefit:
                 setdefault(column[row_id], []).append(row_id)
             for child_value in sorted(groups, key=repr):
+                rows = groups[child_value]
+                if len(rows) < min_rows:
+                    continue
                 child = (
                     values[:position] + (child_value,) + values[position + 1:]
                 )
-                yield position, child, groups[child_value]
+                for container in exclude:
+                    if child in container:
+                        break
+                else:
+                    if parents_in is None:
+                        yield position, child, rows
+                        continue
+                    # The parent that generalizes ``position`` is
+                    # ``values`` itself, so only the others are looked up.
+                    for other_pos, other_value in enumerate(child):
+                        if other_value is ALL or other_pos == position:
+                            continue
+                        parent = (
+                            child[:other_pos] + (ALL,) + child[other_pos + 1:]
+                        )
+                        if parent not in parents_in:
+                            break
+                    else:
+                        yield position, child, rows

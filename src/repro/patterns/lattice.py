@@ -19,7 +19,7 @@ def syntactic_children(
 ) -> Iterator[Pattern]:
     """All immediate children given per-attribute domains.
 
-    Unlike :meth:`PatternIndex.children_of`, this includes children with
+    Unlike :meth:`PatternIndex.children_values`, this includes children with
     empty benefit — it is the raw lattice, not the data-restricted one.
     """
     for position in pattern.wildcard_positions():

@@ -16,7 +16,10 @@ Differences from the unoptimized CMC (Fig. 1), per the paper:
 The marginal-benefit argmax is a lazy heap (marginal benefits only shrink,
 so a popped entry whose recorded size is still current is a true maximum —
 the CELF argument), and the inner loops run on raw value tuples (see
-:mod:`repro.patterns.candidates`).
+:mod:`repro.patterns.candidates`). The all-parents-in-``V`` rule is the
+same :meth:`~repro.patterns.index.PatternIndex.children_values` filter
+that Fig. 3 uses with ``C``, and the result is built by the same
+:func:`~repro.patterns.candidates.lattice_result`.
 
 Documented deviation: Fig. 4 line 1 seeds the budget with "the cost of the
 ``k`` cheapest patterns", which cannot be known without enumerating
@@ -43,10 +46,15 @@ from repro.core.budget import (
     standard_levels,
 )
 from repro.core.cmc import COVERAGE_DISCOUNT
-from repro.core.result import CoverResult, Metrics, make_result
+from repro.core.result import CoverResult, Metrics
 from repro.errors import InfeasibleError, ValidationError
 from repro.obs import trace as obs_trace
-from repro.patterns.candidates import Candidate, CandidatePool, Values
+from repro.patterns.candidates import (
+    Candidate,
+    CandidatePool,
+    Values,
+    lattice_result,
+)
 from repro.patterns.costs import CostFunction, get_cost_function
 from repro.patterns.index import PatternIndex
 from repro.patterns.pattern import ALL, Pattern
@@ -215,9 +223,13 @@ def _optimized_cmc_body(
                 round_span.set(selections=len(selected), reached=reached)
         if reached:
             params["final_budget"] = budget
-            return _finish(table, selected, True, params, metrics, start)
+            return lattice_result(
+                "optimized_cmc", table, selected, True, params, metrics, start
+            )
 
-    partial = _finish(table, selected, False, params, metrics, start)
+    partial = lattice_result(
+        "optimized_cmc", table, selected, False, params, metrics, start
+    )
     if on_infeasible == "partial":
         return partial
     raise InfeasibleError(
@@ -304,68 +316,28 @@ def _run_round(
         else:
             pool.remove(candidate.values)
             visited.add(candidate.values)
-            for position, child, child_ben in index.children_values(
-                values, candidate.ben
+            # Fig. 4 line 33: only children whose parents are all in V.
+            for _, child, child_ben in index.children_values(
+                values,
+                candidate.ben,
+                parents_in=visited,
+                exclude=(pool.members, visited, selected_values),
             ):
-                if (
-                    child in pool
-                    or child in visited
-                    or child in selected_values
-                ):
-                    continue
-                # All-parents-in-V check (Fig. 4 line 33). The parent at
-                # ``position`` is the just-visited candidate itself, so
-                # only the other constants need a lookup.
-                parents_visited = True
-                for other_pos, other_value in enumerate(child):
-                    if other_value is ALL or other_pos == position:
-                        continue
-                    parent = (
-                        child[:other_pos] + (ALL,) + child[other_pos + 1:]
+                child_candidate = pool.materialize(child, child_ben)
+                # Fig. 4 lines 28-29 evict zero-marginal candidates;
+                # never admitting them is equivalent.
+                if child_candidate.mben:
+                    pool.add(child_candidate)
+                    heapq.heappush(
+                        heap,
+                        (
+                            -child_candidate.mben_size,
+                            child_candidate.cost,
+                            child_candidate.sort_key(),
+                            child,
+                        ),
                     )
-                    if parent not in visited:
-                        parents_visited = False
-                        break
-                if parents_visited:
-                    child_candidate = pool.materialize(child, child_ben)
-                    # Fig. 4 lines 28-29 evict zero-marginal candidates;
-                    # never admitting them is equivalent.
-                    if child_candidate.mben:
-                        pool.add(child_candidate)
-                        heapq.heappush(
-                            heap,
-                            (
-                                -child_candidate.mben_size,
-                                child_candidate.cost,
-                                child_candidate.sort_key(),
-                                child,
-                            ),
-                        )
-                    else:
-                        visited.add(child)
+                else:
+                    visited.add(child)
     return selected, False
 
-
-def _finish(
-    table: PatternTable,
-    selected: list[Candidate],
-    feasible: bool,
-    params: dict,
-    metrics: Metrics,
-    start: float,
-) -> CoverResult:
-    metrics.runtime_seconds = time.perf_counter() - start
-    covered: set[int] = set()
-    for candidate in selected:
-        covered.update(candidate.ben)
-    return make_result(
-        algorithm="optimized_cmc",
-        chosen=list(range(len(selected))),
-        labels=[Pattern(candidate.values) for candidate in selected],
-        total_cost=sum(candidate.cost for candidate in selected),
-        covered=len(covered),
-        n_elements=table.n_rows,
-        feasible=feasible,
-        params=params,
-        metrics=metrics,
-    )

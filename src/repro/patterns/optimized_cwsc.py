@@ -10,6 +10,12 @@ threshold, and — with shared tie-breaking — the optimized algorithm selects
 the very same patterns as the unoptimized one (paper, end of Section V-C1);
 ``tests/integration/test_equivalence.py`` asserts this.
 
+:func:`cwsc_picks` is the one copy of Fig. 3's pick loop. It runs from a
+seed state (rows already covered, patterns already selected, picks left),
+so :class:`repro.extensions.incremental.IncrementalCWSC` repairs a
+solution with the same loop that :func:`optimized_cwsc` runs from the
+all-wildcards root.
+
 The inner loops run on raw value tuples (see
 :mod:`repro.patterns.candidates`); only the returned solution is wrapped in
 :class:`Pattern` objects.
@@ -19,12 +25,17 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Literal
+from typing import Callable, Iterable, Literal
 
-from repro.core.result import CoverResult, Metrics, make_result
+from repro.core.result import CoverResult, Metrics
 from repro.errors import InfeasibleError, ValidationError
 from repro.obs import trace as obs_trace
-from repro.patterns.candidates import Candidate, CandidatePool, Values
+from repro.patterns.candidates import (
+    Candidate,
+    CandidatePool,
+    Values,
+    lattice_result,
+)
 from repro.patterns.costs import CostFunction, get_cost_function
 from repro.patterns.index import PatternIndex
 from repro.patterns.pattern import ALL, Pattern
@@ -107,17 +118,55 @@ def _optimized_cwsc_body(
     ):
         index = PatternIndex(table)
         cost_fn = get_cost_function(cost).bind(table)
-        pool = CandidatePool(cost_fn, metrics)
+
+    selected, reached = cwsc_picks(
+        index, cost_fn, metrics, s_hat * table.n_rows, k, traced=traced
+    )
+    if not reached and on_infeasible == "full_cover":
         all_values: Values = (ALL,) * table.n_attributes
-        pool.add(pool.materialize(all_values, index.all_rows))
+        selected = [
+            Candidate(all_values, index.all_rows, cost_fn(index.all_rows))
+        ]
+        reached = True
+    result = lattice_result(
+        "optimized_cwsc", table, selected, reached, params, metrics, start
+    )
+    if reached or on_infeasible == "partial":
+        return result
+    raise InfeasibleError(
+        "optimized_cwsc: no pattern clears the per-pick benefit threshold",
+        partial=result,
+    )
 
+
+def cwsc_picks(
+    index: PatternIndex,
+    cost_fn: Callable[[Iterable[int]], float],
+    metrics: Metrics,
+    rem: float,
+    picks: int,
+    covered: Iterable[int] | None = None,
+    selected_values: Iterable[Values] = (),
+    traced: bool = False,
+) -> tuple[list[Candidate], bool]:
+    """Fig. 3 lines 7-33: up to ``picks`` threshold-greedy picks.
+
+    ``C`` starts as the all-wildcards pattern; ``covered`` rows count as
+    already covered and ``selected_values`` as already selected. Each
+    pick prunes ``C`` to the ``rem / i`` threshold, expands it, and takes
+    the best marginal gain. Returns the picks and whether they covered
+    ``rem`` more rows; the loop stops early when no candidate clears the
+    threshold.
+    """
+    pool = CandidatePool(cost_fn, metrics, covered=covered)
+    all_values: Values = (ALL,) * index.table.n_attributes
+    pool.add(pool.materialize(all_values, index.all_rows))
+    selected_values = set(selected_values)
     selected: list[Candidate] = []
-    selected_values: set[Values] = set()
-    rem = s_hat * table.n_rows
     if rem <= _EPS:
-        return _finish(table, selected, True, params, metrics, start)
+        return selected, True
 
-    for i in range(k, 0, -1):
+    for i in range(picks, 0, -1):
         threshold = rem / i - _EPS
         with (
             obs_trace.span("select", picks_left=i, threshold=rem / i)
@@ -131,10 +180,7 @@ def _optimized_cwsc_body(
             # patterns.
             best = pool.best_by_gain()
             if best is None:
-                return _bail(
-                    table, index, cost_fn, selected, on_infeasible,
-                    params, metrics, start,
-                )
+                return selected, False
             newly = pool.select(best)
             if pick_span.enabled:
                 pick_span.set(
@@ -145,11 +191,9 @@ def _optimized_cwsc_body(
         selected_values.add(best.values)
         rem -= len(newly)
         if rem <= _EPS:
-            return _finish(table, selected, True, params, metrics, start)
+            return selected, True
     # Guard: each pick covers >= rem/i, so k picks always suffice.
-    return _bail(
-        table, index, cost_fn, selected, on_infeasible, params, metrics, start
-    )  # pragma: no cover
+    return selected, False  # pragma: no cover
 
 
 def _expand(
@@ -174,29 +218,16 @@ def _expand(
         candidate = pool.get(values)
         if candidate is None:  # pragma: no cover - not removed mid-phase
             continue
-        for position, child, child_ben in index.children_values(
-            values, candidate.ben
+        # Fig. 3 line 16: only children whose parents are all in C. Since
+        # |MBen| <= |Ben|, a child whose full benefit is below the
+        # threshold can never qualify, so it is skipped unmaterialized.
+        for _, child, child_ben in index.children_values(
+            values,
+            candidate.ben,
+            parents_in=pool.members,
+            exclude=(pool.members, selected_values),
+            min_rows=threshold,
         ):
-            # |MBen| <= |Ben|, so a child whose full benefit is already
-            # below the threshold can never qualify; skipping it here is
-            # equivalent to materializing it and failing line 18.
-            if len(child_ben) < threshold:
-                continue
-            if child in pool or child in selected_values:
-                continue
-            # All-parents-in-C check (Fig. 3 line 16). The parent at
-            # ``position`` is the pool candidate being expanded, so only
-            # the other constants need a lookup.
-            parents_in_pool = True
-            for other_pos, other_value in enumerate(child):
-                if other_value is ALL or other_pos == position:
-                    continue
-                parent = child[:other_pos] + (ALL,) + child[other_pos + 1:]
-                if parent not in pool:
-                    parents_in_pool = False
-                    break
-            if not parents_in_pool:
-                continue
             child_candidate = pool.materialize(child, child_ben)
             if child_candidate.mben_size >= threshold:
                 pool.add(child_candidate)
@@ -211,53 +242,3 @@ def _expand(
             else:
                 pool.archive(child_candidate)
 
-
-def _finish(
-    table: PatternTable,
-    selected: list[Candidate],
-    feasible: bool,
-    params: dict,
-    metrics: Metrics,
-    start: float,
-) -> CoverResult:
-    metrics.runtime_seconds = time.perf_counter() - start
-    covered: set[int] = set()
-    for candidate in selected:
-        covered.update(candidate.ben)
-    return make_result(
-        algorithm="optimized_cwsc",
-        chosen=list(range(len(selected))),
-        labels=[Pattern(candidate.values) for candidate in selected],
-        total_cost=sum(candidate.cost for candidate in selected),
-        covered=len(covered),
-        n_elements=table.n_rows,
-        feasible=feasible,
-        params=params,
-        metrics=metrics,
-    )
-
-
-def _bail(
-    table: PatternTable,
-    index: PatternIndex,
-    cost_fn,
-    selected: list[Candidate],
-    on_infeasible: OnInfeasible,
-    params: dict,
-    metrics: Metrics,
-    start: float,
-) -> CoverResult:
-    if on_infeasible == "partial":
-        return _finish(table, selected, False, params, metrics, start)
-    if on_infeasible == "full_cover":
-        all_values: Values = (ALL,) * table.n_attributes
-        fallback = Candidate(
-            all_values, index.all_rows, cost_fn(index.all_rows)
-        )
-        fallback.mben = set(index.all_rows)
-        return _finish(table, [fallback], True, params, metrics, start)
-    partial = _finish(table, selected, False, params, metrics, start)
-    raise InfeasibleError(
-        "optimized_cwsc: no pattern clears the per-pick benefit threshold",
-        partial=partial,
-    )

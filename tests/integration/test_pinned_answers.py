@@ -9,6 +9,11 @@ target, so an approximation ratio below 1 fails here.
 The baselines and the greedy fallback always run on the packed kernel,
 so the backend-equivalence property tests never see their loops; their
 answers and work counters are pinned here instead.
+
+The lattice-pruned solvers and the incremental maintainer work on the
+table behind the same system; their patterns and work counters are
+pinned too. ``optimized_cmc`` answers differ from enumerated CMC, so no
+equivalence test covers it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,10 @@ from repro.core.lp_bound import lp_lower_bound
 from repro.core.lp_rounding import lp_rounding
 from repro.core.packed import packed_layout
 from repro.datasets import load_dataset
+from repro.extensions.incremental import IncrementalCWSC
 from repro.patterns import build_set_system
+from repro.patterns.optimized_cmc import optimized_cmc
+from repro.patterns.optimized_cwsc import optimized_cwsc
 
 K = 10
 S_HAT = 0.5
@@ -91,14 +99,120 @@ PINNED_BASELINES = (
     ),
 )
 
+_CMC_LABELS = (
+    "Pattern('domain', ALL, ALL, ALL, ALL)",
+    "Pattern('http', ALL, ALL, 'REJ', ALL)",
+    "Pattern('http', ALL, ALL, 'S0', ALL)",
+    "Pattern('ftp-data', ALL, ALL, 'REJ', ALL)",
+    "Pattern('smtp', ALL, ALL, 'REJ', ALL)",
+)
+
+#: Lattice solver, its call on the ``lbl:1200@7`` table, then its answer:
+#: ``str`` of each pattern in selection order, ``repr`` of the total
+#: cost, covered rows, and the metrics counters (sets_considered,
+#: selections, marginal_updates, budget_rounds). ``cmc_cli`` is the call
+#: ``scwsc solve --algorithm cmc`` makes with its defaults.
+PINNED_LATTICE = (
+    (
+        "optimized_cwsc",
+        lambda table: optimized_cwsc(
+            table, K, S_HAT, on_infeasible="full_cover"
+        ),
+        (
+            "Pattern('http', ALL, ALL, 'REJ', ALL)",
+            "Pattern('domain', ALL, ALL, ALL, ALL)",
+            "Pattern('http', ALL, ALL, 'S0', ALL)",
+            "Pattern('http', ALL, ALL, ALL, ALL)",
+        ),
+        "6.65", 724,
+        (86, 4, 141, 1),
+    ),
+    (
+        "optimized_cmc_cli",
+        lambda table: optimized_cmc(table, K, S_HAT, b=1.0, eps=1.0),
+        _CMC_LABELS + ("Pattern('http', ALL, ALL, 'SH', ALL)",),
+        "3.55", 390,
+        (6867, 20, 1310, 3),
+    ),
+    (
+        "optimized_cmc_standard",
+        lambda table: optimized_cmc(table, K, S_HAT),
+        _CMC_LABELS + ("Pattern('http', ALL, ALL, 'SH', ALL)",),
+        "3.55", 390,
+        (8668, 23, 1354, 3),
+    ),
+    (
+        "optimized_cmc_generalized",
+        lambda table: optimized_cmc(table, K, S_HAT, l=0.5),
+        _CMC_LABELS + ("Pattern('http', ALL, ALL, 'RSTO', ALL)",),
+        "3.8", 395,
+        (8930, 34, 1537, 3),
+    ),
+)
+
+#: ``IncrementalCWSC`` over the same table sorted by ``(repr(endstate),
+#: row id)``: built on the first 600 rows, then fed three batches of 200.
+#: Per ŝ: the final patterns, ``repr`` of their cost, covered rows, the
+#: maintenance stats (kept, repaired, recomputed, repair_failures) and
+#: the accumulated metrics counters as in ``PINNED_LATTICE``.
+PINNED_INCREMENTAL = (
+    (
+        0.5,
+        (
+            "Pattern('domain', ALL, ALL, 'REJ', ALL)",
+            "Pattern('http', ALL, ALL, 'REJ', ALL)",
+            "Pattern('domain', ALL, ALL, ALL, ALL)",
+            "Pattern('http', ALL, ALL, 'S0', ALL)",
+            "Pattern('smtp', ALL, ALL, 'REJ', ALL)",
+            "Pattern('http', ALL, ALL, 'RSTO', ALL)",
+            "Pattern('pop', ALL, ALL, 'REJ', ALL)",
+            "Pattern('ftp-data', ALL, ALL, 'REJ', ALL)",
+            "Pattern('http', ALL, ALL, ALL, ALL)",
+        ),
+        "9.0", 780,
+        (2, 1, 0, 0),
+        (279, 9, 290, 2),
+    ),
+    (
+        0.7,
+        (
+            "Pattern('http', ALL, ALL, 'REJ', ALL)",
+            "Pattern('domain', ALL, ALL, ALL, ALL)",
+            "Pattern('http', ALL, ALL, 'S0', ALL)",
+            "Pattern('http', ALL, ALL, ALL, ALL)",
+            "Pattern('smtp', ALL, ALL, 'REJ', ALL)",
+            "Pattern('ftp-data', ALL, ALL, 'REJ', ALL)",
+            "Pattern('nntp', ALL, ALL, 'REJ', ALL)",
+            "Pattern('pop', ALL, ALL, ALL, ALL)",
+        ),
+        "11.8", 846,
+        (2, 0, 1, 0),
+        (1115, 18, 533, 3),
+    ),
+)
+
 #: ``data`` plus ``dense`` bytes of the packed layout of ``lbl:100000@7``
 #: (``max`` cost, 451 266 sets) when this test was written.
 LARGE_LAYOUT_BYTES = 17_905_184
 
 
 @pytest.fixture(scope="module")
-def lbl_1200():
-    return build_set_system(load_dataset("lbl:1200@7"), "max")
+def lbl_1200_table():
+    return load_dataset("lbl:1200@7")
+
+
+@pytest.fixture(scope="module")
+def lbl_1200(lbl_1200_table):
+    return build_set_system(lbl_1200_table, "max")
+
+
+def lattice_counters(metrics):
+    return (
+        metrics.sets_considered,
+        metrics.selections,
+        metrics.marginal_updates,
+        metrics.budget_rounds,
+    )
 
 
 class TestPinnedAnswers:
@@ -141,6 +255,56 @@ class TestPinnedAnswers:
             metrics.budget_rounds,
             metrics.selections,
         ) == counters
+
+
+    @pytest.mark.parametrize(
+        "name, call, labels, total_cost, covered, counters",
+        PINNED_LATTICE,
+        ids=[p[0] for p in PINNED_LATTICE],
+    )
+    def test_lattice_answer_is_pinned(
+        self, lbl_1200_table, name, call, labels, total_cost, covered,
+        counters,
+    ):
+        result = call(lbl_1200_table)
+        assert tuple(str(label) for label in result.labels) == labels
+        assert repr(result.total_cost) == total_cost
+        assert result.covered == covered
+        assert result.feasible
+        assert lattice_counters(result.metrics) == counters
+
+    @pytest.mark.parametrize(
+        "s_hat, labels, total_cost, covered, stats, counters",
+        PINNED_INCREMENTAL,
+        ids=[f"s{p[0]}" for p in PINNED_INCREMENTAL],
+    )
+    def test_incremental_sequence_is_pinned(
+        self, lbl_1200_table, s_hat, labels, total_cost, covered, stats,
+        counters,
+    ):
+        table = lbl_1200_table
+        endstate = table.attributes.index("endstate")
+        order = sorted(
+            range(table.n_rows),
+            key=lambda row_id: (repr(table.rows[row_id][endstate]), row_id),
+        )
+        maintainer = IncrementalCWSC(table.take(order[:600]), K, s_hat)
+        for start in (600, 800, 1000):
+            result = maintainer.add_records(
+                table.take(order[start:start + 200])
+            )
+            assert result.feasible
+        assert tuple(str(label) for label in result.labels) == labels
+        assert repr(result.total_cost) == total_cost
+        assert result.covered == covered
+        maintained = maintainer.stats
+        assert (
+            maintained.kept,
+            maintained.repaired,
+            maintained.recomputed,
+            maintained.repair_failures,
+        ) == stats
+        assert lattice_counters(result.metrics) == counters
 
 
 class TestLargeN:

@@ -51,11 +51,13 @@ class TestPoolLifecycle:
     def test_add_get_remove(self, pool):
         cand = pool.materialize(("a",), [0])
         pool.add(cand)
-        assert ("a",) in pool
+        members = pool.members
+        assert ("a",) in pool and ("a",) in members
         assert pool.get(("a",)) is cand
         assert len(pool) == 1
         pool.remove(("a",))
         assert pool.get(("a",)) is None
+        assert ("a",) not in members  # a live view, not a snapshot
 
     def test_select_updates_other_candidates(self, pool):
         first = pool.materialize(("a",), [0, 1])
@@ -111,23 +113,19 @@ class TestSelectionRules:
         assert pool.best_by_gain() is wide
 
     def test_best_by_gain_threshold(self, pool):
+        # Fig. 3 prunes C to the threshold, then takes the argmax.
         pool.add(pool.materialize(("a",), [0]))
         pool.add(pool.materialize(("b",), [1, 2]))
-        assert pool.best_by_gain(min_mben=2).values == ("b",)
-        assert pool.best_by_gain(min_mben=3) is None
-
-    def test_best_by_mben(self, pool):
-        pool.add(pool.materialize(("a",), [0, 1]))
-        pool.add(pool.materialize(("b",), [2, 3, 4]))
-        assert pool.best_by_mben().values == ("b",)
+        pool.prune(lambda candidate: candidate.mben_size >= 2)
+        assert pool.best_by_gain().values == ("b",)
+        pool.prune(lambda candidate: candidate.mben_size >= 3)
+        assert pool.best_by_gain() is None
 
     def test_ties_broken_by_sort_key(self, pool):
         pool.add(pool.materialize(("b",), [0]))
         pool.add(pool.materialize(("a",), [1]))
         # Same size and cost: the lexicographically smaller key wins.
-        assert pool.best_by_mben().values == ("a",)
         assert pool.best_by_gain().values == ("a",)
 
     def test_empty_pool(self, pool):
         assert pool.best_by_gain() is None
-        assert pool.best_by_mben() is None

@@ -37,43 +37,37 @@ class TestBenefit:
         with pytest.raises(ValidationError):
             index.benefit(Pattern((ALL,)))
 
-    def test_rows_with_value(self, index):
-        assert index.rows_with_value(0, "B") == frozenset({2, 3, 4})
-        assert index.rows_with_value(1, "Z") == frozenset()
-
 
 class TestChildren:
     def test_children_partition_parent(self, index):
         parent = Pattern((ALL, ALL))
-        children = dict(index.children_of(parent))
-        union: set = set()
-        for child, ben in children.items():
-            assert ben  # no empty children materialized
-            assert ben <= index.benefit(parent)
-            assert ben == index.benefit(child)
-        for position in (0, 1):
-            slice_union: set = set()
-            for child, ben in children.items():
-                if child.values[position] is not ALL:
-                    slice_union |= ben
-            assert slice_union == set(range(5))
-
-    def test_children_of_leafless_pattern(self, index):
-        fully_constant = Pattern(("A", "W"))
-        assert list(index.children_of(fully_constant)) == []
-
-    def test_children_values_agree_with_children_of(self, index):
-        parent = Pattern((ALL, "E"))
-        via_patterns = {
-            child.values: ben for child, ben in index.children_of(parent)
-        }
-        via_values = {
+        children = {
             child: frozenset(rows)
             for _, child, rows in index.children_values(
                 parent.values, index.benefit(parent)
             )
         }
-        assert via_patterns == via_values
+        for child, ben in children.items():
+            assert ben  # no empty children materialized
+            assert ben <= index.benefit(parent)
+            assert ben == index.benefit(Pattern(child))
+        for position in (0, 1):
+            slice_union: set = set()
+            for child, ben in children.items():
+                if child[position] is not ALL:
+                    slice_union |= ben
+            assert slice_union == set(range(5))
+
+    def test_children_of_leafless_pattern(self, index):
+        fully_constant = ("A", "W")
+        assert list(index.children_values(fully_constant, [0])) == []
+
+    def test_children_values_agree_with_benefit(self, index):
+        parent = Pattern((ALL, "E"))
+        for _, child, rows in index.children_values(
+            parent.values, index.benefit(parent)
+        ):
+            assert frozenset(rows) == index.benefit(Pattern(child))
 
     def test_children_respect_given_benefit(self, index):
         # Restricting the parent benefit restricts the children.
@@ -96,3 +90,62 @@ class TestChildren:
         first = list(index.children_values((ALL, ALL), range(5)))
         second = list(index.children_values((ALL, ALL), range(5)))
         assert [c for _, c, _ in first] == [c for _, c, _ in second]
+
+
+class TestChildFilter:
+    """The lattice rule of Fig. 3 line 16 and Fig. 4 line 33."""
+
+    def test_min_rows_skips_small_children(self, index):
+        children = {
+            child
+            for _, child, _ in index.children_values(
+                (ALL, ALL), range(5), min_rows=3
+            )
+        }
+        # A has 2 rows, W has 2: only B (3 rows) and E (3 rows) clear 3.
+        assert children == {("B", ALL), (ALL, "E")}
+
+    def test_exclude_skips_members_of_any_container(self, index):
+        children = [
+            child
+            for _, child, _ in index.children_values(
+                (ALL, ALL), range(5), exclude=({("A", ALL)}, {(ALL, "W")})
+            )
+        ]
+        assert children == [("B", ALL), (ALL, "E")]
+
+    def test_other_parents_must_all_be_in_the_container(self, index):
+        # ("A", "E") has parents (ALL, "E") and ("A", ALL). Expanding
+        # ("A", ALL), only the other parent (ALL, "E") is looked up.
+        def children(parents_in):
+            return [
+                child
+                for _, child, _ in index.children_values(
+                    ("A", ALL), [0, 1], parents_in=parents_in
+                )
+            ]
+
+        assert children(set()) == []
+        assert children({(ALL, "E")}) == [("A", "E")]
+        assert children({(ALL, "E"), (ALL, "W")}) == [
+            ("A", "E"), ("A", "W")
+        ]
+
+    def test_children_of_the_root_have_no_other_parent(self, index):
+        unfiltered = list(index.children_values((ALL, ALL), range(5)))
+        filtered = list(
+            index.children_values((ALL, ALL), range(5), parents_in=set())
+        )
+        assert filtered == unfiltered
+
+    def test_filters_see_containers_updated_between_yields(self, index):
+        # The checks run as each child is reached, so a caller that adds
+        # yielded children to an excluded container affects later ones.
+        seen: set = set()
+        yielded = []
+        for _, child, _ in index.children_values(
+            (ALL, ALL), range(5), exclude=(seen,)
+        ):
+            yielded.append(child)
+            seen.add(child)
+        assert len(yielded) == len(set(yielded)) == 4

@@ -71,11 +71,11 @@ class TestIndexProperties:
         index = PatternIndex(table)
         parent = Pattern.all_pattern(table.n_attributes)
         parent_ben = index.benefit(parent)
-        for child, ben in index.children_of(parent, parent_ben):
-            assert ben <= parent_ben
+        for _, child, ben in index.children_values(parent.values, parent_ben):
+            assert set(ben) <= parent_ben
             assert len(ben) >= 1
-            for grandchild, grand_ben in index.children_of(child, ben):
-                assert grand_ben <= ben
+            for _, _, grand_ben in index.children_values(child, ben):
+                assert set(grand_ben) <= set(ben)
 
     @settings(max_examples=40)
     @given(pattern_tables(with_measure=False))
