@@ -80,6 +80,18 @@ def _zipf_probabilities(n_values: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _draw(
+    rng: np.random.Generator, domain, n_rows: int, exponent: float
+) -> list:
+    """``n_rows`` Zipf-weighted draws from ``domain``, as the domain's
+    own objects: a table then holds one string per distinct value, not
+    one per cell (0.5 instead of 2.1 MB for 6 000 rows)."""
+    picks = rng.choice(
+        len(domain), size=n_rows, p=_zipf_probabilities(len(domain), exponent)
+    )
+    return [domain[pick] for pick in picks.tolist()]
+
+
 def lbl_trace(
     n_rows: int = 10_000,
     seed: int = 7,
@@ -126,31 +138,17 @@ def lbl_trace(
     protocol_order = _rotated(_PROTOCOLS, drift)
     endstate_order = _rotated(_ENDSTATES, drift)
 
-    protocols = rng.choice(
-        protocol_order,
-        size=n_rows,
-        p=_zipf_probabilities(len(_PROTOCOLS), zipf_exponent),
+    protocols = _draw(rng, protocol_order, n_rows, zipf_exponent)
+    localhosts = _draw(
+        rng, [f"lbl-{i:03d}" for i in range(n_localhosts)], n_rows,
+        zipf_exponent,
     )
-    localhosts = rng.choice(
-        np.array([f"lbl-{i:03d}" for i in range(n_localhosts)]),
-        size=n_rows,
-        p=_zipf_probabilities(n_localhosts, zipf_exponent),
+    remotehosts = _draw(
+        rng, [f"rem-{i:04d}" for i in range(n_remotehosts)], n_rows,
+        zipf_exponent,
     )
-    remotehosts = rng.choice(
-        np.array([f"rem-{i:04d}" for i in range(n_remotehosts)]),
-        size=n_rows,
-        p=_zipf_probabilities(n_remotehosts, zipf_exponent),
-    )
-    endstates = rng.choice(
-        endstate_order,
-        size=n_rows,
-        p=_zipf_probabilities(len(_ENDSTATES), zipf_exponent),
-    )
-    flags = rng.choice(
-        _FLAGS,
-        size=n_rows,
-        p=_zipf_probabilities(len(_FLAGS), zipf_exponent),
-    )
+    endstates = _draw(rng, endstate_order, n_rows, zipf_exponent)
+    flags = _draw(rng, _FLAGS, n_rows, zipf_exponent)
 
     shift = np.array([_PROTOCOL_DURATION_SHIFT[p] for p in protocols])
     state_factor = np.array(
@@ -166,15 +164,7 @@ def lbl_trace(
     durations = np.round(durations, 4)
     durations = np.maximum(durations, 0.0001)
 
-    rows = list(
-        zip(
-            protocols.tolist(),
-            localhosts.tolist(),
-            remotehosts.tolist(),
-            endstates.tolist(),
-            flags.tolist(),
-        )
-    )
+    rows = list(zip(protocols, localhosts, remotehosts, endstates, flags))
     return PatternTable(
         attributes=LBL_ATTRIBUTES,
         rows=rows,

@@ -101,14 +101,21 @@ class IncrementalCWSC:
 
     def current_result(self) -> CoverResult:
         """The maintained solution evaluated on the current table."""
-        return self._result(PatternIndex(self._table))
+        return self._result(self._table.pattern_index(), [])
 
-    def _result(self, index: PatternIndex) -> CoverResult:
+    def _result(
+        self, index: PatternIndex, benefits: list[frozenset[int]]
+    ) -> CoverResult:
+        """The result of the maintained patterns; ``benefits`` holds the
+        rows of a prefix of them, computed by the caller already."""
+        benefits = benefits + [
+            index.benefit(pattern)
+            for pattern in self._patterns[len(benefits):]
+        ]
         cost_fn = self._cost_obj.bind(self._table)
         covered: set[int] = set()
         total_cost = 0.0
-        for pattern in self._patterns:
-            ben = index.benefit(pattern)
+        for ben in benefits:
             covered |= ben
             total_cost += cost_fn(ben)
         return make_result(
@@ -133,10 +140,9 @@ class IncrementalCWSC:
         self._table = self._table.extend(batch)
         self._stats.batches += 1
 
-        index = PatternIndex(self._table)
-        covered: set[int] = set()
-        for pattern in self._patterns:
-            covered |= index.benefit(pattern)
+        index = self._table.pattern_index()
+        benefits = [index.benefit(pattern) for pattern in self._patterns]
+        covered: set[int] = set().union(*benefits)
         required = self._s_hat * self._table.n_rows
         if len(covered) >= required - _EPS:
             self._stats.kept += 1
@@ -145,8 +151,9 @@ class IncrementalCWSC:
         else:
             self._recompute()
             self._stats.recomputed += 1
+            benefits = []
         self._stats.metrics.runtime_seconds += time.perf_counter() - start
-        return self._result(index)
+        return self._result(index, benefits)
 
     # ------------------------------------------------------------------
     def _repair(self, index: PatternIndex, covered: set[int]) -> bool:

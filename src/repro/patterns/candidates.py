@@ -22,15 +22,12 @@ the optimized and unoptimized algorithms select identical sets.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Iterator, KeysView
+from typing import Callable, Iterable, Iterator
 
-from repro._typing import AttrValue
 from repro.core.result import CoverResult, Metrics, make_result
+from repro.patterns.index import LatticeSet, PatternData, Values
 from repro.patterns.pattern import Pattern, values_sort_key
 from repro.patterns.table import PatternTable
-
-#: A candidate's identity: one value-or-ALL per attribute.
-Values = tuple[AttrValue, ...]
 
 
 class Candidate:
@@ -39,13 +36,17 @@ class Candidate:
     __slots__ = ("values", "ben", "cost", "mben", "_sort_key")
 
     def __init__(
-        self, values: Values, ben: Iterable[int], cost: float
+        self,
+        values: Values,
+        ben: Iterable[int],
+        cost: float,
+        sort_key: tuple | None = None,
     ) -> None:
         self.values = values
         self.ben = tuple(ben)
         self.cost = cost
         self.mben: set[int] = set()
-        self._sort_key: tuple | None = None
+        self._sort_key = sort_key
 
     @property
     def mben_size(self) -> int:
@@ -90,16 +91,17 @@ class CandidatePool:
         cost_fn: Callable[[Iterable[int]], float],
         metrics: Metrics,
         covered: Iterable[int] | None = None,
-        cost_cache: dict[Values, float] | None = None,
+        known: dict[Values, PatternData] | None = None,
     ) -> None:
         self._cost_fn = cost_fn
         self._metrics = metrics
         self._candidates: dict[Values, Candidate] = {}
+        self._members = LatticeSet()
         self._archive: dict[Values, Candidate] = {}
         self._covered: set[int] = set(covered) if covered is not None else set()
-        # Pattern costs are static, so CMC shares this cache across its
-        # budget rounds (each round uses a fresh pool otherwise).
-        self._cost_cache = cost_cache if cost_cache is not None else {}
+        # Static pattern data can outlive the pool: CMC shares this dict
+        # across its budget rounds (each round uses a fresh pool).
+        self._known = known if known is not None else {}
 
     # ------------------------------------------------------------------
     @property
@@ -114,11 +116,18 @@ class CandidatePool:
         return values in self._candidates
 
     @property
-    def members(self) -> KeysView[Values]:
-        """Live view of the values in ``C``. The lattice filter tests
-        membership once per child, so it takes this view, whose ``in``
-        needs no Python call, rather than the pool itself."""
-        return self._candidates.keys()
+    def known(self) -> dict[Values, PatternData]:
+        """Every pattern this pool (and any pool sharing its dict) has
+        materialized, for :meth:`~repro.patterns.index.PatternIndex.
+        children_values` to reuse their rows (do not mutate)."""
+        return self._known
+
+    @property
+    def members(self) -> LatticeSet:
+        """Live view of the values in ``C``, with the slot index that
+        :meth:`~repro.patterns.index.PatternIndex.children_values` reads
+        for Fig. 3's all-parents rule (do not mutate)."""
+        return self._members
 
     def __iter__(self) -> Iterator[Candidate]:
         return iter(self._candidates.values())
@@ -135,38 +144,50 @@ class CandidatePool:
         quantity Fig. 6 plots. Candidates previously pruned from the pool
         are rehydrated from the archive instead of recomputing their cost
         and benefit (their stale marginal only shrinks, so refreshing it
-        against the covered set is exact).
+        against the covered set is exact). A pattern already in ``known``
+        reuses its rows, cost and sort key; it still counts, because the
+        round that meets it again pays for it in the paper's algorithm.
+        ``ben`` lists the rows in ascending order: ``sum``, ``mean`` and
+        the lp-norm costs round in the order they see the rows.
         """
         archived = self._archive.pop(values, None)
         covered = self._covered
         if archived is not None:
-            archived.mben = {
-                row for row in archived.mben if row not in covered
-            }
+            archived.mben.difference_update(covered)
             return archived
         self._metrics.sets_considered += 1
-        cost = self._cost_cache.get(values)
-        if cost is None:
-            cost = self._cost_fn(ben)
-            self._cost_cache[values] = cost
-        candidate = Candidate(values, ben, cost)
+        data = self._known.get(values)
+        if data is None:
+            ben = tuple(ben)
+            data = self._known[values] = PatternData(
+                values, ben, self._cost_fn(ben), values_sort_key(values)
+            )
+        candidate = Candidate(
+            values,
+            data.rows,
+            data.cost,
+            data.sort_key if data.values is values else None,
+        )
+        candidate.mben = set(candidate.ben)
         if covered:
-            candidate.mben = {
-                row for row in candidate.ben if row not in covered
-            }
-        else:
-            candidate.mben = set(candidate.ben)
+            candidate.mben.difference_update(covered)
         return candidate
 
     def add(self, candidate: Candidate) -> None:
         self._candidates[candidate.values] = candidate
+        self._members.add(candidate.values)
 
     def archive(self, candidate: Candidate) -> None:
         """Stash a materialized-but-unqualified candidate for cheap reuse."""
         self._archive[candidate.values] = candidate
 
     def remove(self, values: Values) -> Candidate | None:
+        self._members.discard(values)
         return self._candidates.pop(values, None)
+
+    def _evict(self, values: Values) -> None:
+        self._members.discard(values)
+        self._archive[values] = self._candidates.pop(values)
 
     def prune(self, predicate: Callable[[Candidate], bool]) -> None:
         """Archive every candidate for which ``predicate`` is false.
@@ -181,7 +202,7 @@ class CandidatePool:
             if not predicate(candidate)
         ]
         for values in doomed:
-            self._archive[values] = self._candidates.pop(values)
+            self._evict(values)
 
     # ------------------------------------------------------------------
     def select(self, candidate: Candidate) -> set[int]:
@@ -190,7 +211,7 @@ class CandidatePool:
         Subtracts the newly covered rows from every other candidate's
         marginal benefit and evicts candidates that become useless.
         """
-        self._candidates.pop(candidate.values, None)
+        self.remove(candidate.values)
         self._metrics.selections += 1
         newly = set(candidate.mben)
         self._covered |= newly
@@ -206,7 +227,7 @@ class CandidatePool:
             # Evicted-but-materialized candidates go to the archive so a
             # later expansion round reuses them instead of recomputing
             # (and re-counting) their benefit and cost.
-            self._archive[values] = self._candidates.pop(values)
+            self._evict(values)
         return newly
 
     # ------------------------------------------------------------------

@@ -30,14 +30,9 @@ from typing import Callable, Iterable, Literal
 from repro.core.result import CoverResult, Metrics
 from repro.errors import InfeasibleError, ValidationError
 from repro.obs import trace as obs_trace
-from repro.patterns.candidates import (
-    Candidate,
-    CandidatePool,
-    Values,
-    lattice_result,
-)
+from repro.patterns.candidates import Candidate, CandidatePool, lattice_result
 from repro.patterns.costs import CostFunction, get_cost_function
-from repro.patterns.index import PatternIndex
+from repro.patterns.index import PatternIndex, Values
 from repro.patterns.pattern import ALL, Pattern
 from repro.patterns.table import PatternTable
 
@@ -116,7 +111,7 @@ def _optimized_cwsc_body(
         if traced
         else obs_trace.NULL_SPAN
     ):
-        index = PatternIndex(table)
+        index = table.pattern_index()
         cost_fn = get_cost_function(cost).bind(table)
 
     selected, reached = cwsc_picks(
@@ -227,6 +222,7 @@ def _expand(
             parents_in=pool.members,
             exclude=(pool.members, selected_values),
             min_rows=threshold,
+            known=pool.known,
         ):
             child_candidate = pool.materialize(child, child_ben)
             if child_candidate.mben_size >= threshold:

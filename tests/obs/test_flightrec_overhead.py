@@ -3,11 +3,12 @@
 Arming the recorder installs a ring channel but leaves
 ``trace.enabled()`` False, so the per-selection guard in the tracker
 ``select`` loops reads the same global and takes the same branch — the
-loop is byte-identical with the recorder on or off. This test enforces
-the <2% budget from the flight-recorder design note by timing the same
-instrumented sweep in both global states (best-of-N, plus a small
-absolute floor so a microsecond-scale loop on a noisy CI box cannot
-flake the ratio).
+loop is the same code with the recorder on or off. These tests check
+that property directly, without a clock: the greedy sweep makes the same
+selections, with the same covered counts, through the same sequence of
+Python and builtin calls in both states. (Timing the two states against
+a 2 % budget failed on host noise alone on 2-vCPU machines; perfbench's
+``obs.trace_overhead_ratio`` measures the wall-clock side end to end.)
 
 The companion serve-side budget (recorder work per request vs. request
 p50) lives in ``tests/serve/test_debug_endpoints.py``.
@@ -15,8 +16,9 @@ p50) lives in ``tests/serve/test_debug_endpoints.py``.
 
 from __future__ import annotations
 
+import gc
 import random
-import time
+import sys
 
 from repro.core.marginal import MarginalTracker
 from repro.core.packed import PackedMarginalTracker
@@ -24,17 +26,8 @@ from repro.core.setsystem import SetSystem
 from repro.obs import flightrec
 from repro.obs import trace as obs_trace
 
-#: The budget: armed may cost at most 2% over off, plus an absolute
-#: floor absorbing scheduler jitter on sub-millisecond loops.
-MAX_REGRESSION = 1.02
-ABSOLUTE_SLACK = 2e-4
-
 N_ELEMENTS = 512
 N_SETS = 160
-#: Rounds per state. The packed kernel's sweep times spread ~20 %
-#: run to run, so its best-of-7 missed the budget in ~3 % of runs with
-#: no real difference between the states; 25 rounds cost ~0.2 s.
-BEST_OF = 25
 
 
 def _system() -> SetSystem:
@@ -56,50 +49,61 @@ def _greedy_order(tracker) -> list[int]:
     return order
 
 
-def _time_sweep(make_tracker, order) -> float:
+def _profiled_sweep(make_tracker) -> tuple[list, list]:
+    """The greedy sweep's picks with their covered counts, and every
+    Python and builtin call the sweep made, in order."""
+    calls: list[tuple[str, str]] = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append((frame.f_code.co_filename, frame.f_code.co_qualname))
+        elif event == "c_call":
+            calls.append(("<builtin>", getattr(arg, "__qualname__", "?")))
+
     tracker = make_tracker()
-    t0 = time.perf_counter()
-    for set_id in order:
-        tracker.select(set_id)
-    return time.perf_counter() - t0
+    picks = []
+    # Collection callbacks (hypothesis installs one) fire at arbitrary
+    # points; keep them out of the trace.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        while len(tracker):
+            best = max(
+                tracker.live_items(), key=lambda kv: (kv[1], -kv[0])
+            )[0]
+            picks.append((best, tracker.select(best)))
+    finally:
+        sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
+    return picks, calls
 
 
-def _assert_armed_within_budget(make_tracker):
-    order = _greedy_order(make_tracker())
-    assert len(order) > 20
-    # Warm once so neither state's first timed pass pays first-run costs.
-    _time_sweep(make_tracker, order)
-
-    # Best-of-N per state, alternating the states round by round: a
-    # burst of host noise then lands on both sides instead of on one
-    # whole series.
-    baseline = armed = float("inf")
-    for _ in range(BEST_OF):
-        assert not obs_trace.recording()
-        baseline = min(baseline, _time_sweep(make_tracker, order))
-        flightrec.install()
-        try:
-            assert obs_trace.recording() and not obs_trace.enabled()
-            armed = min(armed, _time_sweep(make_tracker, order))
-        finally:
-            flightrec.uninstall()
-
-    budget = baseline * MAX_REGRESSION + ABSOLUTE_SLACK
-    assert armed <= budget, (
-        f"tracker loop with recorder armed took {armed * 1e6:.0f}us vs "
-        f"{baseline * 1e6:.0f}us off (budget {budget * 1e6:.0f}us = "
-        f"{MAX_REGRESSION}x + {ABSOLUTE_SLACK * 1e6:.0f}us slack)"
-    )
+def _assert_armed_sweep_unchanged(make_tracker):
+    assert not obs_trace.recording()
+    # Warm once: the first sweep in a process registers its metrics.
+    _profiled_sweep(make_tracker)
+    picks, calls = _profiled_sweep(make_tracker)
+    assert len(picks) > 20
+    flightrec.install()
+    try:
+        assert obs_trace.recording() and not obs_trace.enabled()
+        armed_picks, armed_calls = _profiled_sweep(make_tracker)
+    finally:
+        flightrec.uninstall()
+    assert armed_picks == picks
+    assert armed_calls == calls
 
 
 class TestArmedRecorderOverhead:
     def test_set_backend_unchanged_when_armed(self):
         system = _system()
-        _assert_armed_within_budget(lambda: MarginalTracker(system))
+        _assert_armed_sweep_unchanged(lambda: MarginalTracker(system))
 
     def test_packed_backend_unchanged_when_armed(self):
         system = _system()
-        _assert_armed_within_budget(lambda: PackedMarginalTracker(system))
+        _assert_armed_sweep_unchanged(lambda: PackedMarginalTracker(system))
 
     def test_armed_sweep_rings_no_per_selection_spans(self):
         """The mechanism behind the budget: a full sweep with the

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.patterns.index import PatternIndex
+from repro.patterns.index import LatticeSet, PatternData, PatternIndex
 from repro.patterns.pattern import ALL, Pattern
 from repro.patterns.table import PatternTable
 
@@ -125,16 +125,18 @@ class TestChildFilter:
                 )
             ]
 
-        assert children(set()) == []
-        assert children({(ALL, "E")}) == [("A", "E")]
-        assert children({(ALL, "E"), (ALL, "W")}) == [
+        assert children(LatticeSet()) == []
+        assert children(LatticeSet([(ALL, "E")])) == [("A", "E")]
+        assert children(LatticeSet([(ALL, "E"), (ALL, "W")])) == [
             ("A", "E"), ("A", "W")
         ]
 
     def test_children_of_the_root_have_no_other_parent(self, index):
         unfiltered = list(index.children_values((ALL, ALL), range(5)))
         filtered = list(
-            index.children_values((ALL, ALL), range(5), parents_in=set())
+            index.children_values(
+                (ALL, ALL), range(5), parents_in=LatticeSet()
+            )
         )
         assert filtered == unfiltered
 
@@ -149,3 +151,78 @@ class TestChildFilter:
             yielded.append(child)
             seen.add(child)
         assert len(yielded) == len(set(yielded)) == 4
+
+
+class TestLatticeSet:
+    """The slot index the all-parents rule reads."""
+
+    def test_members_fill_one_slot_per_constant(self):
+        members = LatticeSet([("A", "E", ALL), ("A", "W", ALL)])
+        assert ("A", "E", ALL) in members and ("A", "W", ALL) in members
+        assert members.allowed([(ALL, "E", ALL)], 0) == {"A"}
+        assert members.allowed([("A", ALL, ALL)], 1) == {"E", "W"}
+        assert not members.allowed([("A", "E", ALL)], 2)
+
+    def test_allowed_intersects_every_parents_slot(self):
+        members = LatticeSet(
+            [("A", ALL, "x"), ("B", ALL, "x"), (ALL, "E", "x")]
+        )
+        # Children of (ALL, "E", "x") at position 0: the parent (ALL,
+        # ALL, "x") has "A" and "B" filled in, but (ALL, "E", ALL) none.
+        assert members.allowed([(ALL, ALL, "x")], 0) == {"A", "B"}
+        assert not members.allowed([(ALL, ALL, "x"), (ALL, "E", ALL)], 0)
+        members.add(("A", "E", ALL))
+        assert members.allowed([(ALL, ALL, "x"), (ALL, "E", ALL)], 0) == {
+            "A"
+        }
+
+    def test_discard_empties_slots(self):
+        members = LatticeSet([("A", "E"), ("A", "W")])
+        # The first query indexes the members; changes keep it in step.
+        assert members.allowed([("A", ALL)], 1) == {"E", "W"}
+        members.discard(("A", "E"))
+        members.discard(("A", "E"))  # absent: no-op
+        assert ("A", "E") not in members
+        assert members.allowed([("A", ALL)], 1) == {"W"}
+        members.discard(("A", "W"))
+        assert not members.allowed([("A", ALL)], 1)
+        assert not members.allowed([(ALL, "W")], 0)
+        assert ("A", "W") not in members
+
+    def test_slot_answers_the_rule_after_removal(self, index):
+        parents = LatticeSet([(ALL, "E"), (ALL, "W")])
+        parents.discard((ALL, "W"))
+        assert [
+            child
+            for _, child, _ in index.children_values(
+                ("A", ALL), [0, 1], parents_in=parents
+            )
+        ] == [("A", "E")]
+
+
+class TestKnownRows:
+    """Rows reused from ``known``, as CMC's budget rounds do."""
+
+    def test_a_known_child_reuses_its_rows(self, index):
+        data = PatternData(("A", "E"), (1,), 1.0, ())
+        assert list(
+            index.children_values(("A", ALL), (0, 1), known={("A", "E"): data})
+        ) == [(1, ("A", "E"), (1,)), (1, ("A", "W"), [0])]
+
+    def test_the_known_tuple_is_yielded_when_it_prints_the_same(self, index):
+        data = PatternData(("A", "E"), (1,), 1.0, ())
+        [(_, child, _), _] = index.children_values(
+            ("A", ALL), (0, 1), known={("A", "E"): data}
+        )
+        assert child is data.values
+
+    def test_a_known_child_keeps_its_parents_print(self):
+        # (1, "x") is reachable from (1, ALL), whose lowest row prints 1,
+        # and from (ALL, "x"), whose child's lowest row prints 1.0.
+        table = PatternTable(("A", "B"), [(1, "y"), (1.0, "x")])
+        index = PatternIndex(table)
+        known = {(1, "x"): PatternData((1, "x"), (1,), 1.0, ())}
+        [(_, child, rows)] = index.children_values(
+            (ALL, "x"), (1,), known=known
+        )
+        assert repr(child) == "(1.0, 'x')" and rows == (1,)
