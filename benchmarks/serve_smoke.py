@@ -220,7 +220,6 @@ def healthy_phase(out_dir: Path, system_payload: dict) -> Path:
             "scwsc_build_info{",
             'scwsc_server_requests_total{code="200",endpoint="/solve"}',
             "scwsc_server_request_seconds_bucket",
-            "scwsc_slo_burn_rate{",
         ):
             if needle not in page:
                 fail(f"/metrics missing {needle!r}")

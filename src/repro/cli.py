@@ -3,9 +3,7 @@
 Subcommands:
 
 * ``list`` — show the available paper experiments;
-* ``run`` — regenerate a paper table/figure (or ``all`` of them), with
-  per-cell checkpointing, ``--resume`` for interrupted sweeps, and
-  ``--workers N`` to fan cells out over a supervised process pool;
+* ``run`` — regenerate a paper table/figure (or ``all`` of them);
 * ``solve`` — run size-constrained weighted set cover on a CSV of
   records, optionally under a ``--timeout`` and/or resilient
   ``--fallback`` chain, or fully process-isolated with ``--isolate``
@@ -24,19 +22,16 @@ Subcommands:
   report.html``); without one, regenerate the markdown
   experiment report as before;
 * ``serve`` — run the fault-tolerant solver daemon: a warm supervised
-  pool behind an HTTP front door with admission control, per-tenant
-  rate limits, per-request deadlines, end-to-end request tracing, SLO
-  burn-rate gauges, a JSONL access log (``--access-log``), and SIGTERM
-  graceful drain (see docs/SERVING.md);
-* ``top`` — live terminal console over a running daemon's ``/metrics``:
-  in-flight/QPS, latency percentiles, SLO burn, shed reasons, breaker
-  states, worker RSS (``scwsc top http://127.0.0.1:8080``).
+  pool behind an HTTP front door with admission control, per-request
+  deadlines, end-to-end request tracing, a JSONL access log
+  (``--access-log``), and SIGTERM graceful drain (see
+  docs/SERVING.md).
 
 Examples::
 
     scwsc list
     scwsc run fig5 --scale full
-    scwsc run table4 --scale small --resume --workers 4
+    scwsc run table4 --scale small
     scwsc solve data.csv --attributes Type,Location --measure Cost \\
         -k 2 -s 0.5625 --algorithm cwsc
     scwsc solve data.csv --attributes Type,Location -k 2 -s 0.5 \\
@@ -51,7 +46,7 @@ bad input, 3 for infeasible, 4 for a blown deadline, 5 for an
 intractable pattern space, 6 for a transient backend failure, 7 for a
 supervisor/worker protocol error; the message goes to stderr. An
 interrupt (Ctrl-C) exits 130, and SIGTERM exits 143, both after
-flushing whatever checkpoints and result lines were already complete —
+flushing whatever result lines were already complete —
 SIGTERM gets the same drain-and-flush treatment as Ctrl-C instead of
 killing the process mid-write.
 """
@@ -118,30 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=argparse.FileType("w"),
         default=None,
         help="also write the report to a file",
-    )
-    run_parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the experiment's checkpoint instead of "
-        "recomputing completed cells",
-    )
-    run_parser.add_argument(
-        "--checkpoint-dir",
-        default=".scwsc-checkpoints",
-        help="directory for per-experiment checkpoint files "
-        "(default: .scwsc-checkpoints)",
-    )
-    run_parser.add_argument(
-        "--no-checkpoint",
-        action="store_true",
-        help="disable checkpoint snapshots entirely",
-    )
-    run_parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="run experiment cells on a supervised process pool of this "
-        "size (0 = in-process; composes with --resume)",
     )
     _add_trace_argument(run_parser)
 
@@ -468,24 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest per-request deadline honored (default: 300)",
     )
     serve_parser.add_argument(
-        "--tenant-rate",
-        type=float,
-        default=50.0,
-        help="per-tenant sustained requests/second (default: 50)",
-    )
-    serve_parser.add_argument(
-        "--tenant-burst",
-        type=float,
-        default=100.0,
-        help="per-tenant token-bucket burst (default: 100)",
-    )
-    serve_parser.add_argument(
-        "--tenant-inflight",
-        type=int,
-        default=8,
-        help="per-tenant concurrent-request cap (default: 8)",
-    )
-    serve_parser.add_argument(
         "--read-timeout",
         type=float,
         default=10.0,
@@ -513,26 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/OBSERVABILITY.md)",
     )
     serve_parser.add_argument(
-        "--slo-latency-threshold",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="latency SLO threshold in seconds (default: 1.0)",
-    )
-    serve_parser.add_argument(
-        "--slo-latency-objective",
-        type=float,
-        default=0.99,
-        help="fraction of requests that must finish under the latency "
-        "threshold (default: 0.99)",
-    )
-    serve_parser.add_argument(
-        "--slo-error-objective",
-        type=float,
-        default=0.999,
-        help="fraction of requests that must avoid 5xx (default: 0.999)",
-    )
-    serve_parser.add_argument(
         "--no-flightrec",
         action="store_true",
         help="disarm the always-on flight-recorder ring buffers",
@@ -547,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="spool directory for triggered scwsc-postmortem/1 bundles "
-        "(worker death, breaker open, SLO fast-burn, 5xx); unset "
+        "(worker death, hard timeout, breaker open, 5xx); unset "
         "disables triggered bundles",
     )
     serve_parser.add_argument(
@@ -579,27 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         "leaves only on-demand/trigger bursts (default: 0)",
     )
     _add_trace_argument(serve_parser)
-
-    top_parser = commands.add_parser(
-        "top",
-        help="live terminal console over a running daemon's /metrics: "
-        "in-flight, QPS, latency percentiles, SLO burn, sheds, breakers",
-    )
-    top_parser.add_argument(
-        "url",
-        help="daemon base URL or /metrics URL, e.g. http://127.0.0.1:8080",
-    )
-    top_parser.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="seconds between scrapes (default: 2)",
-    )
-    top_parser.add_argument(
-        "--once",
-        action="store_true",
-        help="render one frame and exit (no TTY required)",
-    )
 
     debug_parser = commands.add_parser(
         "debug",
@@ -659,10 +571,10 @@ class _Terminated(KeyboardInterrupt):
     """SIGTERM, surfaced through the KeyboardInterrupt cleanup path.
 
     Subclassing ``KeyboardInterrupt`` reuses every flush-and-unwind
-    path the codebase already has for Ctrl-C (checkpoint stores flush
-    per put, ``batch`` flushes per result line, pool context managers
-    close their workers), while letting :func:`main` report the
-    conventional 128+SIGTERM exit code instead of 130.
+    path the codebase already has for Ctrl-C (``batch`` flushes per
+    result line, pool context managers close their workers), while
+    letting :func:`main` report the conventional 128+SIGTERM exit code
+    instead of 130.
     """
 
 
@@ -723,10 +635,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_batch(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "top":
-            from repro.obs.console import run_top
-
-            return run_top(args.url, interval=args.interval, once=args.once)
         if args.command == "debug":
             return _cmd_debug(args)
         return _cmd_solve(args)
@@ -743,9 +651,9 @@ def main(argv: list[str] | None = None) -> int:
         print("terminated; partial results are flushed", file=sys.stderr)
         return 143
     except KeyboardInterrupt:
-        # Checkpoint stores flush after every put and `batch` flushes
-        # each result line, so everything completed so far is already on
-        # disk; report the interrupt with the conventional 128+SIGINT.
+        # `batch` flushes each result line, so everything completed so
+        # far is already on disk; report the interrupt with the
+        # conventional 128+SIGINT.
         print("interrupted; partial results are flushed", file=sys.stderr)
         return 130
     finally:
@@ -773,41 +681,15 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.experiments.base import CheckpointStore
-
     ids = (
         list(available_experiments())
         if args.experiment == "all"
         else [args.experiment]
     )
-    chunks = []
-    for experiment_id in ids:
-        store = None
-        if not args.no_checkpoint:
-            path = (
-                Path(args.checkpoint_dir)
-                / f"{experiment_id}-{args.scale}.json"
-            )
-            store = CheckpointStore(path)
-            if args.resume:
-                if len(store):
-                    print(
-                        f"resuming {experiment_id} from {path} "
-                        f"({len(store)} cell(s) done)",
-                        file=sys.stderr,
-                    )
-            else:
-                store.clear()
-        report = run_experiment(
-            experiment_id,
-            scale=args.scale,
-            checkpoint=store,
-            workers=args.workers,
-        )
-        chunks.append(report.text)
-    output = "\n\n".join(chunks)
+    output = "\n\n".join(
+        run_experiment(experiment_id, scale=args.scale).text
+        for experiment_id in ids
+    )
     print(output)
     if args.out is not None:
         with args.out as handle:
@@ -1156,16 +1038,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue_depth=args.queue_depth,
         default_deadline=args.default_deadline,
         max_deadline=args.max_deadline,
-        tenant_rate=args.tenant_rate,
-        tenant_burst=args.tenant_burst,
-        tenant_max_inflight=args.tenant_inflight,
         read_timeout=args.read_timeout,
         grace=args.grace,
         drain_timeout=args.drain_timeout,
         access_log=args.access_log,
-        slo_latency_threshold=args.slo_latency_threshold,
-        slo_latency_objective=args.slo_latency_objective,
-        slo_error_objective=args.slo_error_objective,
         flightrec=not args.no_flightrec,
         debug_endpoints=not args.no_debug_endpoints,
         postmortem_dir=args.postmortem_dir,

@@ -16,7 +16,7 @@ Two layers and their helpers:
   cached (:func:`packed_layout`). Because the pool worker LRU caches
   deserialized systems by sha256 fingerprint
   (:data:`repro.resilience.pool.protocol.SYSTEM_CACHE_SIZE`), repeat
-  tenants and benchmark warm-ups reuse the layout through the same path.
+  requests and benchmark warm-ups reuse the layout through the same path.
 * :class:`PackedMarginalTracker` — the drop-in tracker
   (:func:`repro.core.marginal.make_tracker` backend ``"packed"``): same
   API, same selections, same :class:`~repro.core.result.Metrics`

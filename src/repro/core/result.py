@@ -195,8 +195,8 @@ def result_from_dict(payload: dict) -> CoverResult:
     The round-trip is intentionally lossy in the same places ``to_dict``
     is: labels come back as their ``repr`` strings and only wire-safe
     params (scalars and flat dicts of scalars) survive. That is
-    sufficient for experiment checkpoints, whose consumers read costs,
-    coverage, and metrics — not live label objects.
+    sufficient for the pool's result frames, whose consumers read ids,
+    costs, coverage, and metrics — not live label objects.
     """
     metrics = Metrics.from_dict(payload.get("metrics"))
     return CoverResult(

@@ -13,21 +13,15 @@ or programmatically::
 """
 
 from repro.experiments.base import (
-    CheckpointStore,
     ExperimentReport,
-    active_checkpoint,
     available_experiments,
-    checkpointing,
     run_experiment,
 )
 from repro.experiments.reporting import format_series_table, format_table
 
 __all__ = [
-    "CheckpointStore",
     "ExperimentReport",
-    "active_checkpoint",
     "available_experiments",
-    "checkpointing",
     "format_series_table",
     "format_table",
     "run_experiment",

@@ -1,4 +1,4 @@
-"""Experiment harness plumbing: reports, scales, checkpoints, the registry.
+"""Experiment harness plumbing: reports, scales, the registry.
 
 Every paper artifact (table or figure) has one module in this package
 exposing ``run(scale) -> ExperimentReport``. Reports carry both the
@@ -8,47 +8,16 @@ tests and EXPERIMENTS.md assertions consume).
 Scales keep the harness honest *and* testable: ``full`` is the
 reproduction configuration (pure-Python-sized, see DESIGN.md), ``small``
 is a minutes-not-hours smoke configuration used by the test suite.
-
-Checkpointing: long sweeps can snapshot per-cell results to a JSON file
-(:class:`CheckpointStore`) and resume after a crash without recomputing
-completed cells. ``run_experiment(..., checkpoint=store)`` installs the
-store for the duration of the run; experiment internals (e.g.
-:mod:`repro.experiments.quality_grid`) fetch it with
-:func:`active_checkpoint` and wrap each expensive cell in
-:meth:`CheckpointStore.cell`. The CLI exposes this as
-``scwsc run <experiment> --resume``.
-
-Resume is self-healing: a checkpoint file that cannot be parsed (torn
-write from a crash, disk corruption) is quarantined to
-``<name>.corrupt`` and the run recomputes from scratch, and an
-individual cell whose payload fails to deserialize is dropped and
-recomputed — ``--resume`` never loops forever on a bad file.
-
-Parallel cells: ``run_experiment(..., workers=N)`` installs a worker
-count that experiments supporting it (the Table IV/V quality grid) read
-via :func:`worker_count` and hand their cells to :func:`fan_out_cells`,
-which executes them on a supervised process pool
-(:mod:`repro.resilience.pool`). Completed cells are checkpointed as
-they land, so ``--workers`` composes with ``--resume``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
-from repro.errors import ReproError, ValidationError
+from repro.errors import ValidationError
 
 Scale = Literal["small", "full"]
-
-#: Format marker so a future layout change can detect stale files.
-_CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -62,274 +31,6 @@ class ExperimentReport:
 
     def __str__(self) -> str:
         return self.text
-
-
-class CheckpointStore:
-    """A JSON file of completed experiment cells, flushed after every put.
-
-    Keys are caller-chosen strings (e.g. ``"CWSC|s=0.3"``); values must
-    be JSON-serializable. Writes go to a temp file in the same directory
-    followed by :func:`os.replace`, so a crash mid-write leaves the
-    previous snapshot intact rather than a torn file.
-
-    An existing file that cannot be used — truncated or garbage JSON,
-    wrong layout version, a non-dict where the cell map should be — is
-    *quarantined*: moved aside to ``<name>.corrupt`` (recorded in
-    :attr:`quarantined_from`) and the store starts empty, so a resumed
-    run recomputes instead of crashing on the same bad file forever.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._cells: dict[str, object] = {}
-        self.hits = 0
-        self.misses = 0
-        self.bad_cells = 0
-        self.quarantined_from: Path | None = None
-        if self.path.exists():
-            reason = None
-            payload = None
-            try:
-                payload = json.loads(self.path.read_text())
-            except (OSError, json.JSONDecodeError) as error:
-                reason = f"unreadable: {error}"
-            if reason is None and (
-                not isinstance(payload, dict)
-                or payload.get("version") != _CHECKPOINT_VERSION
-            ):
-                version = (
-                    payload.get("version")
-                    if isinstance(payload, dict)
-                    else type(payload).__name__
-                )
-                reason = (
-                    f"version {version!r}, expected {_CHECKPOINT_VERSION}"
-                )
-            if reason is None and not isinstance(
-                payload.get("cells", {}), dict
-            ):
-                reason = "cell map is not a JSON object"
-            if reason is None:
-                self._cells = dict(payload.get("cells", {}))
-            else:
-                self._quarantine(reason)
-
-    def _quarantine(self, reason: str) -> None:
-        """Move the unusable file aside; the store starts empty."""
-        target = self.path.with_name(self.path.name + ".corrupt")
-        try:
-            os.replace(self.path, target)
-        except OSError as error:
-            # Can't even move it: refuse to run rather than silently
-            # overwrite evidence (and possibly hit the same error again).
-            raise ValidationError(
-                f"checkpoint file {self.path} is {reason} and could not "
-                f"be quarantined to {target}: {error}"
-            ) from error
-        self.quarantined_from = target
-        print(
-            f"warning: checkpoint file {self.path} is {reason}; "
-            f"quarantined to {target} and recomputing",
-            file=sys.stderr,
-        )
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._cells
-
-    def get(self, key: str):
-        """The stored value for ``key`` (KeyError when absent)."""
-        return self._cells[key]
-
-    def put(self, key: str, value) -> None:
-        """Store one completed cell and flush the snapshot to disk."""
-        self._cells[key] = value
-        self._flush()
-
-    def clear(self) -> None:
-        """Drop all cells (a fresh, non-resumed run starts clean)."""
-        self._cells = {}
-        if self.path.exists():
-            self._flush()
-
-    def cell(self, key: str, compute: Callable[[], object],
-             serialize: Callable = lambda value: value,
-             deserialize: Callable = lambda payload: payload):
-        """Return the cached value for ``key`` or compute-and-store it.
-
-        ``serialize``/``deserialize`` adapt rich objects (e.g.
-        :class:`~repro.core.result.CoverResult`) to their JSON form.
-
-        A stored payload that ``deserialize`` rejects is dropped and
-        recomputed (counted in :attr:`bad_cells`) — one mangled cell
-        must not wedge ``--resume``.
-        """
-        found, value = self.probe(key, deserialize)
-        if found:
-            return value
-        self.misses += 1
-        value = compute()
-        self.put(key, serialize(value))
-        return value
-
-    def probe(self, key: str, deserialize: Callable = lambda payload: payload
-              ) -> tuple[bool, object]:
-        """``(True, value)`` if ``key`` is cached and decodable.
-
-        Otherwise ``(False, None)``; an undecodable payload is dropped
-        (counted in :attr:`bad_cells`) so the caller recomputes it.
-        """
-        if key not in self._cells:
-            return False, None
-        try:
-            value = deserialize(self._cells[key])
-        except Exception as error:  # noqa: BLE001 - any decode bug
-            self.bad_cells += 1
-            del self._cells[key]
-            print(
-                f"warning: checkpoint cell {key!r} is undecodable "
-                f"({error!r}); recomputing",
-                file=sys.stderr,
-            )
-            return False, None
-        self.hits += 1
-        return True, value
-
-    def _flush(self) -> None:
-        payload = {"version": _CHECKPOINT_VERSION, "cells": self._cells}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
-
-#: The store installed by :func:`checkpointing`, if any.
-_ACTIVE_CHECKPOINT: CheckpointStore | None = None
-
-
-def active_checkpoint() -> CheckpointStore | None:
-    """The checkpoint store of the current run (``None`` when off)."""
-    return _ACTIVE_CHECKPOINT
-
-
-@contextmanager
-def checkpointing(store: CheckpointStore | None):
-    """Install ``store`` as the active checkpoint for the duration."""
-    global _ACTIVE_CHECKPOINT
-    previous = _ACTIVE_CHECKPOINT
-    _ACTIVE_CHECKPOINT = store
-    try:
-        yield store
-    finally:
-        _ACTIVE_CHECKPOINT = previous
-
-
-#: Worker count installed by :func:`parallel_workers`; 0 = sequential.
-_ACTIVE_WORKERS = 0
-
-
-def worker_count() -> int:
-    """Pool workers requested for the current run (0 = run in-process)."""
-    return _ACTIVE_WORKERS
-
-
-@contextmanager
-def parallel_workers(workers: int):
-    """Install a pool worker count for the duration of a run."""
-    if workers < 0:
-        raise ValidationError(f"workers must be >= 0, got {workers}")
-    global _ACTIVE_WORKERS
-    previous = _ACTIVE_WORKERS
-    _ACTIVE_WORKERS = workers
-    try:
-        yield workers
-    finally:
-        _ACTIVE_WORKERS = previous
-
-
-def fan_out_cells(
-    requests: Sequence[tuple[str, object]],
-    serialize: Callable,
-    deserialize: Callable,
-    memory_limit_mb: int | None = None,
-    request_timeout: float | None = None,
-) -> dict[str, object]:
-    """Execute ``(key, SolveRequest)`` cells on a supervised worker pool.
-
-    The pool counterpart of :meth:`CheckpointStore.cell`: cells already
-    in the active checkpoint are loaded (with the same bad-cell
-    recompute semantics), the rest run on a
-    :class:`~repro.resilience.pool.SolverPool` sized by
-    :func:`worker_count`, and every finished cell is checkpointed the
-    moment its result arrives — killing the run mid-grid and resuming
-    with ``--resume --workers N`` (or sequentially) picks up where it
-    stopped.
-
-    Requests run in *direct solver* mode (``request.solver`` names one
-    algorithm), so a pool-computed cell is the same deterministic value
-    the sequential path produces. A request whose pool outcome is
-    ``"failed"`` (no verified answer at all) aborts the run with
-    :class:`~repro.errors.ReproError` — the checkpoint keeps everything
-    that finished.
-    """
-    from repro.resilience.pool import PoolConfig, SolverPool
-
-    store = active_checkpoint()
-    results: dict[str, object] = {}
-    todo = []
-    for key, request in requests:
-        if store is not None:
-            found, cached = store.probe(key, deserialize)
-            if found:
-                results[key] = cached
-                continue
-        todo.append(request)
-        if request.tag is None:
-            request.tag = key
-        if store is not None:
-            store.misses += 1
-    if not todo:
-        return results
-
-    failures: list[str] = []
-
-    def on_result(outcome) -> None:
-        if outcome.status == "failed" or outcome.result is None:
-            failures.append(
-                f"{outcome.tag}: "
-                f"{outcome.provenance.get('failure', 'no verified answer')}"
-            )
-            return
-        results[outcome.tag] = outcome.result
-        if store is not None:
-            store.put(outcome.tag, serialize(outcome.result))
-
-    config = PoolConfig(
-        workers=max(1, worker_count()),
-        memory_limit_mb=memory_limit_mb,
-        request_timeout=request_timeout,
-    )
-    with SolverPool(config) as pool:
-        pool.run(todo, on_result=on_result)
-    if failures:
-        raise ReproError(
-            "worker pool could not produce verified answers for "
-            f"{len(failures)} cell(s): " + "; ".join(sorted(failures))
-        )
-    return results
 
 
 _REGISTRY: dict[str, Callable[[Scale], ExperimentReport]] = {}
@@ -357,21 +58,8 @@ def available_experiments() -> dict[str, str]:
     return dict(sorted(_DESCRIPTIONS.items()))
 
 
-def run_experiment(
-    experiment_id: str,
-    scale: Scale = "full",
-    checkpoint: CheckpointStore | None = None,
-    workers: int = 0,
-) -> ExperimentReport:
-    """Run one experiment by id.
-
-    With a ``checkpoint`` store, experiments that support per-cell
-    snapshots (currently the Table IV/V quality grid) resume completed
-    cells from it and append new ones as they finish. With
-    ``workers > 0``, experiments that support cell fan-out run their
-    cells on a supervised process pool of that size (others are
-    unaffected); the two compose.
-    """
+def run_experiment(experiment_id: str, scale: Scale = "full") -> ExperimentReport:
+    """Run one experiment by id."""
     _load_all()
     if scale not in ("small", "full"):
         raise ValidationError(f"scale must be 'small' or 'full', got {scale}")
@@ -382,8 +70,7 @@ def run_experiment(
             f"unknown experiment {experiment_id!r}; "
             f"known: {sorted(_REGISTRY)}"
         ) from None
-    with checkpointing(checkpoint), parallel_workers(workers):
-        return fn(scale)
+    return fn(scale)
 
 
 def _load_all() -> None:

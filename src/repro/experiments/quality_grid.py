@@ -5,27 +5,15 @@ coverage fraction, on the fully enumerated pattern system (the algorithms
 exactly as defined in Figs. 1-2, parameterized by ``b`` and ``eps``).
 Table IV reads the costs, Table V the runtimes; results are memoized so
 producing both tables costs one grid.
-
-The grid supports both resilience features of the harness: with a
-checkpoint store active every cell is snapshotted as it finishes
-(``scwsc run --resume``), and with a worker count installed the cells
-execute on the supervised process pool (``scwsc run --workers N``) —
-each cell as a direct solver request, so pool cells are the same
-deterministic values the sequential path computes.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 from repro.core.cmc_epsilon import cmc_epsilon
 from repro.core.cwsc import cwsc
-from repro.core.result import result_from_dict
-from repro.experiments.base import (
-    active_checkpoint,
-    fan_out_cells,
-    worker_count,
-)
 from repro.experiments.sweeps import master_trace
 from repro.patterns.pattern_sets import build_set_system
 
@@ -52,16 +40,16 @@ CONFIG = {
 _grid_cache: dict[tuple, dict] = {}
 
 
-def _cell_specs(config: dict) -> list[tuple[str, float, str, dict]]:
-    """Every grid cell as ``(row label, s_hat, solver name, options)``."""
+def _cell_specs(config: dict) -> list[tuple[str, float, Callable, dict]]:
+    """Every grid cell as ``(row label, s_hat, solver, options)``."""
     specs = [
-        ("CWSC", s_hat, "cwsc", {"on_infeasible": "full_cover"})
+        ("CWSC", s_hat, cwsc, {"on_infeasible": "full_cover"})
         for s_hat in config["s_values"]
     ]
     for b, eps in config["cmc_configs"]:
         label = f"CMC (b={b:g}, eps={eps:g})"
         specs.extend(
-            (label, s_hat, "cmc_epsilon", {"b": b, "eps": eps})
+            (label, s_hat, cmc_epsilon, {"b": b, "eps": eps})
             for s_hat in config["s_values"]
         )
     return specs
@@ -72,17 +60,8 @@ def grid_results(scale: str) -> dict:
 
     ``label`` is ``"CWSC"`` or ``"CMC (b=.., eps=..)"``; each result is a
     :class:`~repro.core.result.CoverResult`.
-
-    When a checkpoint store is active (``scwsc run --resume``), every
-    ``(algorithm, s)`` cell is snapshotted to it as soon as it finishes,
-    and cells already present are loaded instead of recomputed. The
-    in-process memo is bypassed in that case so the store stays the
-    source of truth — likewise under a worker pool, whose cells should
-    always reflect this run.
     """
-    store = active_checkpoint()
-    workers = worker_count()
-    if store is None and workers == 0 and scale in _grid_cache:
+    if scale in _grid_cache:
         return _grid_cache[scale]
     config = CONFIG[scale]
     table = master_trace(config["n_rows"], config["seed"])
@@ -90,63 +69,15 @@ def grid_results(scale: str) -> dict:
     system = build_set_system(table, "max")
     build_seconds = time.perf_counter() - build_start
 
-    specs = _cell_specs(config)
-
-    def cell_key(label: str, s_hat: float) -> str:
-        return f"{scale}|{label}|s={s_hat:g}"
-
-    if workers > 0:
-        from repro.resilience.pool import SolveRequest
-
-        computed = fan_out_cells(
-            [
-                (
-                    cell_key(label, s_hat),
-                    SolveRequest(
-                        system=system,
-                        k=config["k"],
-                        s_hat=s_hat,
-                        solver=solver,
-                        options=dict(options),
-                    ),
-                )
-                for label, s_hat, solver, options in specs
-            ],
-            serialize=lambda result: result.to_dict(),
-            deserialize=result_from_dict,
+    rows: dict[str, dict[float, object]] = {}
+    for label, s_hat, solver, options in _cell_specs(config):
+        rows.setdefault(label, {})[s_hat] = solver(
+            system, config["k"], s_hat, **options
         )
-        rows: dict[str, dict[float, object]] = {}
-        for label, s_hat, _, _ in specs:
-            rows.setdefault(label, {})[s_hat] = computed[
-                cell_key(label, s_hat)
-            ]
-    else:
-        solvers = {"cwsc": cwsc, "cmc_epsilon": cmc_epsilon}
-
-        def cell(label: str, s_hat: float, compute):
-            if store is None:
-                return compute()
-            return store.cell(
-                cell_key(label, s_hat),
-                compute,
-                serialize=lambda result: result.to_dict(),
-                deserialize=result_from_dict,
-            )
-
-        rows = {}
-        for label, s_hat, solver, options in specs:
-            rows.setdefault(label, {})[s_hat] = cell(
-                label,
-                s_hat,
-                lambda s=s_hat, fn=solvers[solver], opts=options: fn(
-                    system, config["k"], s, **opts
-                ),
-            )
     result = {
         "build_seconds": build_seconds,
         "rows": rows,
         "config": config,
     }
-    if store is None and workers == 0:
-        _grid_cache[scale] = result
+    _grid_cache[scale] = result
     return result

@@ -15,11 +15,6 @@ This package makes both first-class instead of debug logging:
   :class:`~repro.obs.trace.TraceContext` (``traceparent``
   mint/parse/propagate) that stitches server and worker spans into
   one request tree.
-* :mod:`repro.obs.slo` — per-tenant/global latency+error SLOs with
-  multi-window burn-rate gauges (``scwsc_slo_*``), fed by the serve
-  layer.
-* :mod:`repro.obs.console` — the stdlib ``scwsc top`` terminal console
-  over a daemon's ``/metrics`` page.
 * :mod:`repro.obs.metrics` — a counter/gauge/histogram registry with a
   Prometheus-style text exposition and a JSON snapshot; the solver
   :class:`~repro.core.result.Metrics` counters publish into it through
@@ -83,7 +78,6 @@ from repro.obs.postmortem import (
     validate_bundle_file,
 )
 from repro.obs.quality import compute_quality, quality_records, record_quality
-from repro.obs.slo import GLOBAL_SCOPE, SloObjectives, SloTracker
 from repro.obs.stacks import StackSampler, collapse_samples, sample_once
 from repro.obs.trace import (
     NULL_SPAN,
@@ -107,15 +101,12 @@ __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
     "FlightRecorder",
-    "GLOBAL_SCOPE",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_SPAN",
     "POSTMORTEM_SCHEMA",
     "RingBuffer",
-    "SloObjectives",
-    "SloTracker",
     "StackSampler",
     "TraceContext",
     "Tracer",

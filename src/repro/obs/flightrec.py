@@ -127,7 +127,6 @@ class FlightRecorder:
         self.on_event: Callable[[dict[str, Any]], None] | None = None
         self._poll_thread: threading.Thread | None = None
         self._poll_stop = threading.Event()
-        self.on_poll: Callable[[], None] | None = None
 
     # -- trace sink interface ------------------------------------------
 
@@ -180,8 +179,7 @@ class FlightRecorder:
         interval: float = 10.0,
     ) -> None:
         """Start a daemon thread ringing ``snapshot_fn()`` every
-        ``interval`` seconds; also fires ``on_poll`` (the trigger
-        engine's SLO fast-burn check) each tick."""
+        ``interval`` seconds."""
         if self._poll_thread is not None:
             return
         self._poll_stop.clear()
@@ -198,12 +196,6 @@ class FlightRecorder:
                     self.record_metrics(snapshot_fn())
                 except Exception:  # noqa: BLE001 - keep polling
                     pass
-                callback = self.on_poll
-                if callback is not None:
-                    try:
-                        callback()
-                    except Exception:  # noqa: BLE001
-                        pass
 
         self._poll_thread = threading.Thread(
             target=_loop, name="scwsc-flightrec-poll", daemon=True

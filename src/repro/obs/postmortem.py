@@ -10,11 +10,10 @@ section                   contents
 ``schema``                always ``scwsc-postmortem/1``
 ``created_unix``          wall-clock seconds when the bundle was built
 ``trigger``               what fired (``worker_death``, ``hard_timeout``,
-                          ``breaker_open``, ``slo_fast_burn``,
-                          ``server_5xx``, ``manual``)
+                          ``breaker_open``, ``server_5xx``, ``manual``)
 ``reason``                one human-readable sentence
-``context``               trigger-specific details (event attrs, burn
-                          rates, status code, ...)
+``context``               trigger-specific details (event attrs,
+                          status code, ...)
 ``build``                 version / python / backend (the same triple
                           ``scwsc_build_info`` exposes)
 ``config``                the live :class:`~repro.serve.config.ServeConfig`
@@ -72,7 +71,6 @@ TRIGGER_KINDS = (
     "worker_death",
     "hard_timeout",
     "breaker_open",
-    "slo_fast_burn",
     "server_5xx",
     "manual",
 )

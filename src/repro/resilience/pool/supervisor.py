@@ -437,7 +437,7 @@ class SolverPool:
         """Execute ``requests``; returns results in request order.
 
         ``on_result`` fires as each request finishes (completion order),
-        which lets callers stream output (``scwsc batch``) and checkpoint
+        which lets callers stream output (``scwsc batch``)
         incrementally.
         """
         self._on_result = on_result

@@ -3,7 +3,7 @@
 The serving stack, bottom up:
 
 * :mod:`.config` — :class:`ServeConfig`, every knob in one dataclass;
-* :mod:`.admission` — token buckets, per-tenant and global caps, shed
+* :mod:`.admission` — the global in-flight and queue caps and shed
   reasons (:class:`AdmissionController`);
 * :mod:`.engine` — :class:`ServeEngine`, the single dispatcher thread
   that owns the warm :class:`~repro.resilience.pool.SolverPool` and
@@ -18,11 +18,7 @@ The serving stack, bottom up:
 See ``docs/SERVING.md`` for the operator's view.
 """
 
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionDecision,
-    TokenBucket,
-)
+from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.config import ServeConfig
 from repro.serve.engine import ServeEngine, Ticket
 from repro.serve.server import SolverServer, build_solve_request, run_server
@@ -34,7 +30,6 @@ __all__ = [
     "ServeEngine",
     "SolverServer",
     "Ticket",
-    "TokenBucket",
     "build_solve_request",
     "run_server",
 ]

@@ -15,8 +15,6 @@ trace_id                  the request's 32-hex trace id (accepted from the
 method / endpoint         HTTP method and route path
 status                    HTTP response code (``null`` if the client left
                           before one was written)
-tenant                    ``X-Scwsc-Tenant`` value (``default`` when unset;
-                          ``null`` for non-solve endpoints)
 duration_seconds          request wall time at the edge
 shed_reason               admission shed reason for 429s, else ``null``
 deadline                  the request's end-to-end budget (solve endpoints)
@@ -63,7 +61,6 @@ _FIELDS: dict[str, tuple[bool, tuple[type, ...]]] = {
     "method": (True, (str,)),
     "endpoint": (True, (str,)),
     "status": (False, (int,)),
-    "tenant": (False, (str,)),
     "duration_seconds": (True, (int, float)),
     "shed_reason": (False, (str,)),
     "deadline": (False, (int, float)),

@@ -1,78 +1,25 @@
-"""Admission control for the solver daemon: caps, buckets, shed reasons.
+"""Admission control for the solver daemon: caps and shed reasons.
 
 The daemon's robustness story starts before a request touches the pool:
 every request passes through one :class:`AdmissionController` that
 decides *admit* or *shed* under a lock, so overload turns into prompt
 429s with honest ``Retry-After`` hints instead of unbounded queues.
 
-Shedding order is cheapest-first and most-specific-first:
+Shedding order is cheapest-first:
 
 1. ``draining`` — the server received SIGTERM; nothing new is admitted.
-2. ``tenant_concurrency`` — the tenant already holds its in-flight cap.
-3. ``tenant_rate`` — the tenant's token bucket is empty.
-4. ``inflight`` — the global admitted-but-unanswered cap is hit.
-5. ``queue`` — the pool's dispatch queue is at depth.
-
-Per-tenant state (bucket + in-flight count) is created lazily on first
-sight of a tenant name and never expires: tenants are expected to be a
-small, operator-controlled set (header-driven), not attacker-controlled
-cardinality.
+2. ``inflight`` — the global admitted-but-unanswered cap is hit.
+3. ``queue`` — the pool's dispatch queue is at depth.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 
 from repro.serve.config import ServeConfig
 
-__all__ = ["AdmissionDecision", "AdmissionController", "TokenBucket"]
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/second up to ``burst``.
-
-    ``try_take`` is lock-free from the caller's perspective (the owning
-    controller serializes access); refill happens on demand from the
-    monotonic clock so an idle bucket needs no timer thread.
-    """
-
-    def __init__(self, rate: float, burst: float, *, clock=time.monotonic):
-        if rate <= 0 or burst <= 0:
-            raise ValueError(f"rate and burst must be > 0, got {rate}/{burst}")
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self._clock = clock
-        self._tokens = float(burst)
-        self._stamp = clock()
-
-    def _refill(self) -> None:
-        now = self._clock()
-        elapsed = now - self._stamp
-        if elapsed > 0:
-            self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
-        self._stamp = now
-
-    def try_take(self, n: float = 1.0) -> bool:
-        self._refill()
-        if self._tokens >= n:
-            self._tokens -= n
-            return True
-        return False
-
-    def retry_after(self, n: float = 1.0) -> float:
-        """Seconds until ``n`` tokens will be available (0 if already)."""
-        self._refill()
-        deficit = n - self._tokens
-        if deficit <= 0:
-            return 0.0
-        return deficit / self.rate
-
-    @property
-    def tokens(self) -> float:
-        self._refill()
-        return self._tokens
+__all__ = ["AdmissionDecision", "AdmissionController"]
 
 
 @dataclass(frozen=True)
@@ -84,28 +31,18 @@ class AdmissionDecision:
     retry_after: float = 0.0
 
 
-class _TenantState:
-    __slots__ = ("bucket", "inflight")
-
-    def __init__(self, rate: float, burst: float, clock):
-        self.bucket = TokenBucket(rate, burst, clock=clock)
-        self.inflight = 0
-
-
 class AdmissionController:
     """Single gate in front of the dispatcher.
 
-    ``try_admit`` reserves capacity (global and per-tenant) for ``n``
-    requests; the caller MUST pair every successful admit with exactly
-    one :meth:`release` for the same tenant and ``n``, whatever the
-    request's fate (answered, deadline-exhausted, connection lost).
+    ``try_admit`` reserves capacity for ``n`` requests; the caller MUST
+    pair every successful admit with exactly one :meth:`release` for the
+    same ``n``, whatever the request's fate (answered,
+    deadline-exhausted, connection lost).
     """
 
-    def __init__(self, config: ServeConfig, *, clock=time.monotonic):
+    def __init__(self, config: ServeConfig):
         self.config = config
-        self._clock = clock
         self._lock = threading.Lock()
-        self._tenants: dict[str, _TenantState] = {}
         self._inflight = 0
         self._draining = False
 
@@ -123,26 +60,10 @@ class AdmissionController:
     def inflight(self) -> int:
         return self._inflight
 
-    def tenant_inflight(self, tenant: str) -> int:
-        with self._lock:
-            state = self._tenants.get(tenant)
-            return state.inflight if state else 0
-
     # -- admission -------------------------------------------------------
 
-    def _tenant(self, tenant: str) -> _TenantState:
-        state = self._tenants.get(tenant)
-        if state is None:
-            state = _TenantState(
-                self.config.tenant_rate, self.config.tenant_burst, self._clock
-            )
-            self._tenants[tenant] = state
-        return state
-
-    def try_admit(
-        self, tenant: str, n: int = 1, queue_depth: int = 0
-    ) -> AdmissionDecision:
-        """Reserve room for ``n`` requests from ``tenant``.
+    def try_admit(self, n: int = 1, queue_depth: int = 0) -> AdmissionDecision:
+        """Reserve room for ``n`` requests.
 
         ``queue_depth`` is the pool's current dispatch-queue length as
         sampled by the caller; it backs the ``queue`` shed reason.
@@ -153,35 +74,14 @@ class AdmissionController:
         with self._lock:
             if self._draining:
                 return AdmissionDecision(False, "draining", retry)
-            state = self._tenant(tenant)
-            if state.inflight + n > self.config.tenant_max_inflight:
-                return AdmissionDecision(False, "tenant_concurrency", retry)
-            if not state.bucket.try_take(n):
-                return AdmissionDecision(
-                    False,
-                    "tenant_rate",
-                    max(retry, state.bucket.retry_after(n)),
-                )
             if self._inflight + n > self.config.max_inflight:
-                # Refund the bucket: the tenant was within its own
-                # budget; the global cap shed is not its fault.
-                state.bucket._tokens = min(
-                    state.bucket.burst, state.bucket._tokens + n
-                )
                 return AdmissionDecision(False, "inflight", retry)
             if queue_depth + n > self.config.max_queue_depth:
-                state.bucket._tokens = min(
-                    state.bucket.burst, state.bucket._tokens + n
-                )
                 return AdmissionDecision(False, "queue", retry)
-            state.inflight += n
             self._inflight += n
             return AdmissionDecision(True)
 
-    def release(self, tenant: str, n: int = 1) -> None:
+    def release(self, n: int = 1) -> None:
         """Return capacity reserved by a successful :meth:`try_admit`."""
         with self._lock:
             self._inflight = max(0, self._inflight - n)
-            state = self._tenants.get(tenant)
-            if state is not None:
-                state.inflight = max(0, state.inflight - n)

@@ -29,13 +29,6 @@ class ServeConfig:
         Independent ceiling on the pool's internal dispatch queue, so a
         burst of slow requests cannot build unbounded latency even when
         ``max_inflight`` would admit them.
-    ``tenant_rate`` / ``tenant_burst``
-        Per-tenant token bucket: sustained requests/second and burst
-        capacity. Tenants are named by the ``X-Scwsc-Tenant`` header
-        (``default`` otherwise).
-    ``tenant_max_inflight``
-        Per-tenant concurrent-request cap, so one tenant cannot occupy
-        the whole admission budget.
 
     Deadlines:
 
@@ -68,19 +61,6 @@ class ServeConfig:
         Path for the JSONL access log (schema ``scwsc-access/1``, one
         record per HTTP request — see :mod:`repro.serve.accesslog`).
         ``None`` disables it.
-    ``slo_latency_threshold`` / ``slo_latency_objective``
-        The latency SLO: at least ``slo_latency_objective`` of served
-        requests should finish within ``slo_latency_threshold`` seconds.
-    ``slo_error_objective``
-        The availability SLO: at least this fraction of served requests
-        should avoid 5xx outcomes.
-    ``slo_windows``
-        Trailing windows (seconds) for the ``scwsc_slo_burn_rate``
-        gauges; the defaults are the classic 5m/1h multi-window pair.
-    ``slo_tenants``
-        Per-tenant objective overrides, e.g.
-        ``{"gold": {"latency_threshold": 0.5}}`` — unset fields inherit
-        the global objectives.
 
     Flight recorder (see :mod:`repro.obs.flightrec` and
     docs/OBSERVABILITY.md §12):
@@ -92,8 +72,7 @@ class ServeConfig:
     ``flightrec_metrics``
         Per-ring record capacities.
     ``flightrec_metrics_interval``
-        Seconds between background metrics-snapshot rings (also the
-        SLO fast-burn trigger's evaluation tick).
+        Seconds between background metrics-snapshot rings.
     ``debug_endpoints``
         Serve the loopback-only ``GET /debug/*`` introspection routes.
     ``postmortem_dir``
@@ -107,10 +86,6 @@ class ServeConfig:
     ``sampler_hz``
         Continuous stack-sampler frequency; 0 (default) leaves the
         sampler idle — triggers still take on-demand bursts.
-    ``slo_fast_burn_threshold``
-        Short-window burn rate at or above which the ``slo_fast_burn``
-        postmortem trigger fires (14.4 = the classic "2% of a 30-day
-        budget in one hour" page).
     """
 
     host: str = "127.0.0.1"
@@ -119,9 +94,6 @@ class ServeConfig:
     memory_limit_mb: int | None = None
     max_inflight: int = 16
     max_queue_depth: int = 64
-    tenant_rate: float = 50.0
-    tenant_burst: float = 100.0
-    tenant_max_inflight: int = 8
     default_deadline: float = 30.0
     max_deadline: float = 300.0
     grace: float = 1.0
@@ -135,11 +107,6 @@ class ServeConfig:
     breaker_threshold: int = 3
     breaker_cooldown: float = 30.0
     access_log: str | None = None
-    slo_latency_threshold: float = 1.0
-    slo_latency_objective: float = 0.99
-    slo_error_objective: float = 0.999
-    slo_windows: tuple[float, ...] = (300.0, 3600.0)
-    slo_tenants: dict | None = None
     flightrec: bool = True
     flightrec_spans: int = 1024
     flightrec_events: int = 1024
@@ -152,17 +119,6 @@ class ServeConfig:
     postmortem_max_bundles: int = 20
     postmortem_interval: float = 60.0
     sampler_hz: float = 0.0
-    slo_fast_burn_threshold: float = 14.4
-
-    def slo_objectives(self):
-        """The global :class:`~repro.obs.slo.SloObjectives` (validated)."""
-        from repro.obs.slo import SloObjectives
-
-        return SloObjectives(
-            latency_threshold=self.slo_latency_threshold,
-            latency_objective=self.slo_latency_objective,
-            error_objective=self.slo_error_objective,
-        )
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -174,16 +130,6 @@ class ServeConfig:
         if self.max_queue_depth < 0:
             raise ValidationError(
                 f"max_queue_depth must be >= 0, got {self.max_queue_depth}"
-            )
-        if self.tenant_rate <= 0 or self.tenant_burst <= 0:
-            raise ValidationError(
-                "tenant_rate and tenant_burst must be > 0, got "
-                f"{self.tenant_rate}/{self.tenant_burst}"
-            )
-        if self.tenant_max_inflight < 1:
-            raise ValidationError(
-                f"tenant_max_inflight must be >= 1, "
-                f"got {self.tenant_max_inflight}"
             )
         if self.default_deadline <= 0 or self.max_deadline <= 0:
             raise ValidationError(
@@ -237,27 +183,3 @@ class ServeConfig:
             raise ValidationError(
                 f"sampler_hz must be >= 0, got {self.sampler_hz}"
             )
-        if self.slo_fast_burn_threshold <= 0:
-            raise ValidationError(
-                "slo_fast_burn_threshold must be > 0, got "
-                f"{self.slo_fast_burn_threshold}"
-            )
-        if not self.slo_windows or any(w <= 0 for w in self.slo_windows):
-            raise ValidationError(
-                f"slo_windows must be positive, got {self.slo_windows}"
-            )
-        self.slo_windows = tuple(float(w) for w in self.slo_windows)
-        if self.slo_tenants is not None and not isinstance(
-            self.slo_tenants, dict
-        ):
-            raise ValidationError("slo_tenants must be a dict of overrides")
-        # Validate the objectives (and every tenant override) now, so a
-        # daemon with a nonsensical SLO policy fails before binding.
-        objectives = self.slo_objectives()
-        for tenant, spec in (self.slo_tenants or {}).items():
-            if not isinstance(spec, dict):
-                raise ValidationError(
-                    f"slo_tenants[{tenant!r}] must be a dict, got "
-                    f"{type(spec).__name__}"
-                )
-            objectives.override(spec)

@@ -49,7 +49,6 @@ from repro.obs import stacks as obs_stacks
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import get_registry, publish_build_info
 from repro.obs.postmortem import BundleSpool, TriggerEngine, build_info
-from repro.obs.slo import GLOBAL_SCOPE, SloTracker
 from repro.resilience.pool import SolveRequest
 from repro.resilience.pool.protocol import system_from_payload
 from repro.resilience.pool.worker import check_request_fields
@@ -216,8 +215,8 @@ class _Handler(BaseHTTPRequestHandler):
         )
         self._trace_ctx = ctx
         #: Per-request facts the endpoint handlers fill in for the
-        #: access-log record written below (tenant, shed reason, pool
-        #: timing breakdown, ...).
+        #: access-log record written below (shed reason, pool timing
+        #: breakdown, ...).
         self._access: dict = {}
         started = time.monotonic()
         token = obs_trace.set_context(ctx)
@@ -263,7 +262,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "server_request_timeout",
                 endpoint=path,
                 trace_id=ctx.trace_id,
-                tenant=self._access.get("tenant"),
             )
             self._send_json(408, {"error": "timed out reading request"})
         except Exception:
@@ -275,12 +273,7 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             obs_trace.reset_context(token)
             duration = time.monotonic() - started
-            self.server.observe_request(
-                path,
-                self._status,
-                duration,
-                tenant=self._access.get("tenant"),
-            )
+            self.server.observe_request(path, self._status, duration)
             self.server.log_access(
                 trace_id=ctx.trace_id,
                 method=method,
@@ -384,17 +377,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": f"malformed JSON body: {exc}"})
             return None
 
-    def _tenant(self) -> str:
-        header = self.headers.get("X-Scwsc-Tenant", "")
-        return header.strip() or "default"
-
-    def _shed(self, tenant: str, decision, endpoint: str, n: int) -> None:
-        self.server.count_shed(decision.reason, tenant=tenant, n=n)
+    def _shed(self, decision, endpoint: str, n: int) -> None:
+        self.server.count_shed(decision.reason, n=n)
         self._access["shed_reason"] = decision.reason
         obs_trace.event(
             "server_shed",
             endpoint=endpoint,
-            tenant=tenant,
             reason=decision.reason,
             requests=n,
             trace_id=self._trace_ctx.trace_id,
@@ -413,8 +401,6 @@ class _Handler(BaseHTTPRequestHandler):
         payload = self._read_json_body()
         if payload is None:
             return
-        tenant = self._tenant()
-        self._access["tenant"] = tenant
         try:
             request = build_solve_request(payload, self.server.config)
         except (ValidationError, ProtocolError) as exc:
@@ -423,12 +409,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._access["deadline"] = request.timeout
         admission = self.server.admission
         decision = admission.try_admit(
-            tenant, 1, queue_depth=self.server.engine.queue_depth
+            1, queue_depth=self.server.engine.queue_depth
         )
         if not decision.admitted:
-            self._shed(tenant, decision, "/solve", 1)
+            self._shed(decision, "/solve", 1)
             return
-        self.server.count_admitted(tenant=tenant)
+        self.server.count_admitted()
         # The pool carries the request's trace context to the worker so
         # its captured spans replay under this trace id.
         request.traceparent = self._trace_ctx.to_traceparent()
@@ -443,21 +429,18 @@ class _Handler(BaseHTTPRequestHandler):
             obs_trace.event(
                 "server_complete",
                 endpoint="/solve",
-                tenant=tenant,
                 code=code,
                 status=body.get("status"),
                 tag=request.tag,
                 trace_id=self._trace_ctx.trace_id,
             )
         finally:
-            admission.release(tenant, 1)
+            admission.release(1)
 
     def _do_batch(self) -> None:
         payload = self._read_json_body()
         if payload is None:
             return
-        tenant = self._tenant()
-        self._access["tenant"] = tenant
         if not isinstance(payload, dict):
             self._send_json(400, {"error": "request body must be a JSON object"})
             return
@@ -495,12 +478,12 @@ class _Handler(BaseHTTPRequestHandler):
         n = len(requests)
         admission = self.server.admission
         decision = admission.try_admit(
-            tenant, n, queue_depth=self.server.engine.queue_depth
+            n, queue_depth=self.server.engine.queue_depth
         )
         if not decision.admitted:
-            self._shed(tenant, decision, "/batch", n)
+            self._shed(decision, "/batch", n)
             return
-        self.server.count_admitted(tenant=tenant, n=n)
+        self.server.count_admitted(n)
         self._access["deadline"] = max(
             (req.timeout for req in requests if req.timeout), default=None
         )
@@ -530,14 +513,13 @@ class _Handler(BaseHTTPRequestHandler):
             obs_trace.event(
                 "server_complete",
                 endpoint="/batch",
-                tenant=tenant,
                 code=200,
                 requests=n,
                 worst_entry_code=worst,
                 trace_id=self._trace_ctx.trace_id,
             )
         finally:
-            admission.release(tenant, n)
+            admission.release(n)
 
     def _await(self, ticket: Ticket) -> tuple[int, dict] | None:
         """Wait for the pool's answer; map it to ``(code, body)``.
@@ -621,7 +603,7 @@ class SolverServer(ThreadingHTTPServer):
             "scwsc_server_requests_total", "HTTP requests by endpoint and code"
         )
         self._admitted_total = self.registry.counter(
-            "scwsc_server_admitted_total", "Requests admitted by tenant"
+            "scwsc_server_admitted_total", "Requests admitted"
         )
         self._shed_total = self.registry.counter(
             "scwsc_server_shed_total", "Requests shed by reason"
@@ -642,12 +624,6 @@ class SolverServer(ThreadingHTTPServer):
         self._breaker_state = self.registry.gauge(
             "scwsc_breaker_state",
             "Per-worker breaker state (0 closed, 1 half-open, 2 open)",
-        )
-        self.slo = SloTracker(
-            config.slo_objectives(),
-            tenant_overrides=config.slo_tenants,
-            windows=config.slo_windows,
-            registry=self.registry,
         )
         self.access_log = (
             AccessLog(config.access_log) if config.access_log else None
@@ -680,7 +656,6 @@ class SolverServer(ThreadingHTTPServer):
                     config=config,
                 )
                 self.recorder.on_event = self._on_recorder_event
-            self.recorder.on_poll = self._check_fast_burn
             self.recorder.start_metrics_poll(
                 self.registry.snapshot, config.flightrec_metrics_interval
             )
@@ -709,40 +684,28 @@ class SolverServer(ThreadingHTTPServer):
     def count_connection_error(self) -> None:
         self._conn_errors.inc()
 
-    def count_admitted(self, tenant: str, n: int = 1) -> None:
-        self._admitted_total.inc(n, tenant=tenant)
+    def count_admitted(self, n: int = 1) -> None:
+        self._admitted_total.inc(n)
         self._inflight.set(self.admission.inflight)
 
-    def count_shed(self, reason: str, tenant: str, n: int = 1) -> None:
+    def count_shed(self, reason: str, n: int = 1) -> None:
         self._shed_total.inc(n, reason=reason)
 
-    def observe_request(
-        self,
-        path: str,
-        code: int | None,
-        seconds: float,
-        tenant: str | None = None,
-    ) -> None:
+    def observe_request(self, path: str, code: int | None, seconds: float) -> None:
         self._requests_total.inc(endpoint=path, code=str(code or "none"))
         self._latency.observe(seconds, endpoint=path)
         self._inflight.set(self.admission.inflight)
-        if path in ("/solve", "/batch"):
-            # A request with no status means the client vanished before
-            # one was written — judged as a server failure (599) so the
-            # availability SLO does not silently ignore it.
-            self.slo.observe(
-                tenant or "default", seconds, code if code is not None else 599
+        if (
+            path in ("/solve", "/batch")
+            and self.triggers is not None
+            and code is not None
+            and code >= 500
+        ):
+            self.triggers.fire(
+                "server_5xx",
+                f"{path} answered {code}",
+                context={"endpoint": path, "code": code},
             )
-            if (
-                self.triggers is not None
-                and code is not None
-                and code >= 500
-            ):
-                self.triggers.fire(
-                    "server_5xx",
-                    f"{path} answered {code}",
-                    context={"endpoint": path, "code": code, "tenant": tenant},
-                )
 
     def log_access(self, **fields) -> None:
         """Write one access-log record; never raises into the handler."""
@@ -799,32 +762,6 @@ class SolverServer(ThreadingHTTPServer):
             elif attrs.get("new") == "closed":
                 # The incident is over; the next open is a new one.
                 triggers.reset_dedup("breaker_open", breaker)
-
-    def _check_fast_burn(self) -> None:
-        """Evaluate the SLO fast-burn trigger: called on every metrics
-        poll tick and on every /metrics scrape, so tests (and operators
-        hitting /metrics) get a deterministic evaluation point."""
-        triggers = self.triggers
-        if triggers is None:
-            return
-        snapshot = self.slo.snapshot()
-        windows = snapshot.get(GLOBAL_SCOPE) or {}
-        if not windows:
-            return
-        # The *short* window is the fast-burn signal; labels sort by
-        # their underlying window seconds in self.slo.windows order.
-        short_label = self.slo._label_for(self.slo.windows[0])
-        rates = windows.get(short_label) or {}
-        burn = max(
-            rates.get("latency_burn") or 0.0, rates.get("error_burn") or 0.0
-        )
-        if burn >= self.config.slo_fast_burn_threshold:
-            triggers.fire(
-                "slo_fast_burn",
-                f"short-window SLO burn rate {burn:.1f} >= "
-                f"{self.config.slo_fast_burn_threshold:g}",
-                context={"window": short_label, **rates},
-            )
 
     # -- /debug pages ----------------------------------------------------
 
@@ -931,11 +868,6 @@ class SolverServer(ThreadingHTTPServer):
             self._breaker_state.set(
                 self._BREAKER_STATES.get(state, 0), breaker=str(name)
             )
-        self.slo.publish()
-        # Every scrape is also a fast-burn evaluation point: a paging
-        # pipeline polling /metrics arms the postmortem trigger with no
-        # extra wiring (the background poll tick does the same).
-        self._check_fast_burn()
         return self.registry.exposition()
 
     def begin_drain(self) -> None:

@@ -119,3 +119,17 @@ class TestCoverResult:
         assert payload["params"]["backend"] == {"name": "packed", "words": 2}
         assert "nested" not in payload["params"]
         assert "odd_keys" not in payload["params"]
+
+    def test_result_from_dict_preserves_claims(self, random_system):
+        from repro.core.cwsc import cwsc
+        from repro.core.result import result_from_dict
+
+        system = random_system(n_elements=15, n_sets=10)
+        original = cwsc(system, 4, 0.9)
+        clone = result_from_dict(original.to_dict())
+        assert isinstance(clone, CoverResult)
+        assert clone.set_ids == original.set_ids
+        assert clone.total_cost == original.total_cost
+        assert clone.covered == original.covered
+        assert clone.feasible == original.feasible
+        assert clone.algorithm == original.algorithm

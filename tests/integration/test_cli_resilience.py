@@ -1,4 +1,4 @@
-"""CLI failure semantics: exit codes, --timeout/--fallback, run --resume."""
+"""CLI failure semantics: exit codes, --timeout/--fallback, run memo."""
 
 from __future__ import annotations
 
@@ -104,67 +104,25 @@ class TestSolveErrorReporting:
         assert capsys.readouterr().err != ""
 
 
-class TestRunResume:
-    @pytest.fixture(autouse=True)
-    def _fresh_memo(self, monkeypatch):
-        monkeypatch.setattr(quality_grid, "_grid_cache", {})
-
-    def test_resume_skips_completed_cells(
+class TestRunMemo:
+    def test_table4_then_table5_build_one_grid_and_write_nothing(
         self, tmp_path, capsys, monkeypatch
     ):
-        ckdir = str(tmp_path / "checkpoints")
-        args = ["run", "table4", "--scale", "small", "--checkpoint-dir", ckdir]
-        assert main(args) == 0
-        capsys.readouterr()
-
-        calls = []
-        real_cwsc = quality_grid.cwsc
+        monkeypatch.setattr(quality_grid, "_grid_cache", {})
+        monkeypatch.chdir(tmp_path)
+        builds = []
+        real_build = quality_grid.build_set_system
         monkeypatch.setattr(
             quality_grid,
-            "cwsc",
-            lambda *a, **kw: calls.append(1) or real_cwsc(*a, **kw),
+            "build_set_system",
+            lambda *a, **kw: builds.append(1) or real_build(*a, **kw),
         )
-        real_cmc = quality_grid.cmc_epsilon
-        monkeypatch.setattr(
-            quality_grid,
-            "cmc_epsilon",
-            lambda *a, **kw: calls.append(1) or real_cmc(*a, **kw),
-        )
-        assert main([*args, "--resume"]) == 0
+        assert main(["run", "table4", "--scale", "small"]) == 0
+        assert main(["run", "table5", "--scale", "small"]) == 0
         captured = capsys.readouterr()
-        assert "resuming table4" in captured.err
-        assert "cell(s) done" in captured.err
-        assert calls == []  # nothing recomputed
-        assert "Table IV" in captured.out
-
-    def test_without_resume_checkpoint_starts_fresh(
-        self, tmp_path, capsys
-    ):
-        ckdir = tmp_path / "checkpoints"
-        args = [
-            "run", "table4", "--scale", "small",
-            "--checkpoint-dir", str(ckdir),
-        ]
-        assert main(args) == 0
-        path = ckdir / "table4-small.json"
-        assert path.exists()
-        first = json.loads(path.read_text())
-        assert len(first["cells"]) > 0
-
-        # A non-resumed rerun clears the store before computing.
-        assert main(args) == 0
-        second = json.loads(path.read_text())
-        assert second["cells"].keys() == first["cells"].keys()
-
-    def test_no_checkpoint_flag_writes_nothing(self, tmp_path, capsys):
-        ckdir = tmp_path / "checkpoints"
-        assert main(
-            [
-                "run", "table4", "--scale", "small",
-                "--checkpoint-dir", str(ckdir), "--no-checkpoint",
-            ]
-        ) == 0
-        assert not ckdir.exists()
+        assert "Table IV" in captured.out and "Table V" in captured.out
+        assert len(builds) == 1
+        assert not (tmp_path / ".scwsc-checkpoints").exists()
 
 
 class TestSolveIsolate:
@@ -293,32 +251,3 @@ class TestKeyboardInterrupt:
         monkeypatch.setattr(cli_module, "_cmd_solve", boom)
         assert main(_solve_args(csv_path)) == 130
         assert "interrupted" in capsys.readouterr().err
-
-
-class TestRunWorkers:
-    @pytest.fixture(autouse=True)
-    def _fresh_memo(self, monkeypatch):
-        monkeypatch.setattr(quality_grid, "_grid_cache", {})
-
-    def test_pooled_run_matches_sequential(self, tmp_path, capsys):
-        assert main(["run", "table4", "--scale", "small"]) == 0
-        sequential = capsys.readouterr().out
-
-        assert main(
-            ["run", "table4", "--scale", "small", "--workers", "2"]
-        ) == 0
-        pooled = capsys.readouterr().out
-        assert pooled == sequential
-
-    def test_pooled_run_resumes_from_checkpoint(self, tmp_path, capsys):
-        ckdir = str(tmp_path / "checkpoints")
-        args = [
-            "run", "table4", "--scale", "small",
-            "--checkpoint-dir", ckdir, "--workers", "2",
-        ]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main([*args, "--resume"]) == 0
-        captured = capsys.readouterr()
-        assert "cell(s) done" in captured.err
-        assert "Table IV" in captured.out

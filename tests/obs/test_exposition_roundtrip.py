@@ -1,21 +1,25 @@
-"""Property test: metrics exposition → console parse is lossless.
+"""Property test: metrics exposition → exposition parse is lossless.
 
-``scwsc top`` trusts that whatever label values the serve layer puts in
-the registry (tenant names, endpoint paths, error strings) come back
-byte-identical after a trip through the Prometheus text format. The
+A ``/metrics`` scraper trusts that whatever label values the serve layer
+puts in the registry (endpoint paths, shed reasons, error strings) come
+back byte-identical after a trip through the Prometheus text format. The
 escaping lives in ``repro.obs.metrics._escape_label_value`` and its
-inverse in ``repro.obs.console._parse_labels``; this test hammers the
-pair with adversarial values — backslashes, quotes, embedded newlines,
-braces, the escape sequences themselves — in both hand-picked and
-seeded-random form.
+inverse in ``tests.obs.exposition_oracle._parse_labels``; this test
+hammers the pair with adversarial values — backslashes, quotes, embedded
+newlines, braces, the escape sequences themselves — in both hand-picked
+and seeded-random form.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.obs.console import MetricsSnapshot, _parse_labels, parse_exposition
 from repro.obs.metrics import MetricsRegistry, _escape_label_value
+from tests.obs.exposition_oracle import (
+    MetricsSnapshot,
+    _parse_labels,
+    parse_exposition,
+)
 
 #: Every character class that has ever broken a hand-rolled parser.
 _ADVERSARIAL = [

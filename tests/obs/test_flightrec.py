@@ -98,11 +98,18 @@ class TestFlightRecorderRouting:
 
     def test_metrics_poll_rings_immediately_and_on_tick(self):
         rec = FlightRecorder(metrics_capacity=8)
-        ticks = threading.Event()
-        rec.on_poll = ticks.set
-        rec.start_metrics_poll(lambda: {"x": 1}, interval=0.01)
+        ticked = threading.Event()
+        calls = []
+
+        def snapshot() -> dict:
+            calls.append(1)
+            if len(calls) >= 2:  # the first call is the immediate one
+                ticked.set()
+            return {"x": 1}
+
+        rec.start_metrics_poll(snapshot, interval=0.01)
         try:
-            assert ticks.wait(5.0), "poll tick never fired"
+            assert ticked.wait(5.0), "poll tick never fired"
         finally:
             rec.stop_metrics_poll()
         # one immediate snapshot plus >=1 from ticks

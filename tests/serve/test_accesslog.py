@@ -68,14 +68,14 @@ class TestAccessLog:
             endpoint="/metrics",
             status=200,
             duration_seconds=0.001,
-            tenant=None,  # None values are dropped, not written
+            error=None,  # None values are dropped, not written
         )
         log.close()
         assert record["schema"] == ACCESS_SCHEMA
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         parsed = json.loads(lines[0])
-        assert "tenant" not in parsed
+        assert "error" not in parsed
         assert validate_access_file(str(path)) == 1
 
     def test_malformed_record_refused_before_write(self, tmp_path):

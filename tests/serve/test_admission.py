@@ -1,4 +1,4 @@
-"""Admission control in isolation: buckets, caps, shed reasons."""
+"""Admission control in isolation: caps and shed reasons."""
 
 from __future__ import annotations
 
@@ -6,157 +6,62 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.serve import ServeConfig
-from repro.serve.admission import AdmissionController, TokenBucket
+from repro.serve.admission import AdmissionController
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 1000.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-class TestTokenBucket:
-    def test_burst_then_empty(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=1.0, burst=3.0, clock=clock)
-        assert [bucket.try_take() for _ in range(4)] == [
-            True,
-            True,
-            True,
-            False,
-        ]
-
-    def test_refills_at_rate(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=2.0, burst=2.0, clock=clock)
-        assert bucket.try_take(2)
-        assert not bucket.try_take()
-        clock.advance(0.5)  # 1 token back
-        assert bucket.try_take()
-        assert not bucket.try_take()
-
-    def test_never_exceeds_burst(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=10.0, burst=2.0, clock=clock)
-        clock.advance(100.0)
-        assert bucket.tokens == pytest.approx(2.0)
-
-    def test_retry_after_names_the_deficit(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=2.0, burst=1.0, clock=clock)
-        assert bucket.try_take()
-        assert bucket.retry_after() == pytest.approx(0.5)
-        assert bucket.retry_after(0.0) == 0.0
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0.0, burst=1.0)
-        with pytest.raises(ValueError):
-            TokenBucket(rate=1.0, burst=-1.0)
-
-
-def make_controller(clock=None, **overrides) -> AdmissionController:
+def make_controller(**overrides) -> AdmissionController:
     overrides.setdefault("port", 0)
-    config = ServeConfig(**overrides)
-    kwargs = {"clock": clock} if clock is not None else {}
-    return AdmissionController(config, **kwargs)
+    return AdmissionController(ServeConfig(**overrides))
 
 
 class TestAdmissionController:
     def test_admits_within_all_caps(self):
         controller = make_controller()
-        decision = controller.try_admit("a")
+        decision = controller.try_admit()
         assert decision.admitted
         assert decision.reason is None
         assert controller.inflight == 1
 
     def test_global_inflight_cap_sheds(self):
-        controller = make_controller(max_inflight=2, tenant_max_inflight=8)
-        assert controller.try_admit("a").admitted
-        assert controller.try_admit("a").admitted
-        decision = controller.try_admit("a")
+        controller = make_controller(max_inflight=2)
+        assert controller.try_admit().admitted
+        assert controller.try_admit().admitted
+        decision = controller.try_admit()
         assert not decision.admitted
         assert decision.reason == "inflight"
         assert decision.retry_after > 0
 
     def test_release_restores_capacity(self):
         controller = make_controller(max_inflight=1)
-        assert controller.try_admit("a").admitted
-        assert not controller.try_admit("a").admitted
-        controller.release("a")
-        assert controller.try_admit("a").admitted
-
-    def test_tenant_concurrency_cap_is_per_tenant(self):
-        controller = make_controller(max_inflight=16, tenant_max_inflight=1)
-        assert controller.try_admit("a").admitted
-        blocked = controller.try_admit("a")
-        assert blocked.reason == "tenant_concurrency"
-        # Another tenant is unaffected.
-        assert controller.try_admit("b").admitted
-
-    def test_tenant_rate_limit_sheds_with_honest_retry_after(self):
-        clock = FakeClock()
-        controller = make_controller(
-            clock=clock,
-            tenant_rate=1.0,
-            tenant_burst=2.0,
-            tenant_max_inflight=8,
-            max_inflight=100,
-        )
-        for _ in range(2):
-            decision = controller.try_admit("a")
-            assert decision.admitted
-            controller.release("a")
-        shed = controller.try_admit("a")
-        assert shed.reason == "tenant_rate"
-        assert shed.retry_after >= 1.0
-        clock.advance(1.5)
-        assert controller.try_admit("a").admitted
+        assert controller.try_admit().admitted
+        assert not controller.try_admit().admitted
+        controller.release()
+        assert controller.try_admit().admitted
 
     def test_queue_depth_cap_sheds(self):
         controller = make_controller(max_queue_depth=2)
-        decision = controller.try_admit("a", queue_depth=2)
+        decision = controller.try_admit(queue_depth=2)
         assert not decision.admitted
         assert decision.reason == "queue"
-
-    def test_global_shed_refunds_tenant_bucket(self):
-        # A tenant shed by the *global* cap should not also lose rate
-        # budget: once capacity frees up it can come straight back.
-        clock = FakeClock()
-        controller = make_controller(
-            clock=clock,
-            max_inflight=1,
-            tenant_rate=0.001,
-            tenant_burst=1.0,
-        )
-        assert controller.try_admit("greedy").admitted
-        assert controller.try_admit("patient").reason == "inflight"
-        controller.release("greedy")
-        assert controller.try_admit("patient").admitted
 
     def test_draining_sheds_everything(self):
         controller = make_controller()
         controller.start_draining()
-        decision = controller.try_admit("a")
+        decision = controller.try_admit()
         assert decision.reason == "draining"
 
     def test_batch_admission_is_all_or_nothing(self):
-        controller = make_controller(max_inflight=4, tenant_max_inflight=8)
-        assert controller.try_admit("a", n=3).admitted
-        assert controller.try_admit("a", n=2).reason == "inflight"
-        assert controller.try_admit("a", n=1).admitted
-        controller.release("a", n=3)
-        controller.release("a", n=1)
+        controller = make_controller(max_inflight=4)
+        assert controller.try_admit(n=3).admitted
+        assert controller.try_admit(n=2).reason == "inflight"
+        assert controller.try_admit(n=1).admitted
+        controller.release(n=3)
+        controller.release(n=1)
         assert controller.inflight == 0
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            make_controller().try_admit("a", n=0)
+            make_controller().try_admit(n=0)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -164,6 +69,6 @@ class TestAdmissionController:
         with pytest.raises(ValidationError):
             ServeConfig(port=0, default_deadline=10.0, max_deadline=5.0)
         with pytest.raises(ValidationError):
-            ServeConfig(port=0, tenant_rate=0.0)
+            ServeConfig(port=0, max_queue_depth=-1)
         with pytest.raises(ValidationError):
             ServeConfig(port=0, read_timeout=0.0)

@@ -1,22 +1,19 @@
-"""Acceptance: end-to-end request tracing, access log, SLO, and console.
+"""Acceptance: end-to-end request tracing and the access log.
 
-Drives a mix of requests — concurrent solves, a rate-limited shed, a
+Drives a mix of requests — concurrent solves, an admission shed, a
 chaos-forced pool requeue, and a single-stage greedy solve — through a
 live daemon and asserts the observability contract: every HTTP request
-yields exactly one schema-valid access-log record, every traced
+yields exactly one schema-valid access-log record, and every traced
 request's worker spans replay under the originating trace id in one
-schema-valid tree, and ``scwsc top`` renders a frame from the scraped
-``/metrics`` page without a TTY.
+schema-valid tree.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import threading
 
 from repro.obs import trace as obs_trace
-from repro.obs.console import MetricsSnapshot, render_frame, run_top
 from repro.obs.report import load_trace
 from repro.obs.schema import validate_trace_file
 from repro.resilience import faults
@@ -41,7 +38,7 @@ def spans_for(records: list[dict], tid: str) -> list[dict]:
 
 
 class TestObservabilityAcceptance:
-    def test_trace_access_log_and_console(
+    def test_trace_and_access_log(
         self, make_server, solve_body, random_system, tmp_path
     ):
         trace_path = tmp_path / "trace.jsonl"
@@ -52,34 +49,26 @@ class TestObservabilityAcceptance:
                 workers=1,
                 access_log=str(access_path),
                 max_requeues=1,
-                # One token, refilled glacially: the second request from
-                # tenant "limited" deterministically sheds tenant_rate.
-                tenant_rate=0.0001,
-                tenant_burst=1.0,
+                max_inflight=3,
             )
             sent: list[str] = []  # trace ids we handed the server
 
-            # -- three concurrent plain solves (distinct tenants so the
-            # -- one-token bucket is not consumed) ----------------------
+            # -- three concurrent plain solves ------------------------
             tids = [f"{i:02x}" * 16 for i in (0xA1, 0xA2, 0xA3)]
             outcomes: dict[str, tuple[int, dict]] = {}
             lock = threading.Lock()
 
-            def fire(tid: str, tenant: str) -> None:
+            def fire(tid: str) -> None:
                 code, decoded, _ = server.post(
                     "/solve",
                     solve_body(seed=1),
-                    headers={
-                        "traceparent": traceparent(tid),
-                        "X-Scwsc-Tenant": tenant,
-                    },
+                    headers={"traceparent": traceparent(tid)},
                 )
                 with lock:
                     outcomes[tid] = (code, decoded)
 
             threads = [
-                threading.Thread(target=fire, args=(tid, f"t{i}"))
-                for i, tid in enumerate(tids)
+                threading.Thread(target=fire, args=(tid,)) for tid in tids
             ]
             for thread in threads:
                 thread.start()
@@ -97,10 +86,7 @@ class TestObservabilityAcceptance:
             code, decoded, _ = server.post(
                 "/solve",
                 solve_body(seed=2, chain=["cwsc"]),
-                headers={
-                    "traceparent": traceparent(greedy_tid),
-                    "X-Scwsc-Tenant": "greedy",
-                },
+                headers={"traceparent": traceparent(greedy_tid)},
             )
             sent.append(greedy_tid)
             assert code == 200, decoded
@@ -124,56 +110,38 @@ class TestObservabilityAcceptance:
                         "s": 0.5,
                         "chain": ["cwsc"],
                     },
-                    headers={
-                        "traceparent": traceparent(requeue_tid),
-                        "X-Scwsc-Tenant": "requeuer",
-                    },
+                    headers={"traceparent": traceparent(requeue_tid)},
                 )
             sent.append(requeue_tid)
             assert code == 200, decoded
             assert decoded["pool"]["requeues"] == 1, decoded["pool"]
 
-            # -- one shed 429 (second hit on the one-token bucket) ----
-            shed_ok_tid = "d1" * 16
+            # -- one shed 429: the in-flight cap is held synthetically --
             shed_tid = "d2" * 16
-            code, _, _ = server.post(
-                "/solve",
-                solve_body(seed=4),
-                headers={
-                    "traceparent": traceparent(shed_ok_tid),
-                    "X-Scwsc-Tenant": "limited",
-                },
-            )
-            sent.append(shed_ok_tid)
-            assert code == 200
-            code, decoded, _ = server.post(
-                "/solve",
-                solve_body(seed=4),
-                headers={
-                    "traceparent": traceparent(shed_tid),
-                    "X-Scwsc-Tenant": "limited",
-                },
-            )
+            held = server.config.max_inflight
+            assert server.admission.try_admit(held).admitted
+            try:
+                code, decoded, _ = server.post(
+                    "/solve",
+                    solve_body(seed=4),
+                    headers={"traceparent": traceparent(shed_tid)},
+                )
+            finally:
+                server.admission.release(held)
             sent.append(shed_tid)
             assert code == 429, decoded
-            assert decoded["reason"] == "tenant_rate"
+            assert decoded["reason"] == "inflight"
 
-            # -- console: one frame from the scraped /metrics ----------
+            # -- one /metrics scrape: a GET gets its record too --------
             _, metrics_text, _ = server.get("/metrics")
-            frame = render_frame(MetricsSnapshot.parse(metrics_text))
-            assert "inflight" in frame and "p99" in frame
-            assert "tenant_rate=1" in frame  # the shed panel saw the 429
-            assert "_global" in frame  # SLO burn rows
-            out = io.StringIO()
-            assert run_top(server.base, once=True, out=out) == 0
-            assert "slo burn" in out.getvalue()
+            assert 'scwsc_server_shed_total{reason="inflight"} 1' in metrics_text
             server.stop()
         finally:
             obs_trace.shutdown()
 
         # -- access log: exactly one record per request ----------------
-        # 7 solves + 1 /metrics scrape + run_top's scrape = 9 records.
-        assert validate_access_file(str(access_path)) == 9
+        # 6 solves + 1 /metrics scrape = 7 records.
+        assert validate_access_file(str(access_path)) == 7
         by_tid: dict[str, list[dict]] = {}
         for record in iter_access_records(str(access_path)):
             by_tid.setdefault(record["trace_id"], []).append(record)
@@ -181,8 +149,7 @@ class TestObservabilityAcceptance:
             assert len(by_tid[tid]) == 1, f"{tid}: {by_tid.get(tid)}"
         shed_record = by_tid[shed_tid][0]
         assert shed_record["status"] == 429
-        assert shed_record["shed_reason"] == "tenant_rate"
-        assert shed_record["tenant"] == "limited"
+        assert shed_record["shed_reason"] == "inflight"
         assert "solve_seconds" not in shed_record
         requeue_record = by_tid[requeue_tid][0]
         assert requeue_record["requeues"] == 1

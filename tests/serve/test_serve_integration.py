@@ -101,7 +101,7 @@ class TestOverload:
         shed = get_registry().counter("scwsc_server_shed_total")
         assert shed.value(reason="inflight") == 12
         admitted = get_registry().counter("scwsc_server_admitted_total")
-        assert admitted.value(tenant="default") == 4
+        assert admitted.value() == 4
 
     def test_deadline_exhaustion_provenance(self, make_server, solve_body):
         # One hanging request end to end: the provenance must show the

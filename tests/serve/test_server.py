@@ -334,24 +334,20 @@ class TestEndpoints:
         assert code == 400
         assert "batch too large" in response["error"]
 
-    def test_tenant_concurrency_shed_with_retry_after(
-        self, make_server, solve_body
-    ):
-        server = make_server(tenant_max_inflight=1, max_inflight=8)
-        # Saturate tenant "a" synthetically, then observe the shed.
-        server.admission.try_admit("a")
-        code, body, headers = server.post(
-            "/solve", solve_body(), headers={"X-Scwsc-Tenant": "a"}, timeout=10
-        )
+    def test_inflight_shed_with_retry_after(self, make_server, solve_body):
+        server = make_server(max_inflight=1)
+        # Saturate the global cap synthetically, then observe the shed.
+        assert server.admission.try_admit().admitted
+        code, body, headers = server.post("/solve", solve_body(), timeout=10)
         assert code == 429
-        assert body["reason"] == "tenant_concurrency"
+        assert body["error"] == "request shed"
+        assert body["reason"] == "inflight"
+        assert body["retry_after"] == server.config.retry_after
         assert int(headers["Retry-After"]) >= 1
-        # Other tenants are unaffected.
-        code, _, _ = server.post(
-            "/solve", solve_body(), headers={"X-Scwsc-Tenant": "b"}
-        )
+        # Released capacity admits again.
+        server.admission.release()
+        code, _, _ = server.post("/solve", solve_body())
         assert code == 200
-        server.admission.release("a")
 
     def test_metrics_page_exposes_server_series(self, make_server, solve_body):
         server = make_server()
