@@ -58,7 +58,7 @@ import json
 import signal
 import sys
 
-from repro.errors import ReproError, ValidationError
+from repro.errors import ProtocolError, ReproError, ValidationError
 from repro.experiments import available_experiments, run_experiment
 from repro.patterns.costs import get_cost_function
 from repro.patterns.optimized_cmc import optimized_cmc
@@ -210,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_parser.add_argument(
         "requests",
-        help="JSONL file of requests ('-' for stdin); each line is an "
-        'object like {"k": 3, "s": 0.5, "solver": "resilient", '
-        '"tag": "cell-1"}',
+        help="JSONL file of requests ('-' for stdin); each line holds the "
+        'fields of a /solve body, like {"k": 3, "s": 0.5, '
+        '"solver": "resilient", "tag": "cell-1"}',
     )
     batch_parser.add_argument(
         "--csv", required=True, help="input CSV with a header row"
@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=None,
-        help="per-request budget in seconds for requests that do not "
-        "set their own (enforced with SIGKILL plus a grace period)",
+        help="per-request budget in seconds for requests without a "
+        "'deadline' (enforced with SIGKILL plus a grace period)",
     )
     batch_parser.add_argument(
         "--memory-limit",
@@ -822,6 +822,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     """
     from repro.patterns.pattern_sets import build_set_system
     from repro.resilience.pool import PoolConfig, SolverPool
+    from repro.resilience.pool.worker import solve_request_from_json
 
     attributes = [name.strip() for name in args.attributes.split(",")]
     table = PatternTable.from_csv(
@@ -850,8 +851,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    requests.append(_batch_request(system, line, lineno))
-                except (KeyError, TypeError, ValueError) as error:
+                    request = solve_request_from_json(json.loads(line), system)
+                except (ValueError, ProtocolError) as error:
                     failed += 1
                     emit(
                         {
@@ -860,6 +861,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                             "error": str(error) or repr(error),
                         }
                     )
+                    continue
+                if request.tag is None:
+                    request.tag = f"line-{lineno}"
+                requests.append(request)
         finally:
             if in_stream is not sys.stdin:
                 in_stream.close()
@@ -902,30 +907,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 0 if failed == 0 else 3
-
-
-def _batch_request(system, line: str, lineno: int):
-    """Parse one ``scwsc batch`` input line into a pool request."""
-    from repro.resilience.pool import SolveRequest
-
-    spec = json.loads(line)
-    if not isinstance(spec, dict):
-        raise ValueError(
-            f"expected a JSON object, got {type(spec).__name__}"
-        )
-    chain = spec.get("chain")
-    return SolveRequest(
-        system=system,
-        k=int(spec["k"]),
-        s_hat=float(spec["s"]),
-        solver=str(spec.get("solver", "resilient")),
-        chain=tuple(chain) if chain else None,
-        timeout=spec.get("timeout"),
-        stage_options=spec.get("stage_options"),
-        options=spec.get("options"),
-        seed=int(spec.get("seed", 0)),
-        tag=str(spec.get("tag", f"line-{lineno}")),
-    )
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

@@ -15,9 +15,12 @@ Both minimize total cost subject to ``coverage >= ceil(s_hat * n)`` and
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import time
+
+import numpy as np
 
 from repro.core.fallbacks import greedy_partial
 from repro.core.result import CoverResult, Metrics, make_result
@@ -25,6 +28,12 @@ from repro.core.setsystem import SetSystem
 from repro.errors import DeadlineExceeded, InfeasibleError, ValidationError
 from repro.obs import trace as obs_trace
 from repro.resilience.deadline import Deadline
+
+#: Deepest search :func:`solve_exact` starts. The recursive form of the
+#: search overflowed Python's default 1 000-frame stack at about this
+#: depth; an instance that needs more is beyond exhaustive search, so it
+#: fails at once with a greedy partial instead of running to its limits.
+MAX_DEPTH = 1000
 
 
 def brute_force(
@@ -88,7 +97,9 @@ def solve_exact(
     Sets are explored in ascending cost order. A branch is pruned when its
     cost already matches the incumbent, or when even the ``r`` largest
     remaining benefit sets cannot close the coverage gap (an optimistic,
-    overlap-ignoring bound).
+    overlap-ignoring bound). An instance whose search would descend more
+    than :data:`MAX_DEPTH` levels raises :class:`InfeasibleError` with a
+    greedy partial before the first node.
 
     Parameters
     ----------
@@ -131,72 +142,43 @@ def _solve_exact_body(
     required = system.required_coverage(s_hat)
     start = time.perf_counter()
     metrics = Metrics()
-
-    # Drop useless candidates: empty benefit or infinite cost.
-    order = sorted(
-        (
-            ws
-            for ws in system.sets
-            if ws.benefit and math.isfinite(ws.cost)
-        ),
-        key=lambda ws: (ws.cost, -ws.size, ws.set_id),
-    )
-    sizes = [ws.size for ws in order]
+    # Search order: ascending cost, larger benefit, then set id; empty
+    # and infinite-cost sets are useless.
+    indptr, _, costs = system.csr()
+    sizes = np.diff(indptr)
+    useful = np.flatnonzero((sizes > 0) & np.isfinite(costs))
+    ranked = useful[np.lexsort((useful, -sizes[useful], costs[useful]))]
+    # A node at index i of the order sits i levels deep, and the branch
+    # that excludes every set descends while the k largest remaining
+    # benefits still reach the target.
+    if required and np.sort(sizes[ranked[MAX_DEPTH:]])[-k:].sum() >= required:
+        raise InfeasibleError(
+            f"solve_exact: the search would descend more than {MAX_DEPTH} "
+            "levels; greedy partial attached",
+            partial=greedy_partial(system, k, s_hat),
+        )
+    order = [system[set_id] for set_id in ranked.tolist()]
     m = len(order)
 
     # suffix_top[i][r]: sum of the r largest benefit sizes among order[i:],
     # r <= k. Optimistic coverage bound for "r more picks from suffix i".
-    suffix_top: list[list[int]] = [[0] * (k + 1) for _ in range(m + 1)]
-    top: list[int] = []  # descending sizes, length <= k
-    for i in range(m - 1, -1, -1):
-        size = sizes[i]
-        # insert into the running top-k (small k: linear insert is fine)
-        inserted = False
-        for j, existing in enumerate(top):
-            if size > existing:
-                top.insert(j, size)
-                inserted = True
-                break
-        if not inserted:
-            top.append(size)
-        del top[k:]
-        running = suffix_top[i]
-        acc = 0
-        for r in range(1, k + 1):
-            acc += top[r - 1] if r - 1 < len(top) else 0
-            running[r] = acc
+    suffix_top = [[0] * (k + 1)]
+    top: list[int] = []  # the k largest sizes of the suffix, ascending
+    for ws in reversed(order):
+        bisect.insort(top, ws.size)
+        del top[:-k]
+        sums = list(itertools.accumulate(reversed(top), initial=0))
+        suffix_top.append(sums + [sums[-1]] * (k + 1 - len(sums)))
+    suffix_top.reverse()
 
     best_cost = math.inf
     best_choice: list[int] | None = None
     nodes = 0
-
-    def search(index: int, chosen: list[int], covered: set, cost: float) -> None:
-        nonlocal best_cost, best_choice, nodes
-        nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            raise _NodeLimit()
-        if deadline is not None and deadline.poll():
-            raise _DeadlineSignal()
-        if len(covered) >= required:
-            if cost < best_cost:
-                best_cost = cost
-                best_choice = list(chosen)
-            return
-        picks_left = k - len(chosen)
-        if picks_left == 0 or index == m:
-            return
-        gap = required - len(covered)
-        if suffix_top[index][min(picks_left, k)] < gap:
-            return
-        ws = order[index]
-        # Branch 1: include order[index] (only if it helps and can win).
-        new_cost = cost + ws.cost
-        if new_cost < best_cost and not ws.benefit <= covered:
-            chosen.append(ws.set_id)
-            search(index + 1, chosen, covered | ws.benefit, new_cost)
-            chosen.pop()
-        # Branch 2: exclude it.
-        search(index + 1, chosen, covered, cost)
+    # Depth-first, include before exclude: each node pushes its exclude
+    # branch, then its include branch, which is popped first.
+    stack = [(0, (), set(), 0.0)]
+    if required == 0:
+        best_cost, best_choice, stack = 0.0, [], []
 
     def _incumbent_or_greedy() -> CoverResult:
         """Best-so-far as a result; greedy best-effort when empty-handed."""
@@ -204,24 +186,41 @@ def _solve_exact_body(
             return _result("exact", system, best_choice, k, s_hat, metrics)
         return greedy_partial(system, k, s_hat)
 
-    try:
-        if required == 0:
-            best_cost, best_choice = 0.0, []
-        else:
-            search(0, [], set(), 0.0)
-    except _NodeLimit:
-        metrics.runtime_seconds = time.perf_counter() - start
-        raise InfeasibleError(
-            f"solve_exact: node limit {node_limit} exceeded "
-            f"({'incumbent attached' if best_choice is not None else 'greedy partial attached'})",
-            partial=_incumbent_or_greedy(),
-        ) from None
-    except _DeadlineSignal:
-        metrics.runtime_seconds = time.perf_counter() - start
-        raise DeadlineExceeded(
-            f"solve_exact: deadline expired after {nodes} nodes",
-            partial=_incumbent_or_greedy(),
-        ) from None
+    while stack:
+        index, chosen, covered, cost = stack.pop()
+        nodes += 1
+        if node_limit is not None and nodes > node_limit:
+            metrics.runtime_seconds = time.perf_counter() - start
+            raise InfeasibleError(
+                f"solve_exact: node limit {node_limit} exceeded "
+                f"({'incumbent attached' if best_choice is not None else 'greedy partial attached'})",
+                partial=_incumbent_or_greedy(),
+            )
+        if deadline is not None and deadline.poll():
+            metrics.runtime_seconds = time.perf_counter() - start
+            raise DeadlineExceeded(
+                f"solve_exact: deadline expired after {nodes} nodes",
+                partial=_incumbent_or_greedy(),
+            )
+        if len(covered) >= required:
+            if cost < best_cost:
+                best_cost = cost
+                best_choice = list(chosen)
+            continue
+        picks_left = k - len(chosen)
+        if picks_left == 0 or index == m:
+            continue
+        if suffix_top[index][picks_left] < required - len(covered):
+            continue
+        ws = order[index]
+        stack.append((index + 1, chosen, covered, cost))
+        # Include order[index] only if it helps and can win.
+        new_cost = cost + ws.cost
+        if new_cost < best_cost and not ws.benefit <= covered:
+            stack.append(
+                (index + 1, chosen + (ws.set_id,), covered | ws.benefit,
+                 new_cost)
+            )
 
     metrics.sets_considered = nodes
     if best_choice is None:
@@ -232,14 +231,6 @@ def _solve_exact_body(
         )
     metrics.runtime_seconds = time.perf_counter() - start
     return _result("exact", system, best_choice, k, s_hat, metrics)
-
-
-class _NodeLimit(Exception):
-    """Internal signal: branch-and-bound exceeded its node budget."""
-
-
-class _DeadlineSignal(Exception):
-    """Internal signal: the cooperative deadline expired mid-search."""
 
 
 def _result(

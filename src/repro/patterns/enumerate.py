@@ -9,10 +9,11 @@ record visits exactly the non-empty patterns — there are at most
 ``prod(|dom| + 1)``.
 
 :func:`pattern_csr` does that enumeration with integer codes instead of
-one Python tuple per (row, mask) pair: each column is coded once, each
-(mask, row) pair becomes one mixed-radix ``int64`` key, one stable sort
-groups the pairs into patterns, and one ``lexsort`` of the patterns'
-``repr`` ranks orders them. The result is CSR — pattern
+one Python tuple per (row, mask) pair: it reads the table's column codes
+(:meth:`PatternTable.codes`), each (mask, row) pair becomes one
+mixed-radix ``int64`` key, one stable sort groups the pairs into
+patterns, and one ``lexsort`` of the patterns' ``repr`` ranks orders
+them. The result is CSR — pattern
 ``p`` covers ``rows[indptr[p]:indptr[p + 1]]``, ascending — already in
 :meth:`Pattern.sort_key` order, so :func:`~repro.patterns.pattern_sets.
 build_set_system` hands it to :meth:`SetSystem.from_csr` without
@@ -112,23 +113,8 @@ def pattern_csr(table: PatternTable) -> PatternCSR:
             np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64),
             np.empty((0, j), dtype=bool), table.rows,
         )
-    # Per column: 1-based ranks of the values' reprs (the sort key), and
-    # codes that group equal values the way a dict of tuples does.
-    repr_ranks = np.empty((n, j), dtype=np.int64)
-    group_codes = np.empty((n, j), dtype=np.int64)
-    radixes = []
-    for i in range(j):
-        column = [row[i] for row in table.rows]
-        reprs = list(map(repr, column))
-        rank = {text: c for c, text in enumerate(sorted(set(reprs)), 1)}
-        repr_ranks[:, i] = np.fromiter(map(rank.__getitem__, reprs),
-                                       dtype=np.int64, count=n)
-        equal: dict = {}
-        group_codes[:, i] = np.fromiter(
-            (equal.setdefault(value, len(equal) + 1) for value in column),
-            dtype=np.int64, count=n,
-        )
-        radixes.append(len(equal) + 1)
+    coded = table.codes()
+    radixes = [len(values) + 1 for values in coded.values]
     # One key per (mask, row) pair, entry e = mask * n + row; a wildcard
     # position contributes code 0, so each key names one pattern.
     key = np.zeros(masks.shape[0] * n, dtype=np.int64)
@@ -138,7 +124,8 @@ def pattern_csr(table: PatternTable) -> PatternCSR:
             key = np.unique(key, return_inverse=True)[1].astype(np.int64)
             bound = int(key.max()) + 1
         key *= radixes[i]
-        key += np.where(masks[:, i, None], group_codes[None, :, i], 0).ravel()
+        code = coded.codes[i].astype(np.int64) + 1
+        key += np.where(masks[:, i, None], code, 0).ravel()
         bound *= radixes[i]
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -152,7 +139,7 @@ def pattern_csr(table: PatternTable) -> PatternCSR:
     # value), ties by first row, then mask.
     first_row, mask_id = first % n, first // n
     sort_keys = [
-        np.where(masks[mask_id, i], repr_ranks[first_row, i], 0)
+        np.where(masks[mask_id, i], coded.ranks[i, first_row], 0)
         for i in reversed(range(j))
     ]
     by_label = np.lexsort([mask_id, first_row, *sort_keys])

@@ -29,6 +29,8 @@ from operator import is_
 from typing import AbstractSet as Set
 from typing import Collection, Container, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro._typing import AttrValue
 from repro.errors import ValidationError
 from repro.patterns.pattern import ALL, Pattern
@@ -142,11 +144,16 @@ _NO_DATA: dict[Values, PatternData] = {}
 class PatternIndex:
     """Inverted index ``attribute -> value -> row ids`` for one table.
 
+    Built from the table's column codes (:meth:`PatternTable.codes`):
+    one stable ``argsort`` per column groups the rows of each value,
+    keyed by the value at the group's lowest row, and children sort by
+    the ``repr`` rank at their lowest row.
     :meth:`PatternTable.pattern_index` builds one and shares it.
     """
 
     def __init__(self, table: PatternTable) -> None:
         self._table = table
+        coded = table.codes()
         # One int object per row id, shared by every row set.
         row_ids = list(range(table.n_rows))
         self._by_value: list[dict[AttrValue, frozenset[int]]] = []
@@ -154,16 +161,18 @@ class PatternIndex:
         # all-wildcards root's children. Keys are the value at each
         # group's lowest row.
         self._root_rows: list[dict[AttrValue, tuple[int, ...]]] = []
-        for position in range(table.n_attributes):
-            buckets: dict[AttrValue, list[int]] = {}
-            for row_id, row in zip(row_ids, table.rows):
-                buckets.setdefault(row[position], []).append(row_id)
+        self._ranks: list[list[int]] = coded.ranks.tolist()
+        for codes, values in zip(coded.codes, coded.values):
+            order = np.argsort(codes, kind="stable")
+            ends = np.cumsum(np.bincount(codes))[:-1]
+            groups = [
+                tuple(map(row_ids.__getitem__, group.tolist()))
+                for group in np.split(order, ends)
+            ]
             self._by_value.append(
-                {value: frozenset(ids) for value, ids in buckets.items()}
+                {value: frozenset(ids) for value, ids in zip(values, groups)}
             )
-            self._root_rows.append(
-                {value: tuple(ids) for value, ids in buckets.items()}
-            )
+            self._root_rows.append(dict(zip(values, groups)))
         self._all_rows = frozenset(row_ids)
 
     @property
@@ -256,6 +265,7 @@ class PatternIndex:
         ben_set: frozenset[int] | None = None
         for position in wildcards:
             by_value = self._by_value[position]
+            rank_at = self._ranks[position]
             allowed: Iterable[AttrValue]
             if root:
                 allowed = by_value
@@ -301,8 +311,8 @@ class PatternIndex:
                     if data is not None and all(map(is_, child, data.values)):
                         # The very tuple its sort key was computed for.
                         child = data.values
-                    found.append((repr(lowest_value), rows[0], child, rows))
-            # (repr, lowest row) is unique, so ties fall to row order.
+                    found.append((rank_at[rows[0]], rows[0], child, rows))
+            # (repr rank, lowest row) is unique: ties fall to row order.
             found.sort()
             for _, _, child, rows in found:
                 yield position, child, rows

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.patterns.table import PatternTable
 
 
@@ -71,22 +73,21 @@ class TableProfile:
 
 def profile_table(table: PatternTable) -> TableProfile:
     """Compute a :class:`TableProfile` for a table."""
+    coded = table.codes()
     attributes = []
-    for position, name in enumerate(table.attributes):
-        counts: dict = {}
-        for row in table.rows:
-            counts[row[position]] = counts.get(row[position], 0) + 1
-        if counts:
-            top_value, top_count = max(
-                counts.items(), key=lambda item: (item[1], repr(item[0]))
+    for name, codes, values in zip(table.attributes, coded.codes, coded.values):
+        counts = np.bincount(codes).tolist()
+        if values:
+            top = max(
+                range(len(values)), key=lambda c: (counts[c], repr(values[c]))
             )
-            top_share = top_count / table.n_rows
+            top_value, top_share = values[top], counts[top] / table.n_rows
         else:
             top_value, top_share = None, 0.0
         attributes.append(
             AttributeProfile(
                 name=name,
-                cardinality=len(counts),
+                cardinality=len(values),
                 top_value=top_value,
                 top_share=top_share,
             )

@@ -5,11 +5,16 @@ Section II: ``n`` records over ``j`` categorical *pattern attributes*, plus
 an optional numeric *measure* attribute from which pattern costs are
 computed (the paper's running example uses ``Cost`` with the ``max``
 function).
+
+The table codes each column once (:meth:`PatternTable.codes`): which
+cells hold equal values, and how values order by ``repr``. Enumeration,
+the lattice index and the table profile read those codes.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import weakref
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -20,6 +25,36 @@ from repro.errors import ValidationError
 
 if TYPE_CHECKING:
     from repro.patterns.index import PatternIndex
+
+
+class TableCodes:
+    """A table's columns as small integers (see :meth:`PatternTable.codes`).
+
+    ``codes[i][r]`` is the equality code of row ``r``'s value in column
+    ``i``: equal values (``1``, ``1.0``, ``True``) share a code, numbered
+    from 0 in first-seen order, and ``values[i][c]`` is the first-seen
+    value of code ``c``. ``ranks[i][r]`` is the 1-based rank of that
+    cell's ``repr`` among the column's distinct ``repr`` texts, so rank
+    order is ``repr`` order. Both arrays are ``(j, n)`` in the narrowest
+    unsigned dtype that holds ``n``.
+    """
+
+    __slots__ = ("codes", "values", "ranks")
+
+    def __init__(self, rows: Sequence[Sequence[AttrValue]], j: int) -> None:
+        n = len(rows)
+        dtype = np.min_scalar_type(n)
+        self.codes = np.empty((j, n), dtype=dtype)
+        self.ranks = np.empty((j, n), dtype=dtype)
+        values = []
+        for i, column in enumerate(zip(*rows) if n else [()] * j):
+            equal: dict = {}
+            self.codes[i] = [equal.setdefault(v, len(equal)) for v in column]
+            values.append(tuple(equal))
+            reprs = list(map(repr, column))
+            rank = {text: r for r, text in enumerate(sorted(set(reprs)), 1)}
+            self.ranks[i] = list(map(rank.__getitem__, reprs))
+        self.values: tuple[tuple[AttrValue, ...], ...] = tuple(values)
 
 
 class PatternTable:
@@ -71,7 +106,7 @@ class PatternTable:
         else:
             self._measure = None
         self._measure_name = measure_name
-        self._domains: list[tuple[AttrValue, ...]] | None = None
+        self._codes: TableCodes | None = None
         self._index: "weakref.ref[PatternIndex] | None" = None
 
     # ------------------------------------------------------------------
@@ -161,19 +196,16 @@ class PatternTable:
             f"measure={self._measure_name if self._measure else None})"
         )
 
+    def codes(self) -> TableCodes:
+        """The table's column codes, computed on first use and kept."""
+        if self._codes is None:
+            self._codes = TableCodes(self._rows, self.n_attributes)
+        return self._codes
+
     def active_domain(self, position: int) -> tuple[AttrValue, ...]:
-        """Distinct values of one attribute, in deterministic (repr) order."""
-        if self._domains is None:
-            self._domains = [
-                tuple(
-                    sorted(
-                        {row[i] for row in self._rows},
-                        key=repr,
-                    )
-                )
-                for i in range(self.n_attributes)
-            ]
-        return self._domains[position]
+        """Distinct values of one attribute, in ``repr`` order (ties in
+        first-seen order)."""
+        return tuple(sorted(self.codes().values[position], key=repr))
 
     def pattern_index(self) -> "PatternIndex":
         """The table's inverted index, built on first use.
@@ -193,10 +225,7 @@ class PatternTable:
 
     def pattern_space_size(self) -> int:
         """``prod(|dom(D_i)| + 1)`` — the number of syntactic patterns."""
-        size = 1
-        for i in range(self.n_attributes):
-            size *= len(self.active_domain(i)) + 1
-        return size
+        return math.prod(len(values) + 1 for values in self.codes().values)
 
     # ------------------------------------------------------------------
     # Transformations (each returns a new table)

@@ -292,7 +292,7 @@ def system_from_payload(payload: dict) -> SetSystem:
         benefits = [entry[0] for entry in raw_sets]
         costs = [entry[1] for entry in raw_sets]
         labels = [_label_from_payload(entry[2]) for entry in raw_sets]
-    except (KeyError, TypeError, IndexError) as error:
+    except (KeyError, TypeError, IndexError, ValueError) as error:
         raise ProtocolError(
             f"malformed set-system payload: {error!r}"
         ) from error

@@ -50,10 +50,13 @@ from repro.resilience.pool.protocol import (
     SolveRequest,
     read_frame,
     request_from_payload,
+    system_from_payload,
     write_frame,
 )
 
-__all__ = ["check_request_fields", "main", "run_request"]
+__all__ = [
+    "check_request_fields", "main", "run_request", "solve_request_from_json"
+]
 
 #: Cap on trace records shipped per result frame: an unexpectedly hot
 #: trace must degrade to truncation, not to an oversized frame that the
@@ -113,8 +116,9 @@ def _accepts(hint, value) -> bool:
     """Whether a JSON value fits a parameter annotation.
 
     Numbers fit ``float`` and integers ``int``, never a bool; a
-    ``Literal`` takes its listed values. Shapes JSON options cannot
-    carry (callables, containers) are left to the callable.
+    ``Literal`` takes its listed values; a bare ``list`` or ``dict``
+    takes a JSON array or object. Other shapes (callables, parametrized
+    containers) are left to the callable.
     """
     origin = typing.get_origin(hint)
     if origin in (typing.Union, types.UnionType):
@@ -126,7 +130,7 @@ def _accepts(hint, value) -> bool:
         )
     if hint is type(None):
         return value is None
-    if hint in (bool, str):
+    if hint in (bool, str, list, dict):
         return isinstance(value, hint)
     if hint in (int, float):
         numbers = int if hint is int else (int, float)
@@ -142,7 +146,8 @@ def _describe(hint) -> str:
         return "one of " + ", ".join(map(repr, typing.get_args(hint)))
     return {
         type(None): "null", bool: "true or false", str: "a string",
-        int: "an integer", float: "a number",
+        int: "an integer", float: "a number", list: "a list",
+        dict: "an object",
     }.get(hint, str(hint))
 
 
@@ -192,6 +197,65 @@ def check_request_fields(
             f"'stage_options' entry {stage!r}", stage_opts,
             STAGE_SOLVERS[stage], _SOLVER_ARGS,
         )
+
+
+#: The fields of a JSON solve request (a ``/solve`` body, a ``/batch``
+#: entry, a ``scwsc batch`` line), each with the type it must have
+#: (``system`` is checked by :func:`system_from_payload`).
+REQUEST_FIELDS = {
+    "system": None, "k": int, "s": float | None, "s_hat": float | None,
+    "deadline": float | None, "solver": str, "chain": list | None,
+    "seed": int, "tag": str | None, "options": dict | None,
+    "stage_options": dict | None,
+}
+
+
+def solve_request_from_json(payload, system=None) -> SolveRequest:
+    """Validate one JSON solve request into a :class:`SolveRequest`.
+
+    ``system``, when given, stands in for a missing ``system`` field. The
+    ``timeout`` is the request's ``deadline`` or ``None``: each caller
+    applies its own deadline policy. Raises :class:`ValidationError` or,
+    for a bad system payload, :class:`ProtocolError`.
+    """
+    if not isinstance(payload, dict):
+        raise ValidationError("a solve request must be a JSON object")
+    unknown = sorted(set(payload) - set(REQUEST_FIELDS))
+    if unknown:
+        raise ValidationError(
+            f"unknown field(s) {unknown}; accepted: {sorted(REQUEST_FIELDS)}"
+        )
+    if system is None or "system" in payload:
+        if not isinstance(payload.get("system"), dict):
+            raise ValidationError("missing or invalid 'system' object")
+        system = system_from_payload(payload["system"])
+    fields = {"solver": "resilient", "seed": 0, **payload}
+    for name, hint in REQUEST_FIELDS.items():
+        if hint is not None and not _accepts(hint, fields.get(name)):
+            raise ValidationError(f"'{name}' must be {_describe(hint)}")
+    s_hat = fields.get("s", fields.get("s_hat"))
+    if s_hat is None:
+        raise ValidationError("'s' (coverage target) must be a number")
+    deadline = fields.get("deadline")
+    if deadline is not None and deadline <= 0:
+        raise ValidationError(f"'deadline' must be > 0, got {deadline}")
+    chain = fields.get("chain")
+    if chain is not None:
+        if not all(isinstance(stage, str) for stage in chain):
+            raise ValidationError("'chain' must be a list of stage names")
+        chain = tuple(chain)
+    check_request_fields(
+        fields["solver"], chain, fields.get("options"),
+        fields.get("stage_options"),
+    )
+    return SolveRequest(
+        system=system, k=fields["k"], s_hat=float(s_hat),
+        solver=fields["solver"], chain=chain,
+        timeout=None if deadline is None else float(deadline),
+        stage_options=fields.get("stage_options"),
+        options=fields.get("options"), seed=fields["seed"],
+        tag=fields.get("tag"),
+    )
 
 
 def run_request(request: SolveRequest, on_stage=None) -> CoverResult:

@@ -18,18 +18,22 @@ The serving stack, bottom up:
 See ``docs/SERVING.md`` for the operator's view.
 """
 
-from repro.serve.admission import AdmissionController, AdmissionDecision
-from repro.serve.config import ServeConfig
-from repro.serve.engine import ServeEngine, Ticket
-from repro.serve.server import SolverServer, build_solve_request, run_server
+import importlib
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "ServeConfig",
-    "ServeEngine",
-    "SolverServer",
-    "Ticket",
-    "build_solve_request",
-    "run_server",
-]
+#: Each public name's home module. They load on first access, so running
+#: ``python -m repro.serve.accesslog`` does not import that module twice.
+_HOMES = {
+    "AdmissionController": "admission", "AdmissionDecision": "admission",
+    "ServeConfig": "config", "ServeEngine": "engine", "Ticket": "engine",
+    "SolverServer": "server", "build_solve_request": "server",
+    "run_server": "server",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)

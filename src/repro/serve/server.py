@@ -51,7 +51,7 @@ from repro.obs.metrics import get_registry, publish_build_info
 from repro.obs.postmortem import BundleSpool, TriggerEngine, build_info
 from repro.resilience.pool import SolveRequest
 from repro.resilience.pool.protocol import system_from_payload
-from repro.resilience.pool.worker import check_request_fields
+from repro.resilience.pool.worker import solve_request_from_json
 from repro.serve.accesslog import ACCESS_SCHEMA, AccessLog
 from repro.serve.admission import AdmissionController
 from repro.serve.config import ServeConfig
@@ -67,84 +67,20 @@ logger = logging.getLogger(__name__)
 _TICKET_SLACK = 30.0
 
 
-#: The fields a ``/solve`` body or a ``/batch`` entry may carry.
-REQUEST_FIELDS = frozenset({
-    "system", "k", "s", "s_hat", "deadline", "solver", "chain", "seed",
-    "tag", "options", "stage_options",
-})
-
-
 def build_solve_request(
     payload: dict, config: ServeConfig, system=None
 ) -> SolveRequest:
-    """Validate one JSON solve payload into a :class:`SolveRequest`.
-
-    ``system`` short-circuits deserialization for batch entries sharing
-    a top-level system. Raises :class:`ValidationError` (bad schema or
-    parameters, including a field outside :data:`REQUEST_FIELDS`, or a
-    solver, chain stage, option key or option value the worker would
-    reject) or :class:`ProtocolError` (bad system payload), both of
-    which the handler maps to 400.
+    """Validate one JSON solve payload (see
+    :func:`~repro.resilience.pool.worker.solve_request_from_json`, whose
+    errors map to 400) and apply the server's deadline policy: the
+    default when none is given, clamped to ``config.max_deadline``.
+    ``system`` is a ``/batch`` body's shared system.
     """
-    if not isinstance(payload, dict):
-        raise ValidationError("request body must be a JSON object")
-    unknown = sorted(set(payload) - REQUEST_FIELDS)
-    if unknown:
-        raise ValidationError(
-            f"unknown field(s) {unknown}; accepted: {sorted(REQUEST_FIELDS)}"
-        )
-    if system is None:
-        system_payload = payload.get("system")
-        if not isinstance(system_payload, dict):
-            raise ValidationError("missing or invalid 'system' object")
-        system = system_from_payload(system_payload)
-    k = payload.get("k")
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValidationError("'k' must be an integer")
-    s_hat = payload.get("s", payload.get("s_hat"))
-    if not isinstance(s_hat, (int, float)) or isinstance(s_hat, bool):
-        raise ValidationError("'s' (coverage target) must be a number")
-    deadline = payload.get("deadline")
-    if deadline is None:
-        deadline = config.default_deadline
-    elif not isinstance(deadline, (int, float)) or isinstance(deadline, bool):
-        raise ValidationError("'deadline' must be a number of seconds")
-    elif deadline <= 0:
-        raise ValidationError(f"'deadline' must be > 0, got {deadline}")
-    deadline = min(float(deadline), config.max_deadline)
-    solver = payload.get("solver", "resilient")
-    if not isinstance(solver, str):
-        raise ValidationError("'solver' must be a string")
-    chain = payload.get("chain")
-    if chain is not None:
-        if not isinstance(chain, list) or not all(
-            isinstance(stage, str) for stage in chain
-        ):
-            raise ValidationError("'chain' must be a list of stage names")
-        chain = tuple(chain)
-    seed = payload.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError("'seed' must be an integer")
-    tag = payload.get("tag")
-    if tag is not None and not isinstance(tag, str):
-        raise ValidationError("'tag' must be a string")
-    for key in ("options", "stage_options"):
-        if payload.get(key) is not None and not isinstance(payload[key], dict):
-            raise ValidationError(f"'{key}' must be an object")
-    options = payload.get("options")
-    check_request_fields(solver, chain, options, payload.get("stage_options"))
-    return SolveRequest(
-        system=system,
-        k=k,
-        s_hat=float(s_hat),
-        solver=solver,
-        chain=chain,
-        timeout=deadline,
-        stage_options=payload.get("stage_options"),
-        options=options,
-        seed=seed,
-        tag=tag,
-    )
+    request = solve_request_from_json(payload, system)
+    if request.timeout is None:
+        request.timeout = config.default_deadline
+    request.timeout = min(float(request.timeout), config.max_deadline)
+    return request
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -464,12 +400,7 @@ class _Handler(BaseHTTPRequestHandler):
             if isinstance(payload.get("system"), dict):
                 shared_system = system_from_payload(payload["system"])
             requests = [
-                build_solve_request(
-                    entry,
-                    self.server.config,
-                    system=None if isinstance(entry, dict) and "system" in entry
-                    else shared_system,
-                )
+                build_solve_request(entry, self.server.config, shared_system)
                 for entry in entries
             ]
         except (ValidationError, ProtocolError) as exc:

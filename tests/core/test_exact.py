@@ -88,3 +88,71 @@ class TestBruteForce:
         system = SetSystem.from_iterables(2, [{0}, {1}, {0, 1}], [1, 1, 3])
         result = brute_force(system, k=2, s_hat=1.0)
         assert result.total_cost == pytest.approx(2.0)
+
+
+def _recursive_search(system, k, s_hat):
+    """The branch and bound in its former recursive form: the reference
+    for the visit order (selection and node count) of ``solve_exact``."""
+    required = system.required_coverage(s_hat)
+    order = sorted(
+        (ws for ws in system.sets if ws.benefit and math.isfinite(ws.cost)),
+        key=lambda ws: (ws.cost, -ws.size, ws.set_id),
+    )
+    m = len(order)
+    suffix_top = []
+    for i in range(m + 1):
+        top = sorted((ws.size for ws in order[i:]), reverse=True)[:k]
+        suffix_top.append([sum(top[:r]) for r in range(k + 1)])
+    best = [math.inf, None]
+    nodes = 0
+
+    def search(index, chosen, covered, cost):
+        nonlocal nodes
+        nodes += 1
+        if len(covered) >= required:
+            if cost < best[0]:
+                best[:] = [cost, list(chosen)]
+            return
+        picks_left = k - len(chosen)
+        if picks_left == 0 or index == m:
+            return
+        if suffix_top[index][picks_left] < required - len(covered):
+            return
+        ws = order[index]
+        if cost + ws.cost < best[0] and not ws.benefit <= covered:
+            chosen.append(ws.set_id)
+            search(index + 1, chosen, covered | ws.benefit, cost + ws.cost)
+            chosen.pop()
+        search(index + 1, chosen, covered, cost)
+
+    search(0, [], set(), 0.0)
+    return best[1], nodes
+
+
+class TestSearchOrder:
+    def test_same_selection_and_node_count_as_the_recursion(
+        self, random_system
+    ):
+        for seed in range(20):
+            system = random_system(n_elements=14, n_sets=12, seed=seed)
+            for k in (1, 2, 4):
+                for s_hat in (0.5, 0.8, 1.0):
+                    chosen, nodes = _recursive_search(system, k, s_hat)
+                    try:
+                        result = solve_exact(system, k, s_hat)
+                    except InfeasibleError:
+                        assert chosen is None
+                        continue
+                    assert list(result.set_ids) == chosen
+                    assert result.metrics.sets_considered == nodes
+
+    def test_deep_search_fails_at_once_with_a_greedy_partial(
+        self, random_system
+    ):
+        # Over 1 000 candidate sets: the recursive form overflowed the
+        # stack here; the search now refuses before its first node.
+        system = random_system(n_elements=60, n_sets=1200, seed=3)
+        with pytest.raises(InfeasibleError, match="would descend") as info:
+            solve_exact(system, k=5, s_hat=0.5)
+        partial = info.value.partial
+        assert partial is not None and partial.n_sets <= 5

@@ -229,6 +229,34 @@ class TestBatch:
         assert all("error" in e for e in by_status["invalid"])
         assert [e["tag"] for e in by_status["ok"]] == ["good"]
 
+    def test_lines_validated_like_solve_bodies(
+        self, tmp_path, csv_path, capsys
+    ):
+        requests_path = tmp_path / "requests.jsonl"
+        requests_path.write_text(
+            '{"k": 3, "s": 0.5, "tag": "good"}\n'
+            '{"k":3,"s":0.5,"bogus":1,"solver":"cmc","options":{"b":"two"}}\n'
+            '{"k": 3, "s": 0.5, "solver": "cmc", "options": {"b": "two"}}\n'
+            '{"k": 3, "s": 0.5, "timeout": 5}\n'
+            '{"k": 3, "s": 0.5, "system": {"n": "x", "sets": []}}\n'
+        )
+        out_path = tmp_path / "results.jsonl"
+        code = main(self._batch_args(requests_path, csv_path, out_path))
+        assert code == 3
+        lines = [
+            json.loads(line)
+            for line in out_path.read_text().splitlines()
+        ]
+        invalid = {e["tag"]: e["error"] for e in lines
+                   if e["status"] == "invalid"}
+        assert sorted(invalid) == ["line-2", "line-3", "line-4", "line-5"]
+        assert "unknown field(s) ['bogus']" in invalid["line-2"]
+        assert "'options' key 'b' must be a number" in invalid["line-3"]
+        assert "unknown field(s) ['timeout']" in invalid["line-4"]
+        assert [e["tag"] for e in lines if e["status"] == "ok"] == ["good"]
+        # Invalid lines never reach the pool.
+        assert "1 request(s) run, 4 failed" in capsys.readouterr().err
+
     def test_missing_requests_file_is_an_io_error(
         self, tmp_path, csv_path, capsys
     ):

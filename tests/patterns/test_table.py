@@ -69,6 +69,34 @@ class TestDomains:
     def test_pattern_space_size(self, table):
         assert table.pattern_space_size() == 9  # (2+1) * (2+1)
 
+    def test_columns_coded_once(self, table, monkeypatch):
+        from repro.patterns import table as table_module
+        from repro.patterns.enumerate import pattern_csr
+        from repro.patterns.index import PatternIndex
+        from repro.patterns.stats import profile_table
+
+        calls = []
+        code = table_module.TableCodes
+
+        def counting(*args):
+            calls.append(args)
+            return code(*args)
+
+        monkeypatch.setattr(table_module, "TableCodes", counting)
+        pattern_csr(table)
+        PatternIndex(table)
+        PatternIndex(table)
+        profile_table(table)
+        table.active_domain(1)
+        assert len(calls) == 1
+
+    def test_codes_use_a_narrow_dtype(self, table):
+        coded = table.codes()
+        assert coded.codes.tolist() == [[0, 0, 1, 1], [0, 1, 0, 1]]
+        assert coded.ranks.tolist() == [[1, 1, 2, 2], [2, 1, 2, 1]]
+        assert coded.values == (("A", "B"), ("W", "E"))
+        assert coded.codes.itemsize == coded.ranks.itemsize == 1
+
 
 class TestTransformations:
     def test_project(self, table):

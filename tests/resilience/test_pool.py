@@ -78,6 +78,29 @@ class TestPoolMatchesSequential:
         assert first.result.set_ids == second.result.set_ids
 
 
+class TestExactOnLargeSystems:
+    def test_exact_is_infeasible_and_a_later_stage_answers(
+        self, random_system
+    ):
+        # Over 1 000 sets the recursive exact search overflowed the
+        # stack: the worker requeued and the exact breaker opened.
+        system = random_system(n_elements=60, n_sets=1200, seed=3)
+        inline = resilient_solve(system, 5, 0.5, timeout=60)
+        with SolverPool(PoolConfig(workers=1, request_timeout=60)) as pool:
+            outcome = pool.solve(SolveRequest(system=system, k=5, s_hat=0.5))
+            breakers = pool.breaker_snapshot()
+        assert outcome.status == "ok"
+        assert outcome.provenance["requeues"] == 0
+        assert len(outcome.provenance["attempts"]) == 1
+        assert breakers["exact"]["times_opened"] == 0
+        for result in (inline, outcome.result):
+            resilience = result.params["resilience"]
+            assert resilience["stages"][0]["stage"] == "exact"
+            assert resilience["stages"][0]["status"] == "infeasible"
+            assert resilience["stage"] != "exact"
+            assert verify_result(system, result, k=5, s_hat=0.5) == []
+
+
 class TestPoolFailureHandling:
     def test_unknown_solver_degrades_to_fallback(self, random_system):
         system = random_system(seed=5)

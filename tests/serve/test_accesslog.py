@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -118,3 +120,16 @@ class TestAccessLog:
         )
         with pytest.raises(ValidationError, match=":2"):
             validate_access_file(str(path))
+
+    def test_module_cli_runs_without_runtime_warning(self, tmp_path):
+        # The package must not import the module before runpy runs it.
+        path = tmp_path / "access.jsonl"
+        path.write_text(json.dumps(VALID) + "\n")
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.serve.accesslog", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr == ""
+        assert "ok (1 record(s))" in completed.stdout

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 from repro.obs import trace as obs_trace
 from repro.obs.report import load_trace
@@ -119,6 +120,12 @@ class TestObservabilityAcceptance:
             # -- one shed 429: the in-flight cap is held synthetically --
             shed_tid = "d2" * 16
             held = server.config.max_inflight
+            # A handler releases its slot just after writing its
+            # response, so the last reply can arrive first: wait
+            # (bounded) for the slots to drain before holding them all.
+            deadline = time.monotonic() + 10.0
+            while server.admission.inflight and time.monotonic() < deadline:
+                time.sleep(0.01)
             assert server.admission.try_admit(held).admitted
             try:
                 code, decoded, _ = server.post(

@@ -140,6 +140,14 @@ class TestBuildSolveRequest:
                 {"system": {"n": 3}, "k": 1, "s": 0.5}, self.config()
             )
 
+    def test_non_integer_universe_raises_protocol_error(self):
+        # A 400, not a ValueError that the handler answers with a 500.
+        with pytest.raises(ProtocolError):
+            build_solve_request(
+                {"system": {"n": "x", "sets": []}, "k": 1, "s": 0.5},
+                self.config(),
+            )
+
 
 class TestBackendKnob(TestBuildSolveRequest):
     """A request cannot pick the tracker kernel: ``backend`` is no
