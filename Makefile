@@ -14,7 +14,6 @@
 #   make paper-bench  the paper-shape benches (pytest benchmarks/, full
 #                     scale, about 3 min); not in CI while some fail
 #   make trace-smoke  traced solves (plain + --isolate), schema-validated
-#   make profile-smoke  profiled solve, flamegraph export, dashboard render
 #   make serve-smoke  boot the real daemon twice: healthy mixed-deadline
 #                     traffic, then forced overload (429s) + SIGTERM drain
 #   make debug-smoke  boot the daemon with a postmortem spool, SIGKILL a
@@ -31,7 +30,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONHASHSEED := 0
 
-.PHONY: test chaos verify perfbench-test paper-bench trace-smoke profile-smoke serve-smoke debug-smoke dashboard
+.PHONY: test chaos verify perfbench-test paper-bench trace-smoke serve-smoke debug-smoke dashboard
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -60,9 +59,6 @@ paper-bench:
 
 trace-smoke:
 	$(PYTHON) benchmarks/trace_smoke.py trace-smoke
-
-profile-smoke:
-	$(PYTHON) benchmarks/profile_smoke.py profile-smoke
 
 serve-smoke:
 	$(PYTHON) benchmarks/serve_smoke.py serve-smoke

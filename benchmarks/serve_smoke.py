@@ -8,8 +8,8 @@ stack (CLI, signal handling, pool spawn) is on the hook:
    come back 200 with verified bodies; an upstream ``traceparent`` is
    adopted end to end; ``/healthz``, ``/readyz``, and ``/metrics``
    answer; a SIGTERM exits 0 and leaves a schema-valid trace plus a
-   schema-valid access log (one record per request), both uploaded as
-   CI artifacts (the trace also renders into the run dashboard).
+   schema-valid access log (one ``access`` record per request), both
+   uploaded as CI artifacts (the trace also renders into the run dashboard).
 2. **Overloaded daemon** — workers are forced to hang via the chaos
    layer (``REPRO_CHAOS=hang=1``) with an admission cap of 4, and 8
    concurrent requests must split into exactly 4 degraded 200s and
@@ -41,8 +41,8 @@ from repro.cli import main as cli_main
 from repro.core.result import result_from_dict
 from repro.core.validate import verify_result
 from repro.datasets.registry import load_dataset
+from repro.obs.report import load_trace
 from repro.obs.schema import validate_trace_file
-from repro.serve.accesslog import iter_access_records, validate_access_file
 from repro.patterns.pattern_sets import build_set_system
 from repro.resilience.pool.protocol import system_from_payload, system_to_payload
 
@@ -230,15 +230,15 @@ def healthy_phase(out_dir: Path, system_payload: dict) -> Path:
     finally:
         daemon.kill()
 
-    # Access log: one schema-valid record per request we made —
-    # healthz + readyz + 6 deadline solves + the traced solve + metrics.
-    count = validate_access_file(str(access_path))
-    if count != 10:
-        fail(f"expected 10 access-log records, got {count}")
+    # Access log: a schema-valid trace of one access record per request
+    # we made — healthz + readyz + 6 deadline solves + the traced solve
+    # + metrics — after its meta record.
+    check_trace(access_path, set())
+    records = load_trace(str(access_path))
+    if [r["type"] for r in records] != ["meta"] + ["access"] * 10:
+        fail(f"expected meta + 10 access records, got {len(records)} record(s)")
     traced = [
-        record
-        for record in iter_access_records(str(access_path))
-        if record["trace_id"] == upstream_tid
+        record for record in records if record.get("trace_id") == upstream_tid
     ]
     if len(traced) != 1 or traced[0].get("solve_status") != "ok":
         fail(f"bad access record for traced solve: {traced}")

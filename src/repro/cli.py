@@ -12,20 +12,20 @@ Subcommands:
   on the worker pool, emitting one JSONL result (with provenance) per
   request as it completes;
 * ``trace`` — summarize (with per-phase self time), schema-validate, or
-  flamegraph-export a JSONL trace produced with ``--trace`` (available
-  on ``run``, ``solve`` and ``batch``, which also take
-  ``--profile`` for per-phase cProfile/tracemalloc records; see
-  docs/OBSERVABILITY.md);
+  flamegraph-export (span self time) a JSONL trace produced with
+  ``--trace`` (available on ``run``, ``solve``, ``batch`` and ``serve``;
+  see docs/OBSERVABILITY.md), or an access log written by
+  ``serve --access-log``;
 * ``report`` — with a trace argument, render the run dashboard: a
   single self-contained HTML file with the span waterfall, self-time
-  table, quality panel, and profile panel (``scwsc report run.jsonl -o
-  report.html``); without one, regenerate the markdown
+  table, quality panel and postmortem panel (``scwsc report run.jsonl
+  -o report.html``); without one, regenerate the markdown
   experiment report as before;
 * ``serve`` — run the fault-tolerant solver daemon: a warm supervised
   pool behind an HTTP front door with admission control, per-request
-  deadlines, end-to-end request tracing, a JSONL access log
-  (``--access-log``), and SIGTERM graceful drain (see
-  docs/SERVING.md).
+  deadlines, end-to-end request tracing, a JSONL access log of
+  ``access`` trace records (``--access-log``), and SIGTERM graceful
+  drain (see docs/SERVING.md).
 
 Examples::
 
@@ -73,13 +73,6 @@ def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="write a JSONL span/event trace of this run to PATH "
         "(inspect with `scwsc trace summarize`; see docs/OBSERVABILITY.md)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile the run: per-phase cProfile + tracemalloc, emitted "
-        "as `profile` records into the --trace file (and rendered by "
-        "`scwsc report`)",
     )
 
 
@@ -330,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_flamegraph = trace_commands.add_parser(
         "flamegraph",
         help="export collapsed stacks (flamegraph.pl / speedscope input) "
-        "from the span tree and any --profile samples",
+        "from the span tree, valued by span self time",
     )
     trace_flamegraph.add_argument("path", help="trace JSONL file")
     trace_flamegraph.add_argument(
@@ -462,8 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--access-log",
         default=None,
         metavar="PATH",
-        help="write one scwsc-access/1 JSONL record per HTTP request "
-        "(see docs/OBSERVABILITY.md)",
+        help="write a JSONL trace holding one `access` record per HTTP "
+        "request (check with `scwsc trace validate`; see "
+        "docs/OBSERVABILITY.md)",
     )
     serve_parser.add_argument(
         "--no-flightrec",
@@ -503,13 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=20,
         help="postmortem spool bundle-count cap (default: 20)",
-    )
-    serve_parser.add_argument(
-        "--sampler-hz",
-        type=float,
-        default=0.0,
-        help="continuous stack-sampler frequency; 0 keeps it idle and "
-        "leaves only on-demand/trigger bursts (default: 0)",
     )
     _add_trace_argument(serve_parser)
 
@@ -613,11 +600,6 @@ def main(argv: list[str] | None = None) -> int:
             command=args.command,
             argv=list(argv) if argv is not None else sys.argv[1:],
         )
-    profiling = getattr(args, "profile", False)
-    if profiling:
-        from repro.obs import profile as obs_profile
-
-        obs_profile.start()
     try:
         if args.command == "list":
             return _cmd_list()
@@ -659,12 +641,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if previous_sigterm is not None:
             signal.signal(signal.SIGTERM, previous_sigterm)
-        if profiling:
-            from repro.obs import profile as obs_profile
-
-            # Stop before trace shutdown: the profile records belong
-            # inside the trace file, ahead of its closing metrics record.
-            obs_profile.stop()
         if trace_path:
             from repro.obs import trace as obs_trace
             from repro.obs.metrics import get_registry
@@ -924,8 +900,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"{args.path}: ok")
         return 0
     if args.trace_command == "flamegraph":
-        from repro.obs.profile import collapsed_stacks
-        from repro.obs.report import load_trace
+        from repro.obs.report import collapsed_stacks, load_trace
 
         lines = collapsed_stacks(load_trace(args.path))
         body = "\n".join(lines) + ("\n" if lines else "")
@@ -1029,7 +1004,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         postmortem_interval=args.postmortem_interval,
         postmortem_max_bytes=args.postmortem_max_bytes,
         postmortem_max_bundles=args.postmortem_max_bundles,
-        sampler_hz=args.sampler_hz,
     )
     return run_server(config)
 

@@ -6,8 +6,9 @@ resilience pool adds a second axis: *what happened to each request*.
 This package makes both first-class instead of debug logging:
 
 * :mod:`repro.obs.trace` — nested monotonic-clock spans with attributes
-  from one tracer per process that writes to its sinks (JSONL file,
-  flight recorder, in-memory capture), threaded through every solver,
+  from one tracer per process that writes every record to its sinks
+  (JSONL file, in-memory capture, flight recorder, access log,
+  postmortem triggers), threaded through every solver,
   both marginal-tracker backends, and the process pool. Disabled by
   default and near-free when off: ``span()`` returns a shared no-op
   and hot paths guard attribute dicts behind a single ``enabled()``
@@ -19,14 +20,11 @@ This package makes both first-class instead of debug logging:
   Prometheus-style text exposition and a JSON snapshot; the solver
   :class:`~repro.core.result.Metrics` counters publish into it through
   one shared field schema.
-* :mod:`repro.obs.schema` — the trace record schema and a validator
-  (``python -m repro.obs.schema trace.jsonl``), used by CI's trace-smoke
-  step and ``scwsc trace validate``.
-* :mod:`repro.obs.report` — per-phase time/count/self-time rollups and
-  the renderer behind ``scwsc trace summarize``.
-* :mod:`repro.obs.profile` — span-integrated cProfile + tracemalloc +
-  peak-RSS profiling behind the CLI's ``--profile`` flag, plus the
-  collapsed-stack (flamegraph) exporter.
+* :mod:`repro.obs.schema` — the trace record schema (``access``
+  records included) and the validator behind ``scwsc trace validate``.
+* :mod:`repro.obs.report` — per-phase time/count/self-time rollups, the
+  renderer behind ``scwsc trace summarize``, and the span-tree
+  collapsed-stack export behind ``scwsc trace flamegraph``.
 * :mod:`repro.obs.quality` — solution-quality telemetry (approximation
   ratio vs. the LP lower bound, coverage slack, sets-vs-budget),
   published on every recorded solve.
@@ -40,12 +38,11 @@ This package makes both first-class instead of debug logging:
   tracer that leaves ``enabled()`` False, so the hot-path guards stay
   cold.
 * :mod:`repro.obs.stacks` — ``sys._current_frames`` stack sampling (one
-  shot, bursts, or a background :class:`~repro.obs.stacks.StackSampler`)
-  with a collapsed-stack rollup.
+  shot or a short burst) with a collapsed-stack rollup.
 * :mod:`repro.obs.postmortem` — ``scwsc-postmortem/1`` bundles: build /
   validate / redact, the bounded on-disk :class:`~repro.obs.postmortem.
   BundleSpool`, and the rate-limited :class:`~repro.obs.postmortem.
-  TriggerEngine` the serve daemon arms.
+  TriggerEngine`, a tracer sink the serve daemon arms.
 
 See docs/OBSERVABILITY.md for the record schema and overhead numbers.
 """
@@ -78,7 +75,7 @@ from repro.obs.postmortem import (
     validate_bundle_file,
 )
 from repro.obs.quality import compute_quality, quality_records, record_quality
-from repro.obs.stacks import StackSampler, collapse_samples, sample_once
+from repro.obs.stacks import collapse_samples, sample_once
 from repro.obs.trace import (
     NULL_SPAN,
     TraceContext,
@@ -107,7 +104,6 @@ __all__ = [
     "NULL_SPAN",
     "POSTMORTEM_SCHEMA",
     "RingBuffer",
-    "StackSampler",
     "TraceContext",
     "Tracer",
     "TriggerEngine",

@@ -14,8 +14,6 @@ a year later. Panels:
 * **quality panel** — the ``quality`` trace records (approximation
   ratio vs. the LP bound, coverage slack, sets used vs. ``k``) next to
   the closing metrics snapshot;
-* **profile panel** — top functions per profiled phase and the memory /
-  peak-RSS samples, when the run used ``--profile``;
 * **postmortems** — trigger/reason/ring-occupancy summaries of
   ``scwsc-postmortem/1`` flight-recorder bundles passed via
   ``--postmortem``.
@@ -200,46 +198,6 @@ def _quality_panel(records: list[dict[str, Any]]) -> str:
     )
 
 
-def _profile_panel(records: list[dict[str, Any]]) -> str:
-    profiles = [r for r in records if r.get("type") == "profile"]
-    if not profiles:
-        return (
-            '<p class="muted">no profile records — run with '
-            "<code>--profile</code></p>"
-        )
-    parts: list[str] = []
-    for record in profiles:
-        kind = record.get("profile_kind")
-        scope = html.escape(str(record.get("scope")))
-        data = record.get("data") or {}
-        if kind == "cprofile":
-            rows = "".join(
-                f'<tr><td class="name">{html.escape(str(f.get("func")))}</td>'
-                f"<td>{f.get('ncalls')}</td><td>{_fmt(f.get('tottime'), 6)}"
-                f"</td><td>{_fmt(f.get('cumtime'), 6)}</td></tr>"
-                for f in data.get("functions", [])[:12]
-            )
-            parts.append(
-                f"<h3>cpu: {scope}</h3><table>"
-                '<tr><th class="name">function</th><th>ncalls</th>'
-                f"<th>tottime</th><th>cumtime</th></tr>{rows}</table>"
-            )
-        elif kind == "memory":
-            parts.append(
-                f'<p class="name">mem: {scope} — '
-                f"alloc {data.get('alloc_bytes', 0):,} B over "
-                f"{data.get('samples')} sample(s), peak "
-                f"{data.get('peak_bytes', 0):,} B</p>"
-            )
-        elif kind == "rss":
-            parts.append(
-                f'<p class="name">rss: {scope} — peak '
-                f"{data.get('peak_rss_bytes', 0):,} B "
-                f"({html.escape(str(data.get('process', '')))})</p>"
-            )
-    return "".join(parts)
-
-
 def _postmortem_panel(bundles: list[dict[str, Any]]) -> str:
     if not bundles:
         return (
@@ -338,8 +296,6 @@ def render_dashboard(
 {_events_line(records)}</div>
 <h2>Solution quality</h2>
 <div id="quality" class="panel">{_quality_panel(records)}</div>
-<h2>Profile</h2>
-<div id="profile" class="panel">{_profile_panel(records)}</div>
 <h2>Postmortems</h2>
 <div id="postmortems" class="panel">{_postmortem_panel(postmortems)}</div>
 </body>

@@ -6,31 +6,33 @@ worker dies at 3am and the evidence is already gone. The flight recorder
 is the black box in between: four lock-cheap ring buffers that
 continuously retain the most recent
 
-* **spans** — completed server/pool spans (``scwsc-trace/1`` records),
+* **spans** — completed server/pool spans,
 * **events** — pool lifecycle, breaker transitions, chaos injections,
-* **access** — per-request access-log records (``scwsc-access/1``),
+* **access** — the daemon's per-request ``access`` records,
 * **metrics** — periodic registry snapshots from a background poller,
 
 plus the last ring shipped home by each pool worker (see
 ``repro.resilience.pool.worker``). Everything is bounded: a ring never
 grows, never blocks, and overwrites its oldest entry when full, counting
-what it dropped.
+what it dropped. Capacities and the poll interval are class constants
+(:attr:`FlightRecorder.SPANS` and friends).
 
 Wiring: :func:`install` registers a :class:`FlightRecorder` as the
 module singleton *and* attaches its :meth:`~FlightRecorder.write` as a
 passive sink of the process's one tracer
 (:func:`repro.obs.trace.add_sink`). Every record the tracer writes —
 with ``--trace`` the same stream the file gets, without it the coarse
-call sites (``trace.span``/``trace.event``) — lands in the rings. A pool
-worker attaches a plain :class:`RingBuffer` the same way.
+call sites (``trace.span``/``trace.event``/``trace.access``) and the
+metrics poll — lands in the rings, routed by ``type``. A pool worker
+attaches a plain :class:`RingBuffer` the same way.
 
 Crucially :func:`repro.obs.trace.enabled` stays False when only rings
 are attached, so the per-selection tracker hot loops are byte-identical
-with the recorder on or off — that is the whole <2% overhead budget
-story (enforced by ``tests/obs/test_flightrec_overhead.py``).
+with the recorder on or off (enforced by
+``tests/obs/test_flightrec_overhead.py``).
 
 The recorder is a passive store; the trigger engine that turns its
-contents into on-disk postmortem bundles lives in
+contents into on-disk postmortem bundles is another sink, in
 :mod:`repro.obs.postmortem`.
 """
 
@@ -100,31 +102,28 @@ class RingBuffer:
 class FlightRecorder:
     """The in-process black box: typed rings plus a metrics poller.
 
-    Doubles as a trace sink (``write(record)``) attached to the tracer
-    of :mod:`repro.obs.trace`; records are routed by their ``type``
-    field. An optional ``on_event`` callback
-    (the postmortem trigger engine) observes every event record; it runs
-    on the emitting thread and is exception-isolated so a broken trigger
-    can never take down a solve.
+    A trace sink (``write(record)``) attached to the tracer of
+    :mod:`repro.obs.trace`; records are routed to a ring by their
+    ``type`` field.
     """
 
-    def __init__(
-        self,
-        *,
-        span_capacity: int = 1024,
-        event_capacity: int = 1024,
-        access_capacity: int = 256,
-        metrics_capacity: int = 16,
-    ) -> None:
-        self.spans = RingBuffer(span_capacity)
-        self.events = RingBuffer(event_capacity)
-        self.access = RingBuffer(access_capacity)
-        self.metrics = RingBuffer(metrics_capacity)
+    #: Ring capacities, in records.
+    SPANS = 1024
+    EVENTS = 1024
+    ACCESS = 256
+    METRICS = 16
+    #: Seconds between periodic metrics snapshots.
+    METRICS_INTERVAL = 10.0
+
+    def __init__(self) -> None:
+        self.spans = RingBuffer(self.SPANS)
+        self.events = RingBuffer(self.EVENTS)
+        self.access = RingBuffer(self.ACCESS)
+        self.metrics = RingBuffer(self.METRICS)
         self.started_unix = time.time()
         #: worker index -> last ring the worker shipped in a result frame
         self._worker_rings: dict[int, list[dict[str, Any]]] = {}
         self._worker_lock = threading.Lock()
-        self.on_event: Callable[[dict[str, Any]], None] | None = None
         self._poll_thread: threading.Thread | None = None
         self._poll_stop = threading.Event()
 
@@ -134,32 +133,14 @@ class FlightRecorder:
         kind = record.get("type")
         if kind == "span":
             self.spans.append(record)
-            return
-        if kind == "metrics":
+        elif kind == "access":
+            self.access.append(record)
+        elif kind == "metrics":
             self.metrics.append(record)
-            return
-        # events, plus anything unrecognized (meta, profile, quality):
-        # better in the wrong ring than silently gone.
-        self.events.append(record)
-        if kind == "event":
-            callback = self.on_event
-            if callback is not None:
-                try:
-                    callback(record)
-                except Exception:  # noqa: BLE001 - triggers must not break solves
-                    pass
-
-    # -- non-trace feeds -----------------------------------------------
-
-    def record_access(self, record: dict[str, Any]) -> None:
-        """Ring one access-log record (``scwsc-access/1`` shape)."""
-        self.access.append(record)
-
-    def record_metrics(self, snapshot: dict[str, Any]) -> None:
-        """Ring one metrics snapshot (stamped with wall time)."""
-        self.metrics.append(
-            {"type": "metrics", "ts": round(time.time(), 3), "metrics": snapshot}
-        )
+        else:
+            # events, plus anything unrecognized (meta, quality):
+            # better in the wrong ring than silently gone.
+            self.events.append(record)
 
     def note_worker_ring(self, index: int, records: list[dict[str, Any]]) -> None:
         """Retain the ring a pool worker shipped in its latest result
@@ -173,30 +154,31 @@ class FlightRecorder:
 
     # -- periodic metrics poll -----------------------------------------
 
-    def start_metrics_poll(
-        self,
-        snapshot_fn: Callable[[], dict[str, Any]],
-        interval: float = 10.0,
-    ) -> None:
-        """Start a daemon thread ringing ``snapshot_fn()`` every
-        ``interval`` seconds."""
+    def start_metrics_poll(self, snapshot_fn: Callable[[], dict[str, Any]]) -> None:
+        """Start a daemon thread writing ``snapshot_fn()`` through the
+        tracer (:func:`repro.obs.trace.write_metrics`) every
+        :attr:`METRICS_INTERVAL` seconds; the recorder rings it as a
+        sink like any other record."""
+        from repro.obs import trace as obs_trace
+
         if self._poll_thread is not None:
             return
         self._poll_stop.clear()
-        # Ring one snapshot right away so a bundle built before the
-        # first tick still carries a metrics baseline.
-        try:
-            self.record_metrics(snapshot_fn())
-        except Exception:  # noqa: BLE001
-            pass
+        interval = self.METRICS_INTERVAL
+
+        def _poll() -> None:
+            try:
+                obs_trace.write_metrics(snapshot_fn())
+            except Exception:  # noqa: BLE001 - keep polling
+                pass
 
         def _loop() -> None:
             while not self._poll_stop.wait(interval):
-                try:
-                    self.record_metrics(snapshot_fn())
-                except Exception:  # noqa: BLE001 - keep polling
-                    pass
+                _poll()
 
+        # One snapshot right away so a bundle built before the first
+        # tick still carries a metrics baseline.
+        _poll()
         self._poll_thread = threading.Thread(
             target=_loop, name="scwsc-flightrec-poll", daemon=True
         )
@@ -258,7 +240,7 @@ class FlightRecorder:
 _RECORDER: FlightRecorder | None = None
 
 
-def install(recorder: FlightRecorder | None = None, **capacities: int) -> FlightRecorder:
+def install(recorder: FlightRecorder | None = None) -> FlightRecorder:
     """Install ``recorder`` (or a fresh one) as the process-wide flight
     recorder and attach it as a passive sink of the tracer (replacing
     a previously installed recorder)."""
@@ -266,7 +248,7 @@ def install(recorder: FlightRecorder | None = None, **capacities: int) -> Flight
 
     global _RECORDER
     if recorder is None:
-        recorder = FlightRecorder(**capacities)
+        recorder = FlightRecorder()
     if _RECORDER is not None:
         obs_trace.remove_sink(_RECORDER.write)
     _RECORDER = recorder

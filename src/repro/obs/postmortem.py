@@ -28,9 +28,12 @@ section                   contents
 ========================  =================================================
 
 The :class:`TriggerEngine` is the policy layer between the recorder and
-the disk: per-trigger-kind rate limiting (an incident is one bundle, not
-one per crash-looping worker restart), dedup on a caller-supplied key,
-and a :class:`BundleSpool` that enforces byte and count caps by deleting
+the disk. It is a passive sink of the tracer beside the recorder: its
+:meth:`~TriggerEngine.write` turns pool events (``worker_death``,
+``hard_timeout``, a breaker opening) into triggers. It adds
+per-trigger-kind rate limiting (an incident is one bundle, not one per
+crash-looping worker restart), dedup on a caller-supplied key, and a
+:class:`BundleSpool` that enforces byte and count caps by deleting
 oldest-first — a crash loop can never fill the disk.
 
 Bundle *builds* run on a short-lived daemon thread (a stack burst blocks
@@ -46,7 +49,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, is_dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ValidationError
 from repro.obs import stacks as obs_stacks
@@ -87,6 +90,15 @@ _REQUIRED_SECTIONS = (
     "stacks",
     "metrics",
 )
+
+#: Ring name -> the record type it holds (None: the events ring, which
+#: also catches any type the recorder does not route elsewhere).
+_RING_TYPES = {
+    "spans": "span",
+    "events": None,
+    "access": "access",
+    "metrics": "metrics",
+}
 
 #: Header/config/context keys whose values are scrubbed by
 #: :func:`redact_bundle` — substring match, case-insensitive.
@@ -155,15 +167,10 @@ def build_bundle(
 def validate_bundle(bundle: Any) -> list[str]:
     """Problems with one bundle; empty list when valid.
 
-    Ring records are re-validated against their own schemas
-    (``scwsc-trace/1`` for spans/events, ``scwsc-access/1`` for access
-    records) so a bundle that validates is trustworthy all the way down.
+    Ring records are re-validated against the ``scwsc-trace/1`` record
+    schema, and each typed ring must hold only its own record type, so a
+    bundle that validates is trustworthy all the way down.
     """
-    # Imported here, not at module top: accesslog lives under
-    # repro.serve, whose __init__ pulls in the server, which imports
-    # this module — a top-level import would be circular.
-    from repro.serve.accesslog import validate_access_record
-
     if not isinstance(bundle, dict):
         return [f"bundle must be an object, got {type(bundle).__name__}"]
     problems: list[str] = []
@@ -210,26 +217,19 @@ def validate_bundle(bundle: Any) -> list[str]:
     if problems:
         return problems
 
-    for index, record in enumerate(rings["spans"]["records"]):
-        if record.get("type") != "span":
-            problems.append(f"rings.spans[{index}] is not a span record")
-        else:
+    for name, expected in _RING_TYPES.items():
+        for index, record in enumerate(rings[name]["records"]):
+            if expected is not None and (
+                not isinstance(record, dict) or record.get("type") != expected
+            ):
+                problems.append(
+                    f"rings.{name}[{index}] is not of type {expected!r}"
+                )
+                continue
             problems.extend(
-                f"rings.spans[{index}]: {problem}"
+                f"rings.{name}[{index}]: {problem}"
                 for problem in validate_record(record)
             )
-    for index, record in enumerate(rings["events"]["records"]):
-        record_problems = validate_record(record)
-        if record_problems:
-            problems.extend(
-                f"rings.events[{index}]: {problem}"
-                for problem in record_problems
-            )
-    for index, record in enumerate(rings["access"]["records"]):
-        problems.extend(
-            f"rings.access[{index}]: {problem}"
-            for problem in validate_access_record(record)
-        )
 
     stacks = bundle["stacks"]
     if not isinstance(stacks, dict) or not isinstance(
@@ -422,6 +422,41 @@ class TriggerEngine:
         #: paths written so far (newest last) — for tests and /debug.
         self.written: list[str] = []
 
+    # -- trace sink -----------------------------------------------------
+
+    def write(self, record: dict[str, Any]) -> None:
+        """Passive trace sink: fire on the pool events that signal an
+        incident. Runs on the emitting thread (usually the pool
+        dispatcher), does only bookkeeping inline, and never raises — a
+        broken trigger must not break a solve."""
+        if record.get("type") != "event":
+            return
+        try:
+            self._fire_for(record.get("name"), record.get("attrs") or {})
+        except Exception:  # noqa: BLE001
+            pass
+
+    def _fire_for(self, name: Any, attrs: dict[str, Any]) -> None:
+        # Pool events named like a trigger kind fire that trigger.
+        if name in ("worker_death", "hard_timeout"):
+            self.fire(
+                name,
+                f"pool event {name} (worker {attrs.get('worker', '?')})",
+                context=dict(attrs),
+            )
+        elif name == "breaker_transition":
+            breaker = str(attrs.get("breaker", "?"))
+            if attrs.get("new") == "open":
+                self.fire(
+                    "breaker_open",
+                    f"breaker {breaker} opened",
+                    context=dict(attrs),
+                    key=breaker,
+                )
+            elif attrs.get("new") == "closed":
+                # The incident is over; the next open is a new one.
+                self.reset_dedup("breaker_open", breaker)
+
     # -- policy ---------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
@@ -525,30 +560,3 @@ class TriggerEngine:
                 if self._pending == 0:
                     return
             time.sleep(0.01)
-
-
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover - thin
-    """``python -m repro.obs.postmortem BUNDLE.json [...]`` — validate."""
-    import sys
-
-    args = sys.argv[1:] if argv is None else argv
-    if not args:
-        print(
-            "usage: python -m repro.obs.postmortem BUNDLE.json [...]",
-            file=sys.stderr,
-        )
-        return 2
-    status = 0
-    for path in args:
-        try:
-            bundle = validate_bundle_file(path)
-        except (OSError, ValidationError) as error:
-            print(f"{path}: {error}", file=sys.stderr)
-            status = 1
-            continue
-        print(f"{path}: ok (trigger={bundle['trigger']})")
-    return status
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""Trace rollups and the renderer behind ``scwsc trace summarize``.
+"""Trace rollups: ``scwsc trace summarize`` and ``scwsc trace flamegraph``.
 
 A trace file is a flat JSONL stream; this module turns it into the
 questions an operator actually asks: *where did the time go per phase*,
@@ -198,6 +198,50 @@ def summary_data(records: list[dict[str, Any]]) -> dict[str, Any]:
         "events": event_counts(records),
         "counters": counters,
     }
+
+
+def collapsed_stacks(records: list[dict[str, Any]]) -> list[str]:
+    """Render a trace's span tree as collapsed-stack lines.
+
+    One line per unique root-to-span path, ``a;b;c <value>``, where the
+    value is the span's **self time** in microseconds summed over every
+    occurrence of that path — the exact input format of ``flamegraph.pl``
+    and speedscope. Paths with no self time are left out.
+    """
+    spans = {
+        r["span_id"]: r
+        for r in records
+        if r.get("type") == "span" and r.get("span_id") is not None
+    }
+    child_durations: dict[Any, float] = {}
+    for record in spans.values():
+        parent = record.get("parent_id")
+        if parent in spans:
+            child_durations[parent] = child_durations.get(
+                parent, 0.0
+            ) + float(record.get("duration", 0.0))
+
+    def path(record: dict[str, Any]) -> str:
+        names = [record["name"]]
+        seen = {record["span_id"]}
+        parent = record.get("parent_id")
+        while parent in spans and parent not in seen:
+            seen.add(parent)
+            names.append(spans[parent]["name"])
+            parent = spans[parent].get("parent_id")
+        return ";".join(reversed(names))
+
+    totals: dict[str, int] = {}
+    for span_id, record in spans.items():
+        self_time = float(record.get("duration", 0.0)) - child_durations.get(
+            span_id, 0.0
+        )
+        micros = int(round(max(0.0, self_time) * 1e6))
+        if micros <= 0:
+            continue
+        key = path(record)
+        totals[key] = totals.get(key, 0) + micros
+    return [f"{key} {value}" for key, value in sorted(totals.items())]
 
 
 def summarize_file(path: str, as_json: bool = False) -> str:

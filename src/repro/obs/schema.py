@@ -1,30 +1,71 @@
 """Trace record schema (``scwsc-trace/1``) and validator.
 
-CI's trace-smoke step and ``scwsc trace validate`` run every JSONL line
-through :func:`validate_record`; a trace file that fails here is a bug
-in an emitter, not in the consumer. The module doubles as a CLI::
+CI's trace-smoke and serve-smoke steps and ``scwsc trace validate`` run
+every JSONL line through :func:`validate_record`; a trace file that
+fails here is a bug in an emitter, not in the consumer.
 
-    python -m repro.obs.schema out.jsonl
+``access`` records are the serve daemon's one summary per HTTP request
+(:func:`repro.obs.trace.access`); :data:`ACCESS_FIELDS` is their
+field table:
 
-exiting non-zero (with one line per problem) when any record is invalid.
+========================  ===================================================
+field                     meaning
+========================  ===================================================
+t                         tracer clock when the response was about to be
+                          written
+ts                        wall-clock unix seconds at the same moment
+trace_id                  the request's 32-hex trace id (accepted from the
+                          client's ``traceparent`` or minted at the edge)
+method / endpoint         HTTP method and route path
+status                    HTTP response code (``null`` if the client left
+                          before one was written)
+duration_seconds          request wall time at the edge
+shed_reason               admission shed reason for 429s
+deadline                  the request's end-to-end budget (solve endpoints)
+queue_seconds             budget spent waiting before the first dispatch
+solve_seconds             budget spent inside workers (all attempts)
+requeue_seconds           budget spent waiting between attempts
+requeues                  pool requeue count for the accepted answer
+solve_status              pool outcome (``ok`` / ``fallback`` / ...)
+error                     terminal error string
+========================  ===================================================
+
+Optional fields are left out when they do not apply.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from typing import Any
 
 from repro.obs.trace import SCHEMA
 
 _RECORD_TYPES = frozenset(
-    {"meta", "span", "event", "metrics", "profile", "quality"}
+    {"meta", "span", "event", "metrics", "access", "quality"}
 )
 
-#: Legal ``profile_kind`` values for ``profile`` records.
-PROFILE_KINDS = frozenset({"cprofile", "memory", "rss"})
-
 _NUMBER = (int, float)
+
+#: ``access`` record field -> (required, allowed types); an optional
+#: field may also be absent or null.
+ACCESS_FIELDS: dict[str, tuple[bool, tuple[type, ...]]] = {
+    "type": (True, (str,)),
+    "t": (True, _NUMBER),
+    "ts": (True, _NUMBER),
+    "trace_id": (True, (str,)),
+    "method": (True, (str,)),
+    "endpoint": (True, (str,)),
+    "status": (False, (int,)),
+    "duration_seconds": (True, _NUMBER),
+    "shed_reason": (False, (str,)),
+    "deadline": (False, _NUMBER),
+    "queue_seconds": (False, _NUMBER),
+    "solve_seconds": (False, _NUMBER),
+    "requeue_seconds": (False, _NUMBER),
+    "requeues": (False, (int,)),
+    "solve_status": (False, (str,)),
+    "error": (False, (str,)),
+}
 
 
 def _check_attrs(record: dict[str, Any], problems: list[str]) -> None:
@@ -80,23 +121,8 @@ def validate_record(record: Any) -> list[str]:
         _check_attrs(record, problems)
         return problems
 
-    if rtype == "profile":
-        if not isinstance(record.get("t"), _NUMBER):
-            problems.append("profile.t must be a number")
-        kind = record.get("profile_kind")
-        if kind not in PROFILE_KINDS:
-            problems.append(
-                f"profile.profile_kind must be one of "
-                f"{sorted(PROFILE_KINDS)}, got {kind!r}"
-            )
-        if not isinstance(record.get("scope"), str) or not record.get("scope"):
-            problems.append("profile.scope must be a non-empty string")
-        if not isinstance(record.get("data"), dict):
-            problems.append("profile.data must be an object")
-        span_id = record.get("span_id")
-        if span_id is not None and not isinstance(span_id, (str, int)):
-            problems.append("profile.span_id must be a string, int, or null")
-        return problems
+    if rtype == "access":
+        return _access_problems(record)
 
     if rtype == "quality":
         if not isinstance(record.get("t"), _NUMBER):
@@ -125,6 +151,34 @@ def validate_record(record: Any) -> list[str]:
         problems.append("metrics.t must be a number")
     if not isinstance(record.get("metrics"), dict):
         problems.append("metrics.metrics must be an object")
+    return problems
+
+
+def _access_problems(record: dict[str, Any]) -> list[str]:
+    problems: list[str] = []
+    for name, (required, types) in ACCESS_FIELDS.items():
+        value = record.get(name)
+        if value is None:
+            if required:
+                problems.append(f"access.{name} is required")
+            continue
+        if isinstance(value, bool) or not isinstance(value, types):
+            problems.append(
+                f"access.{name} must be "
+                f"{'/'.join(t.__name__ for t in types)}, "
+                f"got {type(value).__name__}"
+            )
+    unknown = set(record) - set(ACCESS_FIELDS)
+    if unknown:
+        problems.append(f"access has unknown fields {sorted(unknown)}")
+    trace_id = record.get("trace_id")
+    if isinstance(trace_id, str) and (
+        len(trace_id) != 32
+        or any(c not in "0123456789abcdef" for c in trace_id)
+    ):
+        problems.append(
+            f"access.trace_id must be 32 lowercase hex chars, got {trace_id!r}"
+        )
     return problems
 
 
@@ -190,28 +244,3 @@ def validate_trace_file(path: str, strict: bool = False) -> list[str]:
             f"orphan: {orphan}" for orphan in find_orphan_spans(records)
         )
     return problems
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    strict = "--strict" in args
-    if strict:
-        args.remove("--strict")
-    if len(args) != 1:
-        print(
-            "usage: python -m repro.obs.schema [--strict] TRACE.jsonl",
-            file=sys.stderr,
-        )
-        return 2
-    problems = validate_trace_file(args[0], strict=strict)
-    for problem in problems:
-        print(problem, file=sys.stderr)
-    if problems:
-        print(f"{args[0]}: {len(problems)} problem(s)", file=sys.stderr)
-        return 1
-    print(f"{args[0]}: ok")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -3,21 +3,17 @@
 Answers "what is every thread doing *right now*" without a debugger and
 without py-spy: one call to :func:`sample_once` walks the interpreter's
 frame table and renders each thread's stack as ``file:line:function``
-frames, outermost first. Three usage modes, all on the same primitive:
+frames, outermost first. Two usage modes, both on the same primitive:
 
 * **on demand** — ``GET /debug/stacks`` calls :func:`sample_once`;
 * **burst** — the postmortem builder takes a short burst (a handful of
   samples a few ms apart) so a bundle shows what the daemon was doing
-  around the trigger, not just one instant;
-* **continuous** — :class:`StackSampler` runs a daemon thread at a
-  configurable Hz into a bounded ring. Idle by default (``hz=0``): the
-  overhead budget assumes no sampling unless an operator arms it with
-  ``--sampler-hz``.
+  around the trigger, not just one instant.
 
 Samples also aggregate into collapsed-stack lines
-(``frame;frame;frame count``), the same format
-:mod:`repro.obs.profile` emits for flamegraphs, so a bundle's stacks
-drop straight into any flamegraph viewer.
+(``frame;frame;frame count``), the same format ``scwsc trace
+flamegraph`` emits, so a bundle's stacks drop straight into any
+flamegraph viewer.
 """
 
 from __future__ import annotations
@@ -28,10 +24,7 @@ import time
 from collections import Counter
 from typing import Any
 
-from repro.obs.flightrec import RingBuffer
-
 __all__ = [
-    "StackSampler",
     "sample_once",
     "burst",
     "collapse_samples",
@@ -104,55 +97,3 @@ def collapse_samples(samples: list[dict[str, Any]]) -> list[str]:
             counts.items(), key=lambda item: (-item[1], item[0])
         )
     ]
-
-
-class StackSampler:
-    """Optional continuous sampler: ``hz`` samples/second into a ring.
-
-    ``hz=0`` (the default) means fully idle — no thread is started and
-    :meth:`start` is a no-op, which is the state the serve overhead
-    budget is measured in. Trigger code can still call :func:`burst`
-    directly; the ring here only fills when an operator arms the
-    sampler.
-    """
-
-    def __init__(self, hz: float = 0.0, capacity: int = 120) -> None:
-        if hz < 0:
-            raise ValueError(f"sampler hz must be >= 0, got {hz}")
-        self.hz = hz
-        self.ring = RingBuffer(capacity)
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None
-
-    def start(self) -> None:
-        if self.hz <= 0 or self._thread is not None:
-            return
-        self._stop.clear()
-        interval = 1.0 / self.hz
-
-        def _loop() -> None:
-            while not self._stop.wait(interval):
-                try:
-                    self.ring.append(sample_once())
-                except Exception:  # noqa: BLE001 - keep sampling
-                    pass
-
-        self._thread = threading.Thread(
-            target=_loop, name="scwsc-stack-sampler", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        thread = self._thread
-        if thread is None:
-            return
-        self._stop.set()
-        thread.join(timeout=5.0)
-        self._thread = None
-
-    def recent(self) -> list[dict[str, Any]]:
-        return self.ring.snapshot()

@@ -14,13 +14,16 @@ Design constraints, in order:
        with trace.span("select", pick=i) if traced else trace.NULL_SPAN:
            ...
 
-   Passive sinks — the flight recorder (:func:`repro.obs.flightrec.
-   install`) and each pool worker's ring — see every record written
-   while ``enabled()`` stays False, so the hot loops run the same code
-   with or without them. Coarse call sites (one span per HTTP request,
-   pool lifecycle events) write whenever :func:`recording` is true;
-   with no sink attached at all, ``span(...)`` returns the shared
-   :data:`NULL_SPAN` whose ``__enter__``/``__exit__`` do nothing.
+   Passive sinks (:func:`add_sink`) — the flight recorder
+   (:func:`repro.obs.flightrec.install`), the serve daemon's access log
+   and postmortem triggers, each pool worker's ring — see every record
+   written while ``enabled()`` stays False, so the hot loops run the
+   same code with or without them. Every consumer of records attaches
+   as a sink; there is no other channel. Coarse call sites (one span
+   per HTTP request, pool lifecycle events) write whenever
+   :func:`recording` is true; with no sink attached at all,
+   ``span(...)`` returns the shared :data:`NULL_SPAN` whose
+   ``__enter__``/``__exit__`` do nothing.
 
 2. **Correct nesting without threading a context object.** The current
    span is a :mod:`contextvars` ContextVar, so spans nest correctly
@@ -50,10 +53,10 @@ Record shapes (schema ``scwsc-trace/1``, validated by
 * ``{"type": "event", "name", "t", "attrs"}`` — a point-in-time fact
   (pool lifecycle, breaker transition, tracker update).
 * ``{"type": "metrics", "t", "metrics": {...}}`` — a registry snapshot,
-  usually written once at shutdown.
-* ``{"type": "profile", "t", "profile_kind", "scope", "data": {...}}`` —
-  a profiling sample (cProfile aggregate, tracemalloc snapshot, or
-  peak-RSS report), written by :mod:`repro.obs.profile`.
+  written at shutdown and by the flight recorder's periodic poll.
+* ``{"type": "access", "t", "ts", "trace_id", "method", "endpoint",
+  "status", "duration_seconds", ...}`` — the serve daemon's one summary
+  per HTTP request (:func:`access`; fields in :mod:`repro.obs.schema`).
 * ``{"type": "quality", "t", "algorithm", "quality": {...}}`` — one
   solve's solution-quality telemetry (approximation ratio vs. the LP
   bound, coverage slack, sets used vs. ``k``), written by
@@ -189,52 +192,52 @@ def context(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
     finally:
         _current_context.reset(token)
 
-#: Observers notified on every real span open/close — the profiling layer
-#: (:mod:`repro.obs.profile`) attaches here. Empty by default, so the
-#: per-span cost of the feature is one global load and a truth test, and
-#: the disabled-tracing path (NULL_SPAN) never touches it at all.
-_SPAN_HOOKS: tuple = ()
-
-
-def add_span_hook(hook) -> None:
-    """Register ``hook(phase, span)`` to observe span lifecycles.
-
-    ``phase`` is ``"enter"`` or ``"exit"``; ``span`` is the live
-    :class:`Span`. Hooks run inline on the traced thread — keep them
-    cheap and never let them raise.
-    """
-    global _SPAN_HOOKS
-    if hook not in _SPAN_HOOKS:
-        _SPAN_HOOKS = _SPAN_HOOKS + (hook,)
-
-
-def remove_span_hook(hook) -> None:
-    global _SPAN_HOOKS
-    _SPAN_HOOKS = tuple(h for h in _SPAN_HOOKS if h is not hook)
-
-
 class JsonlSink:
     """Writes one JSON object per line to a file or stream, flushing each.
+
+    The first line is the file's ``meta`` record, carrying
+    ``meta_attrs``. With ``keep`` set, :meth:`write` drops every record
+    whose ``type`` differs: the serve daemon's ``--access-log`` is a
+    passive sink that keeps only ``access`` records.
 
     Flushing per record costs a syscall but means a SIGKILL'd process
     (the pool does that on purpose) leaves a valid, parseable prefix.
     The lock keeps lines from two threads whole.
     """
 
-    def __init__(self, target: str | io.TextIOBase):
+    def __init__(
+        self,
+        target: str | io.TextIOBase,
+        meta_attrs: dict[str, Any] | None = None,
+        keep: str | None = None,
+    ):
         if isinstance(target, str):
             self._fh: Any = open(target, "w", encoding="utf-8")
             self._owns = True
         else:
             self._fh = target
             self._owns = False
+        self._keep = keep
         self._lock = threading.Lock()
+        self._emit(
+            {
+                "type": "meta",
+                "schema": SCHEMA,
+                "wall_time_unix": round(time.time(), 3),
+                "t": round(_TRACER.now(), 6),
+                "attrs": meta_attrs or {},
+            }
+        )
 
-    def write(self, record: dict[str, Any]) -> None:
+    def _emit(self, record: dict[str, Any]) -> None:
         line = json.dumps(record, separators=(",", ":"), default=str)
         with self._lock:
             self._fh.write(line + "\n")
             self._fh.flush()
+
+    def write(self, record: dict[str, Any]) -> None:
+        if self._keep is None or record.get("type") == self._keep:
+            self._emit(record)
 
     def close(self) -> None:
         if self._owns:
@@ -274,17 +277,11 @@ class Span:
         self.attrs.setdefault("_parent", parent)
         self._t_start = self._tracer.now()
         self._token = _current_span_id.set(self.span_id)
-        if _SPAN_HOOKS:
-            for hook in _SPAN_HOOKS:
-                hook("enter", self)
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         t_end = self._tracer.now()
         _current_span_id.reset(self._token)
-        if _SPAN_HOOKS:
-            for hook in _SPAN_HOOKS:
-                hook("exit", self)
         attrs = self.attrs
         parent = attrs.pop("_parent", None)
         if exc_type is not None:
@@ -367,6 +364,18 @@ class Tracer:
             }
         )
 
+    def access(self, status: int | None, fields: dict[str, Any]) -> None:
+        record = {
+            "type": "access",
+            "t": round(self.now(), 6),
+            "ts": round(time.time(), 3),
+            "status": status,
+        }
+        record.update(
+            (name, value) for name, value in fields.items() if value is not None
+        )
+        self._write(record)
+
     def write_raw(self, record: dict[str, Any]) -> None:
         """Write a pre-built record verbatim (used by :func:`replay`)."""
         self._write(record)
@@ -430,16 +439,7 @@ def configure(
     config, ...).
     """
     global _FILE
-    sink = JsonlSink(target)
-    sink.write(
-        {
-            "type": "meta",
-            "schema": SCHEMA,
-            "wall_time_unix": round(time.time(), 3),
-            "t": round(_TRACER.now(), 6),
-            "attrs": meta_attrs,
-        }
-    )
+    sink = JsonlSink(target, meta_attrs)
     with _LOCK:
         previous, _FILE = _FILE, sink
         active = _ACTIVE
@@ -494,6 +494,22 @@ def span(name: str, **attrs: Any) -> Span | _NullSpan:
 def event(name: str, **attrs: Any) -> None:
     if _TRACER.sinks:
         _TRACER.event(name, **attrs)
+
+
+def write_metrics(snapshot: dict[str, Any]) -> None:
+    """Write a registry snapshot as a ``metrics`` record to every sink."""
+    if _TRACER.sinks:
+        _TRACER.write_metrics(snapshot)
+
+
+def access(status: int | None, **fields: Any) -> None:
+    """Write one HTTP request's ``access`` record to every sink.
+
+    ``status`` is the response code, None when the client left before
+    any response; ``None``-valued ``fields`` are left out.
+    """
+    if _TRACER.sinks:
+        _TRACER.access(status, fields)
 
 
 def write_raw(record: dict[str, Any]) -> None:

@@ -55,7 +55,8 @@ from repro.resilience.pool.protocol import (
 )
 
 __all__ = [
-    "check_request_fields", "main", "run_request", "solve_request_from_json"
+    "check_request_fields", "main", "peak_rss_bytes", "run_request",
+    "solve_request_from_json",
 ]
 
 #: Cap on trace records shipped per result frame: an unexpectedly hot
@@ -374,8 +375,6 @@ def _handle_solve(out, payload: dict) -> None:
     # Peak RSS rides every result frame (one getrusage call): the
     # supervisor turns it into attempt provenance and a worker memory
     # gauge, giving the parent a memory story it cannot observe itself.
-    from repro.obs.profile import peak_rss_bytes
-
     rss = peak_rss_bytes()
     if rss is not None:
         response["peak_rss_bytes"] = rss
@@ -387,6 +386,24 @@ def _handle_solve(out, payload: dict) -> None:
     # freshest ring for the postmortem bundle.
     response["flightrec"] = _RING.snapshot()
     write_frame(out, response, injector=injector)
+
+
+def peak_rss_bytes() -> int | None:
+    """Peak resident set size of this process, in bytes.
+
+    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; normalized
+    here so the result frame, attempt provenance and the
+    ``scwsc_worker_peak_rss_bytes`` gauge all carry bytes. ``None``
+    where :mod:`resource` is missing.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX
+        return None
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":
+        return int(rss)
+    return int(rss) * 1024
 
 
 def _apply_memory_limit(headroom_mb: int | None) -> int | None:

@@ -8,32 +8,26 @@ The serving stack, bottom up:
 * :mod:`.engine` — :class:`ServeEngine`, the single dispatcher thread
   that owns the warm :class:`~repro.resilience.pool.SolverPool` and
   trades :class:`Ticket`\\ s with HTTP handler threads;
-* :mod:`.accesslog` — the ``scwsc-access/1`` JSONL access log: one
-  schema-validated record per HTTP request (also a module CLI,
-  ``python -m repro.serve.accesslog FILE``);
 * :mod:`.server` — :class:`SolverServer` (routes, length-checked JSON
-  bodies, request tracing, load shedding, graceful drain) and
-  :func:`run_server`, the CLI entry point.
+  bodies, request tracing, one ``access`` trace record per request,
+  load shedding, graceful drain) and :func:`run_server`, the CLI entry
+  point.
 
 See ``docs/SERVING.md`` for the operator's view.
 """
 
-import importlib
+from repro.serve.admission import AdmissionController, AdmissionDecision
+from repro.serve.config import ServeConfig
+from repro.serve.engine import ServeEngine, Ticket
+from repro.serve.server import SolverServer, build_solve_request, run_server
 
-#: Each public name's home module. They load on first access, so running
-#: ``python -m repro.serve.accesslog`` does not import that module twice.
-_HOMES = {
-    "AdmissionController": "admission", "AdmissionDecision": "admission",
-    "ServeConfig": "config", "ServeEngine": "engine", "Ticket": "engine",
-    "SolverServer": "server", "build_solve_request": "server",
-    "run_server": "server",
-}
-
-__all__ = sorted(_HOMES)
-
-
-def __getattr__(name: str):
-    home = _HOMES.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+__all__ = [
+    "AdmissionController",
+    "AdmissionDecision",
+    "ServeConfig",
+    "ServeEngine",
+    "SolverServer",
+    "Ticket",
+    "build_solve_request",
+    "run_server",
+]

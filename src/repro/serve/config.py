@@ -58,21 +58,18 @@ class ServeConfig:
     Observability:
 
     ``access_log``
-        Path for the JSONL access log (schema ``scwsc-access/1``, one
-        record per HTTP request — see :mod:`repro.serve.accesslog`).
-        ``None`` disables it.
+        Path for the JSONL access log: a ``scwsc-trace/1`` file holding
+        a meta record and then one ``access`` record per HTTP request
+        (fields in :mod:`repro.obs.schema`). ``None`` disables it.
 
     Flight recorder (see :mod:`repro.obs.flightrec` and
-    docs/OBSERVABILITY.md §12):
+    docs/OBSERVABILITY.md §10):
 
     ``flightrec``
         Arm the always-on ring buffers (default True; the recorder is
-        bounded and budgeted at <2% overhead, so it ships on).
-    ``flightrec_spans`` / ``flightrec_events`` / ``flightrec_access`` /
-    ``flightrec_metrics``
-        Per-ring record capacities.
-    ``flightrec_metrics_interval``
-        Seconds between background metrics-snapshot rings.
+        bounded and its per-request work is one append per record, so
+        it ships on). Ring capacities and the metrics-poll interval are
+        :class:`~repro.obs.flightrec.FlightRecorder` constants.
     ``debug_endpoints``
         Serve the loopback-only ``GET /debug/*`` introspection routes.
     ``postmortem_dir``
@@ -83,9 +80,6 @@ class ServeConfig:
     ``postmortem_interval``
         Per-trigger-kind rate limit: minimum seconds between bundles of
         the same trigger kind.
-    ``sampler_hz``
-        Continuous stack-sampler frequency; 0 (default) leaves the
-        sampler idle — triggers still take on-demand bursts.
     """
 
     host: str = "127.0.0.1"
@@ -108,17 +102,11 @@ class ServeConfig:
     breaker_cooldown: float = 30.0
     access_log: str | None = None
     flightrec: bool = True
-    flightrec_spans: int = 1024
-    flightrec_events: int = 1024
-    flightrec_access: int = 256
-    flightrec_metrics: int = 16
-    flightrec_metrics_interval: float = 10.0
     debug_endpoints: bool = True
     postmortem_dir: str | None = None
     postmortem_max_bytes: int = 16 * 1024 * 1024
     postmortem_max_bundles: int = 20
     postmortem_interval: float = 60.0
-    sampler_hz: float = 0.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -153,21 +141,10 @@ class ServeConfig:
             raise ValidationError(
                 f"max_batch must be >= 1, got {self.max_batch}"
             )
-        for name in (
-            "flightrec_spans",
-            "flightrec_events",
-            "flightrec_access",
-            "flightrec_metrics",
-            "postmortem_max_bundles",
-        ):
-            if getattr(self, name) < 1:
-                raise ValidationError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
-                )
-        if self.flightrec_metrics_interval <= 0:
+        if self.postmortem_max_bundles < 1:
             raise ValidationError(
-                "flightrec_metrics_interval must be > 0, got "
-                f"{self.flightrec_metrics_interval}"
+                f"postmortem_max_bundles must be >= 1, "
+                f"got {self.postmortem_max_bundles}"
             )
         if self.postmortem_max_bytes < 1:
             raise ValidationError(
@@ -178,8 +155,4 @@ class ServeConfig:
             raise ValidationError(
                 f"postmortem_interval must be >= 0, "
                 f"got {self.postmortem_interval}"
-            )
-        if self.sampler_hz < 0:
-            raise ValidationError(
-                f"sampler_hz must be >= 0, got {self.sampler_hz}"
             )

@@ -52,7 +52,6 @@ from repro.obs.postmortem import BundleSpool, TriggerEngine, build_info
 from repro.resilience.pool import SolveRequest
 from repro.resilience.pool.protocol import system_from_payload
 from repro.resilience.pool.worker import solve_request_from_json
-from repro.serve.accesslog import ACCESS_SCHEMA, AccessLog
 from repro.serve.admission import AdmissionController
 from repro.serve.config import ServeConfig
 from repro.serve.engine import ServeEngine, Ticket
@@ -104,28 +103,28 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(
         self, code: int, payload: dict, retry_after: float | None = None
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """Stage the JSON response; :meth:`_route` writes it last."""
+        headers = {"Content-Type": "application/json"}
+        if retry_after is not None:
+            headers["Retry-After"] = str(max(1, math.ceil(retry_after)))
+        self._response = (code, json.dumps(payload).encode("utf-8"), headers)
+
+    def _write_response(self) -> None:
+        code, body, headers = self._response
         try:
             self.send_response(code)
-            self.send_header("Content-Type", "application/json")
+            for name, value in headers.items():
+                self.send_header(name, value)
             self.send_header("Content-Length", str(len(body)))
-            if retry_after is not None:
-                self.send_header(
-                    "Retry-After", str(max(1, math.ceil(retry_after)))
-                )
-            ctx = getattr(self, "_trace_ctx", None)
-            if ctx is not None:
-                # Echo the server-side trace context so the client can
-                # join its logs to the daemon's trace and access log.
-                self.send_header("Traceparent", ctx.to_traceparent())
+            # Echo the server-side trace context so the client can join
+            # its logs to the daemon's trace and access records.
+            self.send_header("Traceparent", self._trace_ctx.to_traceparent())
             self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError, socket.timeout):
             # The client left; its problem, not the daemon's.
             self.server.count_connection_error()
-        self.close_connection = True
-        self._status = code
 
     # -- routing ---------------------------------------------------------
 
@@ -137,12 +136,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route(self, method: str) -> None:
         path = self.path.split("?", 1)[0]
-        self._status = None
+        #: ``(code, body, headers)`` staged by the endpoint handler.
+        self._response: tuple[int, bytes, dict] | None = None
+        self.close_connection = True
         # Every request gets a W3C-style trace context: a valid incoming
         # ``traceparent`` keeps its trace id (with a fresh server-side
         # span id); anything else gets a minted one. The context rides
         # each pool request so worker spans replay under it, the
-        # response echoes it, and the access-log record carries it.
+        # response echoes it, and the access record carries it.
         incoming = obs_trace.parse_traceparent(self.headers.get("traceparent"))
         ctx = (
             incoming.child()
@@ -151,7 +152,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
         self._trace_ctx = ctx
         #: Per-request facts the endpoint handlers fill in for the
-        #: access-log record written below (shed reason, pool timing
+        #: access record written below (shed reason, pool timing
         #: breakdown, ...).
         self._access: dict = {}
         started = time.monotonic()
@@ -187,12 +188,11 @@ class _Handler(BaseHTTPRequestHandler):
                     self._send_json(
                         404, {"error": f"no route {method} {path}"}
                     )
-                    return
-                handler()
+                else:
+                    handler()
         except (BrokenPipeError, ConnectionResetError) as exc:
             self.server.count_connection_error()
             logger.debug("client gone mid-request: %s", exc)
-            self.close_connection = True
         except socket.timeout:
             obs_trace.event(
                 "server_request_timeout",
@@ -204,20 +204,29 @@ class _Handler(BaseHTTPRequestHandler):
             # Absolute backstop: a handler bug answers 500 on this one
             # connection and the accept loop lives on.
             logger.exception("unhandled error serving %s %s", method, path)
-            if self._status is None:
+            if self._response is None:
                 self._send_json(500, {"error": "internal server error"})
         finally:
             obs_trace.reset_context(token)
-            duration = time.monotonic() - started
-            self.server.observe_request(path, self._status, duration)
-            self.server.log_access(
+        # Everything the request leaves behind (its span, events, access
+        # record, request metrics and released admission slot) is on the
+        # record before the response goes out, so a client that reads
+        # its reply sees all of it.
+        status = self._response[0] if self._response is not None else None
+        duration = time.monotonic() - started
+        try:
+            self.server.observe_request(path, status, duration)
+            obs_trace.access(
+                status,
                 trace_id=ctx.trace_id,
                 method=method,
                 endpoint=path,
-                status=self._status,
                 duration_seconds=round(duration, 6),
                 **self._access,
             )
+        finally:
+            if self._response is not None:
+                self._write_response()
 
     # -- GET endpoints ---------------------------------------------------
 
@@ -230,17 +239,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _do_metrics(self) -> None:
         text = self.server.metrics_page().encode("utf-8")
-        try:
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(text)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(text)
-        except (BrokenPipeError, ConnectionResetError, socket.timeout):
-            self.server.count_connection_error()
-        self.close_connection = True
-        self._status = 200
+        self._response = (
+            200, text, {"Content-Type": "text/plain; version=0.0.4"}
+        )
 
     # -- /debug endpoints (loopback only) --------------------------------
 
@@ -354,6 +355,8 @@ class _Handler(BaseHTTPRequestHandler):
         # The pool carries the request's trace context to the worker so
         # its captured spans replay under this trace id.
         request.traceparent = self._trace_ctx.to_traceparent()
+        # The slot is released before _route writes the response, so a
+        # client that posts again on reading its reply finds it free.
         try:
             ticket = self.server.engine.submit(request)
             outcome = self._await(ticket)
@@ -556,24 +559,18 @@ class SolverServer(ThreadingHTTPServer):
             "scwsc_breaker_state",
             "Per-worker breaker state (0 closed, 1 half-open, 2 open)",
         )
-        self.access_log = (
-            AccessLog(config.access_log) if config.access_log else None
-        )
         self._draining_gauge.set(0)
         self._started_monotonic = time.monotonic()
-        # Flight recorder: always-on rings + optional postmortem triggers.
-        # Installed before the socket binds so the very first request is
-        # already on the record.
+        # Every consumer of the request records is a sink of the one
+        # tracer, attached before the socket binds so the very first
+        # request is already on the record: the flight recorder's rings,
+        # the postmortem triggers (after the recorder, so a bundle built
+        # inline already holds the firing event), and the access log.
         self.recorder: obs_flightrec.FlightRecorder | None = None
-        self.sampler: obs_stacks.StackSampler | None = None
         self.triggers: TriggerEngine | None = None
+        self.access_log: obs_trace.JsonlSink | None = None
         if config.flightrec:
-            self.recorder = obs_flightrec.install(
-                span_capacity=config.flightrec_spans,
-                event_capacity=config.flightrec_events,
-                access_capacity=config.flightrec_access,
-                metrics_capacity=config.flightrec_metrics,
-            )
+            self.recorder = obs_flightrec.install()
             if config.postmortem_dir:
                 spool = BundleSpool(
                     config.postmortem_dir,
@@ -586,12 +583,13 @@ class SolverServer(ThreadingHTTPServer):
                     min_interval=config.postmortem_interval,
                     config=config,
                 )
-                self.recorder.on_event = self._on_recorder_event
-            self.recorder.start_metrics_poll(
-                self.registry.snapshot, config.flightrec_metrics_interval
+                obs_trace.add_sink(self.triggers.write)
+            self.recorder.start_metrics_poll(self.registry.snapshot)
+        if config.access_log:
+            self.access_log = obs_trace.JsonlSink(
+                config.access_log, {"command": "serve"}, keep="access"
             )
-            self.sampler = obs_stacks.StackSampler(config.sampler_hz)
-            self.sampler.start()
+            obs_trace.add_sink(self.access_log.write)
         super().__init__((config.host, config.port), _Handler)
 
     # -- error containment ----------------------------------------------
@@ -638,62 +636,6 @@ class SolverServer(ThreadingHTTPServer):
                 context={"endpoint": path, "code": code},
             )
 
-    def log_access(self, **fields) -> None:
-        """Write one access-log record; never raises into the handler."""
-        if self.recorder is not None:
-            # Same record shape the file log writes (scwsc-access/1),
-            # ringed even when no --access-log file is configured.
-            record = {"schema": ACCESS_SCHEMA, "ts": round(time.time(), 3)}
-            record.update(
-                {name: value for name, value in fields.items() if value is not None}
-            )
-            self.recorder.record_access(record)
-        if self.access_log is None:
-            return
-        try:
-            self.access_log.log(**fields)
-        except Exception:  # pragma: no cover - defensive
-            logger.exception("failed to write access-log record")
-
-    # -- postmortem triggers ---------------------------------------------
-
-    #: ring-event name -> postmortem trigger kind
-    _EVENT_TRIGGERS = {
-        "worker_death": "worker_death",
-        "hard_timeout": "hard_timeout",
-    }
-
-    def _on_recorder_event(self, record: dict) -> None:
-        """Flight-recorder event tap: map pool lifecycle events to
-        postmortem triggers. Runs on the emitting thread (usually the
-        pool dispatcher); the engine only does bookkeeping inline and
-        builds bundles on their own thread."""
-        triggers = self.triggers
-        if triggers is None:
-            return
-        name = record.get("name")
-        attrs = record.get("attrs") or {}
-        kind = self._EVENT_TRIGGERS.get(name)
-        if kind is not None:
-            triggers.fire(
-                kind,
-                f"pool event {name} (worker {attrs.get('worker', '?')})",
-                context=dict(attrs),
-            )
-            return
-        if name == "breaker_transition":
-            breaker = str(attrs.get("breaker", "?"))
-            if attrs.get("new") == "open":
-                triggers.fire(
-                    "breaker_open",
-                    f"breaker {breaker} opened",
-                    context=dict(attrs),
-                    key=breaker,
-                )
-            elif attrs.get("new") == "closed":
-                # The incident is over; the next open is a new one.
-                triggers.reset_dedup("breaker_open", breaker)
-
     # -- /debug pages ----------------------------------------------------
 
     def debug_vars(self) -> dict:
@@ -719,18 +661,12 @@ class SolverServer(ThreadingHTTPServer):
         }
 
     def debug_stacks(self) -> dict:
-        """One fresh stack sample (plus the continuous sampler's ring
-        occupancy, when armed): the ``/debug/stacks`` body."""
+        """One fresh stack sample and its collapsed lines: the
+        ``/debug/stacks`` body."""
         sample = obs_stacks.sample_once()
-        sampler = self.sampler
         return {
             "sample": sample,
             "collapsed": obs_stacks.collapse_samples([sample]),
-            "sampler": {
-                "hz": sampler.hz if sampler is not None else 0.0,
-                "running": bool(sampler is not None and sampler.running),
-                "ring_samples": len(sampler.ring) if sampler is not None else 0,
-            },
         }
 
     def debug_flightrec(self) -> dict:
@@ -808,10 +744,10 @@ class SolverServer(ThreadingHTTPServer):
     def server_close(self) -> None:
         super().server_close()
         if self.access_log is not None:
+            obs_trace.remove_sink(self.access_log.write)
             self.access_log.close()
-        if self.sampler is not None:
-            self.sampler.stop()
         if self.triggers is not None:
+            obs_trace.remove_sink(self.triggers.write)
             # Let in-flight bundle builds land before the process exits —
             # the postmortem for the incident that caused the shutdown is
             # the one you want most.

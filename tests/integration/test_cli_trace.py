@@ -44,6 +44,15 @@ class TestSolveTrace:
         assert final["type"] == "metrics"
         assert "scwsc_solves_total" in final["metrics"]
 
+    def test_quality_record_rides_the_trace(self, csv_path, tmp_path, capsys):
+        trace = tmp_path / "quality.jsonl"
+        assert main(_solve_args(csv_path) + ["--trace", str(trace)]) == 0
+        records = [
+            json.loads(line) for line in trace.read_text().splitlines()
+        ]
+        quality = [r for r in records if r["type"] == "quality"]
+        assert quality and quality[0]["quality"]["sets_used"] >= 1
+
     def test_cmc_trace_covers_every_budget_round(
         self, csv_path, tmp_path, capsys
     ):
@@ -87,60 +96,6 @@ class TestSolveTrace:
         assert list(tmp_path.glob("*.jsonl")) == []
 
 
-class TestSolveProfile:
-    @pytest.fixture
-    def profiled_trace(self, csv_path, tmp_path, capsys):
-        path = tmp_path / "profiled.jsonl"
-        code = main(
-            _solve_args(csv_path) + ["--trace", str(path), "--profile"]
-        )
-        assert code == 0
-        capsys.readouterr()
-        return str(path)
-
-    def test_profile_records_are_schema_valid(self, profiled_trace):
-        assert validate_trace_file(profiled_trace) == []
-        records = [
-            json.loads(line)
-            for line in open(profiled_trace).read().splitlines()
-        ]
-        kinds = {
-            (r["profile_kind"], r["scope"])
-            for r in records
-            if r["type"] == "profile"
-        }
-        assert ("cprofile", "solve") in kinds
-        assert ("memory", "solve") in kinds
-        assert ("rss", "process") in kinds
-        # Quality telemetry rides the same trace.
-        quality = [r for r in records if r["type"] == "quality"]
-        assert quality and quality[0]["quality"]["sets_used"] >= 1
-
-    def test_flamegraph_export(self, profiled_trace, tmp_path, capsys):
-        assert main(["trace", "flamegraph", profiled_trace]) == 0
-        out = capsys.readouterr().out
-        lines = [line for line in out.splitlines() if line]
-        assert lines
-        assert all(line.rsplit(" ", 1)[1].isdigit() for line in lines)
-        assert any(line.startswith("solve") for line in lines)
-        assert any(line.startswith("cpu:solve;") for line in lines)
-
-        out_path = tmp_path / "stacks.txt"
-        assert main(
-            ["trace", "flamegraph", profiled_trace, "-o", str(out_path)]
-        ) == 0
-        assert out_path.read_text().splitlines() == lines
-
-    def test_no_profile_records_without_flag(self, csv_path, tmp_path,
-                                             capsys):
-        path = tmp_path / "plain.jsonl"
-        assert main(_solve_args(csv_path) + ["--trace", str(path)]) == 0
-        records = [
-            json.loads(line) for line in path.read_text().splitlines()
-        ]
-        assert all(r["type"] != "profile" for r in records)
-
-
 class _PanelParser(HTMLParser):
     """Collects div ids and any external references in the page."""
 
@@ -172,21 +127,18 @@ class _PanelParser(HTMLParser):
 
 class TestReportDashboard:
     @pytest.fixture
-    def profiled_trace(self, csv_path, tmp_path, capsys):
-        path = tmp_path / "profiled.jsonl"
-        code = main(
-            _solve_args(csv_path) + ["--trace", str(path), "--profile"]
-        )
-        assert code == 0
+    def solve_trace(self, csv_path, tmp_path, capsys):
+        path = tmp_path / "solve.jsonl"
+        assert main(_solve_args(csv_path) + ["--trace", str(path)]) == 0
         capsys.readouterr()
         return str(path)
 
     def test_report_renders_self_contained_dashboard(
-        self, profiled_trace, tmp_path, capsys
+        self, solve_trace, tmp_path, capsys
     ):
         out = tmp_path / "report.html"
         code = main(
-            ["report", profiled_trace, "-o", str(out),
+            ["report", solve_trace, "-o", str(out),
              "--title", "acceptance run"]
         )
         assert code == 0
@@ -194,13 +146,13 @@ class TestReportDashboard:
         parser = _PanelParser()
         parser.feed(page)
         assert parser.div_ids >= {
-            "waterfall", "self-time", "quality", "profile"
+            "waterfall", "self-time", "quality", "postmortems"
         }
         assert parser.external == []  # self-contained: no src/href at all
         assert "acceptance run" in "".join(parser.title_chunks)
         # The run's data actually landed in the panels.
-        assert "cpu: solve" in page
         assert 'class="bar' in page
+        assert "cwsc" in page
 
     def test_report_missing_trace_is_an_error(self, tmp_path, capsys):
         code = main(
@@ -235,6 +187,34 @@ class TestTraceSubcommand:
         bad.write_text('{"type": "wat"}\n')
         assert main(["trace", "validate", str(bad)]) != 0
         assert capsys.readouterr().err != ""
+
+    def test_flamegraph_export(self, trace_path, tmp_path, capsys):
+        assert main(["trace", "flamegraph", trace_path]) == 0
+        out = capsys.readouterr().out
+        lines = [line for line in out.splitlines() if line]
+        assert lines
+        assert all(line.rsplit(" ", 1)[1].isdigit() for line in lines)
+        assert any(line.startswith("solve") for line in lines)
+
+        out_path = tmp_path / "stacks.txt"
+        assert main(
+            ["trace", "flamegraph", trace_path, "-o", str(out_path)]
+        ) == 0
+        assert out_path.read_text().splitlines() == lines
+
+    def test_validate_strict_flags_orphans(self, tmp_path, capsys):
+        path = tmp_path / "orphaned.jsonl"
+        records = [
+            {"type": "meta", "schema": "scwsc-trace/1",
+             "wall_time_unix": 1.0, "t": 0.0, "attrs": {}},
+            {"type": "span", "name": "solve", "span_id": "a",
+             "parent_id": "ghost", "t_start": 0.0, "t_end": 1.0,
+             "duration": 1.0, "attrs": {}},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["trace", "validate", str(path)]) == 0
+        assert main(["trace", "validate", "--strict", str(path)]) != 0
+        assert "orphan" in capsys.readouterr().err
 
     def test_validate_missing_file(self, tmp_path, capsys):
         assert main(

@@ -9,7 +9,6 @@ PANEL_IDS = (
     'id="waterfall"',
     'id="self-time"',
     'id="quality"',
-    'id="profile"',
     'id="postmortems"',
 )
 
@@ -33,16 +32,6 @@ def _full_trace():
          "quality": {"total_cost": 6.0, "lp_bound": 4.0,
                      "approx_ratio": 1.5, "coverage_slack": 0.05,
                      "sets_used": 3, "sets_budget": 5, "feasible": True}},
-        {"type": "profile", "profile_kind": "cprofile", "scope": "solve",
-         "t": 1.0, "data": {"functions": [
-             {"func": "core.py:1:greedy", "ncalls": 3, "tottime": 0.4,
-              "cumtime": 0.8}], "n_functions": 1}},
-        {"type": "profile", "profile_kind": "memory", "scope": "solve",
-         "t": 1.0, "data": {"samples": 1, "alloc_bytes": 2048,
-                            "peak_bytes": 4096}},
-        {"type": "profile", "profile_kind": "rss", "scope": "process",
-         "t": 1.0, "data": {"peak_rss_bytes": 1 << 24,
-                            "process": "parent"}},
     ]
 
 
@@ -53,7 +42,6 @@ class TestRenderDashboard:
             assert panel in page
         assert "no spans in trace" in page
         assert "no quality records" in page
-        assert "--profile" in page
         assert "no postmortem bundles" in page
 
     def test_self_contained_html(self):
@@ -74,13 +62,6 @@ class TestRenderDashboard:
         assert "1.5000" in page  # approx ratio
         assert "cwsc" in page
         assert 'class="spark"' in page  # ratio bar
-
-    def test_profile_panel_sections(self):
-        page = render_dashboard(_full_trace())
-        assert "cpu: solve" in page
-        assert "core.py:1:greedy" in page
-        assert "mem: solve" in page
-        assert "rss: process" in page
 
     def test_html_escaping_of_attacker_controlled_names(self):
         records = [

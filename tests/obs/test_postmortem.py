@@ -16,7 +16,6 @@ import time
 import pytest
 
 from repro.errors import ValidationError
-from repro.obs import postmortem
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.postmortem import (
     POSTMORTEM_SCHEMA,
@@ -36,12 +35,12 @@ def loaded_recorder() -> FlightRecorder:
                "duration": 0.1, "attrs": {}})
     rec.write({"type": "event", "name": "worker_death", "t": 0.05,
                "attrs": {"worker": 0}})
-    rec.record_access({
-        "schema": "scwsc-access/1", "ts": 1.0, "trace_id": "ab" * 16,
-        "method": "POST", "endpoint": "/solve", "status": 200,
-        "duration_seconds": 0.1,
-    })
-    rec.record_metrics({"scwsc_requests_total": 1})
+    rec.write({"type": "access", "t": 0.1, "ts": 1.0,
+               "trace_id": "ab" * 16, "method": "POST",
+               "endpoint": "/solve", "status": 200,
+               "duration_seconds": 0.1})
+    rec.write({"type": "metrics", "t": 0.2,
+               "metrics": {"scwsc_requests_total": 1}})
     rec.note_worker_ring(0, [{"type": "event", "name": "worker_stage",
                               "t": 0.01, "attrs": {}}])
     return rec
@@ -94,6 +93,12 @@ class TestBuildAndValidate:
         bundle["rings"]["access"]["records"].append({"bogus": True})
         problems = validate_bundle(bundle)
         assert any("rings.access[1]" in p for p in problems)
+        bundle = make_bundle()
+        bundle["rings"]["access"]["records"].append(
+            dict(bundle["rings"]["access"]["records"][0], status="200")
+        )
+        problems = validate_bundle(bundle)
+        assert any("rings.access[1]: access.status" in p for p in problems)
 
     def test_missing_section_reported(self):
         bundle = make_bundle()
@@ -254,12 +259,67 @@ class TestTriggerEngine:
         assert eng.stats()["pending"] == 0
 
 
-class TestModuleCli:
-    def test_main_validates_and_reports(self, tmp_path, capsys):
+class TestTriggerSink:
+    """The trigger engine is a passive tracer sink: pool events fire
+    triggers, everything else passes by, and nothing it does can raise
+    into the thread that wrote the record."""
+
+    def engine(self, tmp_path):
+        return TriggerEngine(loaded_recorder(), BundleSpool(str(tmp_path)),
+                             stack_samples=1, stack_interval=0.0)
+
+    def test_maps_pool_events_to_triggers(self, tmp_path, monkeypatch):
+        engine = self.engine(tmp_path)
+        fired = []
+        monkeypatch.setattr(
+            engine, "fire", lambda kind, reason, **kw: fired.append(
+                (kind, kw.get("key"))
+            )
+        )
+        for name in ("worker_death", "hard_timeout", "dispatch"):
+            engine.write({"type": "event", "name": name, "t": 0.0,
+                          "attrs": {"worker": 1}})
+        engine.write({"type": "event", "name": "breaker_transition",
+                      "t": 0.0, "attrs": {"breaker": "w0", "new": "open"}})
+        engine.write({"type": "span", "name": "worker_death"})
+        assert fired == [
+            ("worker_death", None), ("hard_timeout", None),
+            ("breaker_open", "w0"),
+        ]
+
+    def test_breaker_close_resets_dedup(self, tmp_path):
+        engine = self.engine(tmp_path)
+        opened = {"type": "event", "name": "breaker_transition", "t": 0.0,
+                  "attrs": {"breaker": "w0", "new": "open"}}
+        engine.min_interval = 0.0
+        engine.settle_seconds = 0.0
+        engine.write(opened)
+        engine.write(opened)
+        assert engine.stats()["counts"]["breaker_open"]["deduped"] == 1
+        engine.write(dict(opened, attrs={"breaker": "w0", "new": "closed"}))
+        engine.write(opened)
+        engine.drain(10.0)
+        assert engine.stats()["counts"]["breaker_open"]["fired"] == 2
+
+    def test_is_exception_isolated(self, tmp_path, monkeypatch):
+        engine = self.engine(tmp_path)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("trigger bug")
+
+        monkeypatch.setattr(engine, "fire", boom)
+        engine.write({"type": "event", "name": "worker_death", "t": 0.0,
+                      "attrs": {}})
+
+
+class TestDebugCli:
+    def test_debug_validate_verdicts(self, tmp_path, capsys):
+        from repro.cli import main
+
         good = tmp_path / "good.json"
         good.write_text(json.dumps(make_bundle()), encoding="utf-8")
         bad = tmp_path / "bad.json"
         bad.write_text("{}", encoding="utf-8")
-        assert postmortem.main([str(good)]) == 0
-        assert postmortem.main([str(good), str(bad)]) == 1
-        assert postmortem.main([]) == 2
+        assert main(["debug", "validate", str(good)]) == 0
+        assert main(["debug", "validate", str(good), str(bad)]) == 2
+        assert "ok (trigger=manual)" in capsys.readouterr().out

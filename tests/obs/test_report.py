@@ -1,4 +1,4 @@
-"""Trace rollups and the summary renderer."""
+"""Trace rollups, the summary renderer and the flamegraph export."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.obs.report import (
+    collapsed_stacks,
     event_counts,
     phase_rollups,
     render_summary,
@@ -140,3 +141,22 @@ class TestSummarizeFile:
         assert data["meta"]["command"] == "solve"
         assert data["phases"]["solve"]["total"] == pytest.approx(0.5)
         assert data["events"] == {"tracker_update": 1}
+
+
+class TestCollapsedStacks:
+    def test_self_time_per_path_in_micros(self):
+        records = [
+            _span("solve", 1.0, span_id="s1"),
+            _span("select", 0.25, span_id="s2", parent_id="s1"),
+            _span("select", 0.25, span_id="s3", parent_id="s1"),
+        ]
+        lines = collapsed_stacks(records)
+        assert "solve 500000" in lines
+        assert "solve;select 500000" in lines
+
+    def test_zero_self_time_paths_dropped(self):
+        records = [
+            _span("solve", 0.5, span_id="s1"),
+            _span("select", 0.5, span_id="s2", parent_id="s1"),
+        ]
+        assert collapsed_stacks(records) == ["solve;select 500000"]

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from repro.obs.schema import (
+    ACCESS_FIELDS,
     find_orphan_spans,
-    main,
     validate_record,
     validate_trace_file,
 )
@@ -67,15 +67,6 @@ class TestValidateRecord:
                                 "attrs": {}}) != []
 
 
-def _profile(**overrides):
-    record = {
-        "type": "profile", "profile_kind": "cprofile", "scope": "solve",
-        "t": 1.0, "data": {"functions": []},
-    }
-    record.update(overrides)
-    return record
-
-
 def _quality(**overrides):
     record = {
         "type": "quality", "t": 1.0, "algorithm": "cwsc",
@@ -84,38 +75,6 @@ def _quality(**overrides):
     }
     record.update(overrides)
     return record
-
-
-class TestProfileRecords:
-    def test_valid_profile_kinds_pass(self):
-        assert validate_record(_profile()) == []
-        assert validate_record(
-            _profile(profile_kind="memory",
-                     data={"alloc_bytes": 10, "peak_bytes": 20})
-        ) == []
-        assert validate_record(
-            _profile(profile_kind="rss", scope="process",
-                     data={"peak_rss_bytes": 1}, span_id="s1")
-        ) == []
-
-    def test_unknown_kind_rejected(self):
-        bad = _profile(profile_kind="flame")
-        assert any("profile_kind" in p for p in validate_record(bad))
-
-    def test_missing_scope_and_data_rejected(self):
-        assert any(
-            "scope" in p for p in validate_record(_profile(scope=""))
-        )
-        assert any(
-            "data" in p for p in validate_record(_profile(data=[1, 2]))
-        )
-
-    def test_bad_time_and_span_id_rejected(self):
-        assert any("t" in p for p in validate_record(_profile(t="later")))
-        assert any(
-            "span_id" in p
-            for p in validate_record(_profile(span_id={"no": 1}))
-        )
 
 
 class TestQualityRecords:
@@ -144,27 +103,20 @@ class TestQualityRecords:
 
 
 class TestCaptureReplayRoundTrip:
-    def test_profiled_capture_replays_valid(self, tmp_path):
-        """A worker-style capture plus profile records, replayed into a
-        file trace with request/attempt attrs, must validate end to end
-        (strictly: the replayed spans form one tree) with every record
-        carrying the merged attrs."""
+    def test_capture_replays_valid(self, tmp_path):
+        """A worker-style capture, replayed into a file trace with
+        request/attempt attrs, must validate end to end (strictly: the
+        replayed spans form one tree) with every record carrying the
+        merged attrs."""
         import json
 
-        from repro.obs import profile as obs_profile
         from repro.obs import trace as obs_trace
 
-        session = obs_profile.ProfileSession()
-        session.start()
-        try:
-            with obs_trace.capture() as captured:
-                with obs_trace.span("solve", backend="set"):
-                    with obs_trace.span("select"):
-                        sum(range(2000))
-                    obs_trace.event("tracker_update", remaining=3)
-        finally:
-            profile_recs = session.stop()
-        captured = list(captured) + profile_recs
+        with obs_trace.capture() as captured:
+            with obs_trace.span("solve", backend="set"):
+                with obs_trace.span("select"):
+                    sum(range(2000))
+                obs_trace.event("tracker_update", remaining=3)
 
         path = tmp_path / "replayed.jsonl"
         obs_trace.configure(str(path), command="test")
@@ -180,13 +132,14 @@ class TestCaptureReplayRoundTrip:
             for line in path.read_text().splitlines()
             if line
         ]
-        spans = [r for r in records if r["type"] == "span"]
-        assert spans and all(
+        replayed = [r for r in records if r["type"] in ("span", "event")]
+        assert len(replayed) == 3 and all(
             r["attrs"]["request_id"] == 7 and r["attrs"]["attempt"] == 2
-            for r in spans
+            for r in replayed
         )
-        assert any(r["type"] == "profile" for r in records)
-        assert {r["name"] for r in spans if True} >= {"solve", "select"}
+        assert {r["name"] for r in replayed} == {
+            "solve", "select", "tracker_update"
+        }
 
 
 class TestValidateTraceFile:
@@ -263,25 +216,75 @@ class TestOrphanSpans:
         assert problems[0].startswith("orphan:")
 
 
-class TestCli:
-    def test_main_ok_and_failure(self, tmp_path, capsys):
-        import json
+def _access(**overrides):
+    record = {
+        "type": "access", "t": 1.5, "ts": 1700000000.0,
+        "trace_id": "ab" * 16, "method": "POST", "endpoint": "/solve",
+        "status": 200, "duration_seconds": 0.125,
+    }
+    record.update(overrides)
+    return record
 
-        good = tmp_path / "good.jsonl"
-        good.write_text(json.dumps(_meta()) + "\n")
-        assert main([str(good)]) == 0
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("{}\n")
-        assert main([str(bad)]) == 1
-        assert main([]) == 2
 
-    def test_strict_flag_changes_verdict(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "orphaned.jsonl"
-        path.write_text(
-            json.dumps(_meta()) + "\n"
-            + json.dumps(_span(span_id="a", parent_id="ghost")) + "\n"
+class TestAccessRecords:
+    def test_valid_record_passes(self):
+        assert validate_record(_access()) == []
+        full = _access(
+            shed_reason="inflight", deadline=2.0, queue_seconds=0.1,
+            solve_seconds=0.2, requeue_seconds=0.0, requeues=1,
+            solve_status="ok", error="lost",
         )
-        assert main([str(path)]) == 0
-        assert main(["--strict", str(path)]) == 1
+        assert set(full) == set(ACCESS_FIELDS)
+        assert validate_record(full) == []
+
+    def test_null_status_when_client_left(self):
+        assert validate_record(_access(status=None)) == []
+
+    def test_missing_required_field(self):
+        required = [name for name, (req, _) in ACCESS_FIELDS.items() if req]
+        assert required == [
+            "type", "t", "ts", "trace_id", "method", "endpoint",
+            "duration_seconds",
+        ]
+        for field in required[1:]:
+            record = _access()
+            del record[field]
+            assert any(field in p for p in validate_record(record)), field
+
+    def test_bad_trace_id(self):
+        assert any(
+            "trace_id" in p for p in validate_record(_access(trace_id="XYZ"))
+        )
+
+    def test_unknown_field_rejected(self):
+        problems = validate_record(_access(surprise=1))
+        assert any("surprise" in p for p in problems)
+
+    def test_old_schema_field_rejected(self):
+        """A ``scwsc-access/1`` line is not an access record."""
+        problems = validate_record(_access(schema="scwsc-access/1"))
+        assert any("schema" in p for p in problems)
+
+    def test_non_dict_rejected(self):
+        """An access record sent as a list of pairs is not an object."""
+        problems = validate_record(list(_access().items()))
+        assert problems == ["record must be an object, got list"]
+
+    def test_bool_is_not_a_number(self):
+        problems = validate_record(_access(duration_seconds=True))
+        assert any("duration_seconds" in p for p in problems)
+        problems = validate_record(_access(status=True))
+        assert any("status" in p for p in problems)
+
+    def test_file_problem_reports_line_number(self, tmp_path):
+        import json
+
+        path = tmp_path / "access.jsonl"
+        bad = _access()
+        del bad["trace_id"]
+        path.write_text(
+            json.dumps(_meta()) + "\n" + json.dumps(_access()) + "\n"
+            + json.dumps(bad) + "\n"
+        )
+        problems = validate_trace_file(str(path))
+        assert len(problems) == 1 and problems[0].startswith("line 3:")

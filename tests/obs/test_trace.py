@@ -7,7 +7,11 @@ import json
 import sys
 import threading
 
+from repro.obs import flightrec
 from repro.obs import trace as obs_trace
+from repro.obs.flightrec import RingBuffer
+from repro.obs.postmortem import BundleSpool, TriggerEngine
+from repro.obs.report import load_trace
 from repro.obs.schema import validate_record, validate_trace_file
 
 
@@ -31,6 +35,8 @@ class TestDisabledPath:
     def test_event_and_write_raw_are_noops(self):
         obs_trace.event("worker_spawn", worker=0)
         obs_trace.write_raw({"type": "event", "name": "x", "t": 0.0})
+        obs_trace.access(200, trace_id="ab" * 16)
+        obs_trace.write_metrics({})
 
 
 class TestConfiguredTracer:
@@ -216,6 +222,26 @@ class TestCaptureAndReplay:
 
 
 class TestJsonlSink:
+    def test_concurrent_writers_never_interleave(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        sink = obs_trace.JsonlSink(str(path))
+
+        def write(worker: int) -> None:
+            for i in range(50):
+                sink.write({"type": "event", "name": f"w{worker}",
+                            "t": 0.0, "attrs": {"i": i}})
+
+        threads = [
+            threading.Thread(target=write, args=(w,)) for w in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        sink.close()
+        assert validate_trace_file(str(path)) == []
+        assert len(load_trace(str(path))) == 1 + 200
+
     def test_file_target_is_owned_and_flushed(self, tmp_path):
         path = tmp_path / "out.jsonl"
         obs_trace.configure(str(path), command="t")
@@ -226,6 +252,86 @@ class TestJsonlSink:
         lines = path.read_text().splitlines()
         assert json.loads(lines[0])["type"] == "meta"
         assert json.loads(lines[1])["name"] == "solve"
+
+
+class TestAccessLogSink:
+    def test_keeps_meta_then_only_access_records(self, tmp_path):
+        path = tmp_path / "access.jsonl"
+        log = obs_trace.JsonlSink(str(path), {"command": "serve"}, keep="access")
+        obs_trace.add_sink(log.write)
+        try:
+            with obs_trace.span("server_request"):
+                obs_trace.event("server_shed", reason="inflight")
+            obs_trace.access(
+                429, trace_id="cd" * 16, method="POST", endpoint="/solve",
+                duration_seconds=0.001, shed_reason="inflight", error=None,
+            )
+            obs_trace.access(
+                None, trace_id="ef" * 16, method="GET", endpoint="/healthz",
+                duration_seconds=0.001,
+            )
+        finally:
+            obs_trace.remove_sink(log.write)
+            log.close()
+        meta, shed, gone = load_trace(str(path))
+        assert meta["type"] == "meta"
+        assert meta["attrs"] == {"command": "serve"}
+        assert shed["type"] == "access" and shed["status"] == 429
+        assert shed["shed_reason"] == "inflight"
+        assert "error" not in shed  # None-valued fields are left out
+        # The client left before any response: status is null, not absent.
+        assert "status" in gone and gone["status"] is None
+        assert validate_trace_file(str(path), strict=True) == []
+
+
+class TestOnePipeline:
+    def test_every_record_reaches_its_consumers(self, tmp_path, monkeypatch):
+        """One event, one access record and one metrics snapshot, written
+        once each through the tracer, reach every consumer meant to see
+        them: the trace file, a capture, the flight recorder, a pool
+        worker's ring, the access log and the postmortem triggers."""
+        trace_path = tmp_path / "trace.jsonl"
+        access_path = tmp_path / "access.jsonl"
+        recorder = flightrec.install()
+        worker_ring = RingBuffer(8)
+        triggers = TriggerEngine(recorder, BundleSpool(str(tmp_path / "pm")))
+        fired = []
+        monkeypatch.setattr(
+            triggers, "fire", lambda kind, reason, **kw: fired.append(kind)
+        )
+        access_log = obs_trace.JsonlSink(str(access_path), keep="access")
+        passive = (worker_ring.append, triggers.write, access_log.write)
+        for sink in passive:
+            obs_trace.add_sink(sink)
+        try:
+            # Passive sinks record without switching the hot loops on.
+            assert obs_trace.recording() and not obs_trace.enabled()
+            obs_trace.configure(str(trace_path), command="test")
+            with obs_trace.capture() as captured:
+                obs_trace.event("worker_death", worker=0)
+                obs_trace.access(
+                    200, trace_id="ab" * 16, method="POST",
+                    endpoint="/solve", duration_seconds=0.1,
+                )
+                obs_trace.write_metrics({"scwsc_requests_total": 1})
+            obs_trace.shutdown()
+        finally:
+            for sink in passive:
+                obs_trace.remove_sink(sink)
+            access_log.close()
+
+        meta, event, access, metrics = load_trace(str(trace_path))
+        assert [meta["type"], event["type"], access["type"],
+                metrics["type"]] == ["meta", "event", "access", "metrics"]
+        assert captured == [event, access, metrics]
+        assert worker_ring.snapshot() == [event, access, metrics]
+        assert recorder.events.snapshot() == [event]
+        assert recorder.access.snapshot() == [access]
+        assert recorder.metrics.snapshot() == [metrics]
+        assert load_trace(str(access_path))[1:] == [access]
+        assert fired == ["worker_death"]
+        for path in (trace_path, access_path):
+            assert validate_trace_file(str(path), strict=True) == []
 
 
 class TestTraceContext:

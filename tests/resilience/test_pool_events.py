@@ -260,3 +260,25 @@ class TestWorkerFrames:
         assert marker["name"] == "trace_truncated"
         assert marker["attrs"]["dropped_records"] > 0
         assert marker["t"] > 0
+
+
+class TestPeakRss:
+    def test_positive_on_posix(self):
+        rss = worker.peak_rss_bytes()
+        assert rss is None or rss > 1024 * 1024
+
+    @pytest.mark.parametrize(
+        ("platform", "expected"), [("linux", 2048 * 1024), ("darwin", 2048)]
+    )
+    def test_ru_maxrss_normalised_to_bytes(
+        self, monkeypatch, platform, expected
+    ):
+        """``ru_maxrss`` is kilobytes on Linux and bytes on macOS."""
+        resource = pytest.importorskip("resource")
+
+        class Usage:
+            ru_maxrss = 2048
+
+        monkeypatch.setattr(resource, "getrusage", lambda who: Usage)
+        monkeypatch.setattr(worker.sys, "platform", platform)
+        assert worker.peak_rss_bytes() == expected

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.obs import postmortem
+from repro.obs.flightrec import FlightRecorder
 
 
 def _wait_for_bundles(directory: str, count: int = 1, timeout: float = 30.0):
@@ -30,12 +31,6 @@ def _wait_for_bundles(directory: str, count: int = 1, timeout: float = 30.0):
             return names
         time.sleep(0.1)
     return sorted(os.listdir(directory))
-
-
-def _wait_for_total(ring, total: int, timeout: float = 10.0) -> None:
-    deadline = time.monotonic() + timeout
-    while ring.stats()["total"] < total and time.monotonic() < deadline:
-        time.sleep(0.005)
 
 
 def _worker_pid(server) -> int:
@@ -55,11 +50,7 @@ class TestDebugRoutes:
         code, stacks, _ = server.get("/debug/stacks")
         assert code == 200
         assert stacks["sample"]["threads"]
-        assert stacks["sampler"] == {
-            "hz": 0.0,
-            "running": False,
-            "ring_samples": 0,
-        }
+        assert stacks["collapsed"]
 
         code, flightrec, _ = server.get("/debug/flightrec")
         assert code == 200
@@ -72,8 +63,6 @@ class TestDebugRoutes:
         server = make_server()
         code, _, _ = server.post("/solve", solve_body())
         assert code == 200
-        # The access record lands just after the response is sent.
-        _wait_for_total(server.httpd.recorder.access, 1)
         code, flightrec, _ = server.get("/debug/flightrec")
         stats = flightrec["stats"]["rings"]
         assert stats["spans"]["total"] >= 1
@@ -97,18 +86,6 @@ class TestDebugRoutes:
         assert code == 200
         assert flightrec["armed"] is False
         assert flightrec["stats"] is None
-
-    def test_sampler_armed_fills_ring(self, make_server):
-        server = make_server(sampler_hz=100.0)
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            _, stacks, _ = server.get("/debug/stacks")
-            if stacks["sampler"]["ring_samples"] >= 2:
-                break
-            time.sleep(0.05)
-        assert stacks["sampler"]["running"] is True
-        assert stacks["sampler"]["hz"] == 100.0
-        assert stacks["sampler"]["ring_samples"] >= 2
 
 
 class TestWorkerDeathBundle:
@@ -210,18 +187,17 @@ class TestCrashLoopBounded:
 
 
 class TestServeRecorderWork:
-    def test_one_record_per_ring_per_request(self, make_server, solve_body):
+    def test_one_record_per_ring_per_request(
+        self, make_server, solve_body, monkeypatch
+    ):
         """The recorder's per-request work is bounded: a shed ``/solve``
         (the whole edge path, no pool work) adds exactly one access
         record, one span and one event, and every ring stays within its
         capacity once the requests outnumber it. Counted, not timed."""
         capacity = 4
-        server = make_server(
-            max_inflight=1,
-            flightrec_spans=capacity,
-            flightrec_events=capacity,
-            flightrec_access=capacity,
-        )
+        for ring in ("SPANS", "EVENTS", "ACCESS"):
+            monkeypatch.setattr(FlightRecorder, ring, capacity)
+        server = make_server(max_inflight=1)
         recorder = server.httpd.recorder
         rings = {
             "access": recorder.access,
@@ -234,9 +210,7 @@ class TestServeRecorderWork:
             for _ in range(capacity + 3):
                 before = {name: ring.stats()["total"] for name, ring in rings.items()}
                 assert server.post("/solve", body, timeout=10)[0] == 429
-                # The access record is the handler's last write and lands
-                # just after the response; the span and event precede it.
-                _wait_for_total(recorder.access, before["access"] + 1)
+                # Every record is written before the response goes out.
                 for name, ring in rings.items():
                     assert ring.stats()["total"] == before[name] + 1, name
                     assert len(ring) <= ring.capacity, name

@@ -3,16 +3,14 @@
 Drives a mix of requests — concurrent solves, an admission shed, a
 chaos-forced pool requeue, and a single-stage greedy solve — through a
 live daemon and asserts the observability contract: every HTTP request
-yields exactly one schema-valid access-log record, and every traced
+yields exactly one schema-valid ``access`` record, and every traced
 request's worker spans replay under the originating trace id in one
 schema-valid tree.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-import time
 
 from repro.obs import trace as obs_trace
 from repro.obs.report import load_trace
@@ -20,11 +18,20 @@ from repro.obs.schema import validate_trace_file
 from repro.resilience import faults
 from repro.resilience.faults import FaultConfig
 from repro.resilience.pool.protocol import system_to_payload
-from repro.serve.accesslog import iter_access_records, validate_access_file
 
 
 def traceparent(tid: str) -> str:
     return f"00-{tid}-{'cd' * 8}-01"
+
+
+def access_records(path) -> list[dict]:
+    """An access log's records: a strictly valid trace holding a meta
+    record and then only ``access`` records."""
+    assert validate_trace_file(str(path), strict=True) == []
+    meta, *records = load_trace(str(path))
+    assert meta["type"] == "meta"
+    assert {r["type"] for r in records} <= {"access"}
+    return records
 
 
 def spans_for(records: list[dict], tid: str) -> list[dict]:
@@ -120,12 +127,6 @@ class TestObservabilityAcceptance:
             # -- one shed 429: the in-flight cap is held synthetically --
             shed_tid = "d2" * 16
             held = server.config.max_inflight
-            # A handler releases its slot just after writing its
-            # response, so the last reply can arrive first: wait
-            # (bounded) for the slots to drain before holding them all.
-            deadline = time.monotonic() + 10.0
-            while server.admission.inflight and time.monotonic() < deadline:
-                time.sleep(0.01)
             assert server.admission.try_admit(held).admitted
             try:
                 code, decoded, _ = server.post(
@@ -148,9 +149,10 @@ class TestObservabilityAcceptance:
 
         # -- access log: exactly one record per request ----------------
         # 6 solves + 1 /metrics scrape = 7 records.
-        assert validate_access_file(str(access_path)) == 7
+        access = access_records(access_path)
+        assert len(access) == 7
         by_tid: dict[str, list[dict]] = {}
-        for record in iter_access_records(str(access_path)):
+        for record in access:
             by_tid.setdefault(record["trace_id"], []).append(record)
         for tid in sent:
             assert len(by_tid[tid]) == 1, f"{tid}: {by_tid.get(tid)}"
@@ -170,6 +172,9 @@ class TestObservabilityAcceptance:
         # -- trace: schema-valid, one tree per request -----------------
         assert validate_trace_file(str(trace_path)) == []
         records = load_trace(str(trace_path))
+        # The trace file is a sink of the same tracer: it holds the very
+        # access records the access log kept.
+        assert [r for r in records if r["type"] == "access"] == access
         span_ids = {
             r.get("span_id") for r in records if r.get("type") == "span"
         }
@@ -240,8 +245,7 @@ class TestObservabilityAcceptance:
             server.stop()
         finally:
             obs_trace.shutdown()
-        assert validate_access_file(str(access_path)) == 1
-        (record,) = iter_access_records(str(access_path))
+        (record,) = access_records(access_path)
         assert record["trace_id"] == tid
         assert record["endpoint"] == "/batch"
         # Timings accumulate across the batch's tickets.
@@ -266,5 +270,20 @@ class TestObservabilityAcceptance:
         echoed = headers.get("Traceparent")
         assert echoed is not None and echoed.split("-")[1] == minted
         server.stop()
-        (record,) = iter_access_records(str(access_path))
+        (record,) = access_records(access_path)
         assert record["trace_id"] == minted
+
+
+class TestResponseOrdering:
+    def test_slot_free_once_the_client_holds_its_reply(
+        self, make_server, solve_body
+    ):
+        """A handler releases its admission slot before writing its
+        response: back-to-back posts under a one-request cap are never
+        shed, and nothing is in flight once a reply is in hand."""
+        server = make_server(max_inflight=1)
+        body = solve_body()
+        for _ in range(5):
+            code, decoded, _ = server.post("/solve", body)
+            assert code == 200, decoded
+            assert server.admission.inflight == 0
