@@ -6,8 +6,9 @@ stack (CLI, signal handling, pool spawn) is on the hook:
 
 1. **Healthy daemon** — concurrent solves with mixed deadlines must all
    come back 200 with verified bodies; an upstream ``traceparent`` is
-   adopted end to end; ``/healthz``, ``/readyz``, and ``/metrics``
-   answer; a SIGTERM exits 0 and leaves a schema-valid trace plus a
+   adopted end to end, on a request whose repeated system the daemon
+   must not decode again (``system_decoded: false``); ``/healthz``,
+   ``/readyz``, and ``/metrics`` answer; a SIGTERM exits 0 and leaves a schema-valid trace plus a
    schema-valid access log (one ``access`` record per request), both
    uploaded as CI artifacts (the trace also renders into the run dashboard).
 2. **Overloaded daemon** — workers are forced to hang via the chaos
@@ -214,6 +215,10 @@ def healthy_phase(out_dir: Path, system_payload: dict) -> Path:
         echoed = headers.get("Traceparent", "")
         if upstream_tid not in echoed:
             fail(f"response Traceparent header missing trace id: {echoed!r}")
+        # Its system repeats the deadline solves' system text, so the
+        # daemon's system cache answers it without building it again.
+        if body["pool"].get("system_decoded") is not False:
+            fail(f"repeated system was decoded again: {body['pool']}")
 
         code, page = daemon.get_text("/metrics")
         for needle in (

@@ -1086,19 +1086,25 @@ def _cmd_debug(args: argparse.Namespace) -> int:
     if workers:
         print("  worker rings:")
         for index, ring in sorted(workers.items()):
-            last = ring[-1]["name"] if ring else "-"
+            last = _record_title(ring[-1]) if ring else "-"
             print(f"    worker {index}: {len(ring)} record(s), last={last}")
     events = bundle["rings"]["events"]["records"]
     if events:
         print("  last events:")
         for record in events[-10:]:
-            print(f"    t={record.get('t')} {record.get('name')}")
+            print(f"    t={record.get('t')} {_record_title(record)}")
     collapsed = bundle["stacks"].get("collapsed") or []
     if collapsed:
         print("  hottest stacks:")
         for line in collapsed[:5]:
             print(f"    {line}")
     return 0
+
+
+def _record_title(record: dict) -> str:
+    """A ringed record's name; its type for records without one (the
+    recorder rings ``quality`` and ``meta`` records among the events)."""
+    return record.get("name") or record.get("type") or "?"
 
 
 def _cmd_report_dashboard(args: argparse.Namespace) -> int:

@@ -16,7 +16,6 @@ exists. This module turns that assumption into runnable fallbacks:
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -42,18 +41,18 @@ def universal_result(system: SetSystem, k: int, s_hat: float) -> CoverResult:
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     start = time.perf_counter()
-    full = [
-        ws
-        for ws in system.sets
-        if ws.size == system.n_elements and math.isfinite(ws.cost)
-    ]
-    if not full:
+    indptr, _, costs = system.csr()
+    full = np.nonzero(
+        (np.diff(indptr) == system.n_elements) & np.isfinite(costs)
+    )[0]
+    if not full.size:
         raise InfeasibleError(
             "universal fallback: no finite-cost set covers the whole "
             "universe",
             partial=greedy_partial(system, k, s_hat),
         )
-    cheapest = min(full, key=lambda ws: (ws.cost, ws.set_id))
+    # argmin keeps the first of equal costs: the lowest set id.
+    cheapest = int(full[np.argmin(costs[full])])
     # Every solver populates runtime_seconds itself — including this
     # trivial one, so downstream aggregation never sees a 0.0 run time.
     metrics = Metrics(
@@ -62,9 +61,9 @@ def universal_result(system: SetSystem, k: int, s_hat: float) -> CoverResult:
     )
     return make_result(
         algorithm="universal",
-        chosen=[cheapest.set_id],
-        labels=[cheapest.label],
-        total_cost=cheapest.cost,
+        chosen=[cheapest],
+        labels=[system.label_of(cheapest)],
+        total_cost=float(costs[cheapest]),
         covered=system.n_elements,
         n_elements=system.n_elements,
         feasible=True,

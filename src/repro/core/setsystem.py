@@ -13,7 +13,8 @@ Every system keeps its sets as three arrays — ``indptr``, the ascending
 element ids of every set, and the costs (:meth:`SetSystem.csr`) — and the
 counts, costs and coverage queries read those. The :class:`WeightedSet`
 tuple (:attr:`SetSystem.sets`) is what a per-set system is built from;
-a :meth:`SetSystem.from_csr` system (the pattern enumeration) creates it
+:meth:`SetSystem.from_csr` (the pattern enumeration) and
+:meth:`SetSystem.from_iterables` (decoded payloads) systems create it
 only when something reads it (the ``set`` reference oracle and other
 per-set readers), so the packed kernel never needs one object per set.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -95,9 +97,18 @@ class SetSystem:
     ) -> None:
         sets = tuple(sets)
         _check_universe(n_elements)
-        _validate_sets(n_elements, sets)
+        for expected_id, ws in enumerate(sets):
+            if ws.set_id != expected_id:
+                raise ValidationError(
+                    "set ids must be dense and ordered; expected "
+                    f"{expected_id}, got {ws.set_id}"
+                )
         self._init(
-            n_elements, *_gather_csr(n_elements, sets),
+            n_elements,
+            *_benefits_csr(n_elements, [ws.benefit for ws in sets]),
+            np.fromiter(
+                (ws.cost for ws in sets), dtype=np.float64, count=len(sets)
+            ),
             label_of=lambda set_id: sets[set_id].label,
             labels_sorted=False,
         )
@@ -131,7 +142,15 @@ class SetSystem:
         labels: Sequence[Hashable] | None = None,
         strict: bool = False,
     ) -> "SetSystem":
-        """Build a system from parallel sequences of benefits and costs."""
+        """Build a system from parallel sequences of benefits and costs.
+
+        A benefit may list its elements in any order and more than once;
+        the CSR keeps each set's elements ascending and distinct. The
+        labels are kept as given, and the :class:`WeightedSet` tuple is
+        built on the first :attr:`sets` read, as for :meth:`from_csr`
+        systems. Validates what the per-set constructor does: costs
+        non-negative and not NaN, elements inside the universe.
+        """
         if len(benefits) != len(costs):
             raise ValidationError(
                 f"got {len(benefits)} benefit sets but {len(costs)} costs"
@@ -140,16 +159,21 @@ class SetSystem:
             raise ValidationError(
                 f"got {len(benefits)} benefit sets but {len(labels)} labels"
             )
-        sets = [
-            WeightedSet(
-                set_id=i,
-                benefit=frozenset(ben),
-                cost=float(cost),
-                label=labels[i] if labels is not None else None,
-            )
-            for i, (ben, cost) in enumerate(zip(benefits, costs))
-        ]
-        return cls(n_elements, sets, strict=strict)
+        cost_array = np.fromiter(
+            map(float, costs), dtype=np.float64, count=len(costs)
+        )
+        _check_costs(cost_array)
+        _check_universe(n_elements)
+        labels = None if labels is None else list(labels)
+        system = cls.__new__(cls)
+        system._init(
+            n_elements, *_benefits_csr(n_elements, benefits), cost_array,
+            label_of=None if labels is None else labels.__getitem__,
+            labels_sorted=False,
+        )
+        if strict:
+            system.validate_strict()
+        return system
 
     @classmethod
     def from_mapping(
@@ -273,13 +297,7 @@ class SetSystem:
                 f"set {self._set_of(int(unsorted[0]))} lists its elements "
                 "out of order or twice"
             )
-        bad = np.nonzero(~(costs >= 0))[0]
-        if bad.size:
-            set_id = int(bad[0])
-            raise ValidationError(
-                f"set {set_id!r} has invalid cost {float(costs[set_id])!r}; "
-                "costs must be non-negative"
-            )
+        _check_costs(costs)
 
     def _set_of(self, position: int) -> int:
         """The set whose CSR slice holds ``indices[position]``."""
@@ -307,7 +325,8 @@ class SetSystem:
     def sets(self) -> tuple[WeightedSet, ...]:
         """All candidate sets in id order.
 
-        A :meth:`from_csr` system creates them here, once.
+        A :meth:`from_csr` or :meth:`from_iterables` system creates them
+        here, once.
         """
         if self._sets is None:
             elements = self._indices.tolist()
@@ -427,37 +446,52 @@ def _check_universe(n_elements: int) -> None:
         raise ValidationError(f"n_elements must be >= 0, got {n_elements}")
 
 
-def _validate_sets(n_elements: int, sets: Sequence[WeightedSet]) -> None:
-    for expected_id, ws in enumerate(sets):
-        if ws.set_id != expected_id:
-            raise ValidationError(
-                f"set ids must be dense and ordered; expected {expected_id}, "
-                f"got {ws.set_id}"
-            )
-        for element in ws.benefit:
-            if not (0 <= element < n_elements):
-                raise ValidationError(
-                    f"set {ws.set_id} covers element {element!r} outside "
-                    f"universe [0, {n_elements})"
-                )
+def _check_costs(costs: np.ndarray) -> None:
+    """Reject the first negative or NaN cost, as :class:`WeightedSet`."""
+    bad = np.nonzero(~(costs >= 0))[0]
+    if bad.size:
+        set_id = int(bad[0])
+        raise ValidationError(
+            f"set {set_id!r} has invalid cost {float(costs[set_id])!r}; "
+            "costs must be non-negative"
+        )
 
 
-def _gather_csr(
-    n_elements: int, sets: Sequence[WeightedSet]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR arrays of validated per-set objects (see ``csr``)."""
-    m = len(sets)
-    sizes = np.fromiter((ws.size for ws in sets), dtype=np.int64, count=m)
+def _benefits_csr(
+    n_elements: int, benefits: Sequence[Iterable[ElementId]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of benefit iterables, each set's elements
+    ascending and distinct (see ``csr``)."""
+    m = len(benefits)
+    try:
+        sizes = np.fromiter(map(len, benefits), dtype=np.int64, count=m)
+    except TypeError:  # one-shot iterables: read each once
+        benefits = [list(ben) for ben in benefits]
+        sizes = np.fromiter(map(len, benefits), dtype=np.int64, count=m)
+    elements = np.array(list(chain.from_iterable(benefits)))
+    if elements.dtype.kind not in "biuf":
+        raise ValidationError("set elements must be integers")
+    owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
+    outside = np.nonzero(~((elements >= 0) & (elements < n_elements)))[0]
+    if outside.size:
+        set_id = int(owner[outside[0]])
+        # Name the first element out of range in the order a
+        # ``WeightedSet`` iterates its benefit.
+        element = next(
+            e for e in frozenset(benefits[set_id])
+            if not 0 <= e < n_elements
+        )
+        raise ValidationError(
+            f"set {set_id} covers element {element!r} outside "
+            f"universe [0, {n_elements})"
+        )
+    # Sort and dedupe (set, element) keys only when some set needs it.
+    span = max(1, n_elements)
+    keys = owner * span + elements.astype(np.int64)
+    if (np.diff(keys) <= 0).any():
+        keys = np.unique(keys)
+        owner = keys // span
+        sizes = np.bincount(owner, minlength=m)
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
-    indices = np.fromiter(
-        (e for ws in sets for e in ws.benefit),
-        dtype=np.int64, count=int(indptr[-1]),
-    )
-    # Order each set's elements: sort (set, element) keys, whose set
-    # part is already non-decreasing.
-    span = max(1, n_elements)
-    owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
-    indices = np.sort(owner * span + indices) - owner * span
-    costs = np.fromiter((ws.cost for ws in sets), dtype=np.float64, count=m)
-    return indptr, indices, costs
+    return indptr, keys - owner * span

@@ -19,17 +19,28 @@ ready     w -> s     worker finished importing and can accept requests
 solve     s -> w     run one solve request (see :func:`encode_request`)
 stage     w -> s     a chain stage is starting (powers circuit-breaker
                      blame and provenance)
-result    w -> s     terminal answer for one request id
+result    w -> s     terminal answer for one request id, with the
+                     fingerprints of the systems the worker holds
 ping      s -> w     liveness probe
 pong      w -> s     liveness reply
 shutdown  s -> w     drain and exit 0
 ========  =========  ===================================================
 
-Set systems cross the boundary as plain lists. Labels are *not*
-pickled: each label travels as its ``repr`` text plus (when the label
-defines one) its ``sort_key()`` tuple, and is rebuilt as a
-:class:`RemoteLabel` shim on the worker side. The shim reproduces both
-the label's ``repr`` and its tie-break ordering
+A ``solve`` frame carries its set system as ``system``, the JSON text
+of a :func:`system_to_payload` object, plus ``system_fp``, the SHA-256
+of exactly that text. A system the daemon decoded from a request body
+travels as the body's own text; any other system as its canonical
+(sorted-keys, compact) encoding, made once per system. Each worker
+keeps its most recent systems by fingerprint, and every ``result``
+frame lists them under ``systems``; the supervisor leaves ``system``
+out of the frame when the worker already holds that fingerprint. A
+frame whose fingerprint the worker does not hold and that carries no
+text is a :class:`~repro.errors.ProtocolError`.
+
+Inside that text, labels are *not* pickled: each label travels as its
+``repr`` text plus (when the label defines one) its ``sort_key()``
+tuple, and is rebuilt as a :class:`RemoteLabel` shim on the worker side.
+The shim reproduces both the label's ``repr`` and its tie-break ordering
 (:func:`repro.core.greedy_common.canonical_key`), so a worker solving a
 serialized system selects *exactly* the sets the parent would have —
 which is what makes pool requeues and ``--workers`` grids deterministic.
@@ -57,11 +68,14 @@ __all__ = [
     "SolveRequest",
     "encode_frame",
     "encode_request",
+    "held_systems",
+    "holds_system",
     "read_frame",
     "request_from_payload",
     "system_from_payload",
     "system_payload_and_fingerprint",
     "system_to_payload",
+    "system_wire",
     "write_frame",
 ]
 
@@ -219,24 +233,29 @@ class RemoteSortedLabel(RemoteLabel):
 
     Kept as a separate class so ``canonical_key``'s ``getattr(label,
     "sort_key")`` probe sees the method only when the original had one —
-    labels within one system must stay homogeneous.
+    labels within one system must stay homogeneous. ``sort_key`` may be
+    the JSON array the key arrived as: it becomes a tuple on the first
+    :meth:`sort_key` call, which a daemon that only verifies answers
+    never makes.
     """
 
     __slots__ = ("_sort_key",)
 
-    def __init__(self, repr_text: str, sort_key: tuple) -> None:
+    def __init__(self, repr_text: str, sort_key: tuple | list) -> None:
         super().__init__(repr_text)
         self._sort_key = sort_key
 
     def sort_key(self) -> tuple:
+        if isinstance(self._sort_key, list):
+            self._sort_key = _tuplize(self._sort_key)
         return self._sort_key
 
 
-def _tuplize(value):
+def _tuplize(value: list) -> tuple:
     """JSON arrays back to tuples, recursively (sort keys are tuples)."""
-    if isinstance(value, list):
-        return tuple(_tuplize(item) for item in value)
-    return value
+    return tuple([
+        _tuplize(item) if isinstance(item, list) else item for item in value
+    ])
 
 
 def _label_to_payload(label):
@@ -254,7 +273,7 @@ def _label_from_payload(payload):
     if not isinstance(payload, dict) or "r" not in payload:
         raise ProtocolError(f"malformed label payload: {payload!r}")
     if "k" in payload:
-        return RemoteSortedLabel(payload["r"], _tuplize(payload["k"]))
+        return RemoteSortedLabel(payload["r"], payload["k"])
     return RemoteLabel(payload["r"])
 
 
@@ -306,13 +325,24 @@ def system_from_payload(payload: dict) -> SetSystem:
 _PAYLOAD_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _canonical(system: SetSystem) -> tuple[dict, str]:
+    payload = system_to_payload(system)
+    return payload, json.dumps(payload, separators=(",", ":"), sort_keys=True)
+
+
 def system_payload_and_fingerprint(system: SetSystem) -> tuple[dict, str]:
-    """The (cached) wire payload of a system plus its content fingerprint.
+    """The (cached) payload of a system plus its content fingerprint.
 
     The fingerprint is the SHA-256 of the canonical (sorted-keys,
     compact) JSON encoding of the payload, so two systems fingerprint
-    equal exactly when their wire forms are identical — same universe,
-    same benefit sets, same costs, same label reprs/sort keys.
+    equal exactly when their payloads are identical — same universe,
+    same benefit sets, same costs, same label reprs/sort keys. It is
+    the ``system_fp`` of any system not decoded from a request body
+    (:func:`system_wire`).
     """
     try:
         cached = _PAYLOAD_CACHE.get(system)
@@ -320,9 +350,8 @@ def system_payload_and_fingerprint(system: SetSystem) -> tuple[dict, str]:
         cached = None
     if cached is not None:
         return cached
-    payload = system_to_payload(system)
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    cached = (payload, hashlib.sha256(body.encode("utf-8")).hexdigest())
+    payload, body = _canonical(system)
+    cached = (payload, _sha256(body))
     try:
         _PAYLOAD_CACHE[system] = cached
     except TypeError:  # pragma: no cover - stand-in objects only
@@ -330,32 +359,98 @@ def system_payload_and_fingerprint(system: SetSystem) -> tuple[dict, str]:
     return cached
 
 
+#: Parent-side wire forms: ``system -> (text, fingerprint)``, the JSON
+#: text a worker decodes and its SHA-256. Weak keys, as above.
+_WIRE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def system_wire(
+    system: SetSystem, text: str | None = None, fingerprint: str | None = None
+) -> tuple[str, str]:
+    """``(text, fingerprint)``: the JSON text a ``solve`` frame carries
+    for ``system`` and the SHA-256 of that text.
+
+    ``text`` (with its ``fingerprint``) records the text ``system`` was
+    decoded from, so a served system travels as its request body's own
+    bytes and is never re-encoded. A system without a recorded text is
+    encoded canonically once (the fingerprint then equals
+    :func:`system_payload_and_fingerprint`'s).
+    """
+    try:
+        wire = _WIRE_CACHE.get(system)
+    except TypeError:  # unhashable/unweakrefable stand-in: build fresh
+        wire = None
+    if wire is not None:
+        return wire
+    if text is None:
+        text = _canonical(system)[1]
+        fingerprint = None
+    wire = (text, fingerprint or _sha256(text))
+    try:
+        _WIRE_CACHE[system] = wire
+    except TypeError:  # pragma: no cover - stand-in objects only
+        pass
+    return wire
+
+
 #: Worker-side cache: most recently deserialized systems, keyed by the
-#: supervisor's fingerprint. `scwsc batch` sends every request of a run
-#: against the same system, so all but the first skip the
-#: ``from_iterables`` re-parse (and share the per-system solver caches:
+#: supervisor's fingerprint. Repeated requests against one system (a
+#: `scwsc batch` run, a daemon's repeat traffic) skip the parse and the
+#: ``from_iterables`` build (and share the per-system solver caches:
 #: mask table, owners index, canonical keys). Bounded so long-lived
-#: workers under ``--memory-limit`` don't accumulate dead systems.
+#: workers under ``--memory-limit`` don't accumulate dead systems; a
+#: worker evicts only while it decodes a request's system, and reports
+#: what it holds on that request's result frame.
 SYSTEM_CACHE_SIZE = 4
 
 _SYSTEM_CACHE: "OrderedDict[str, SetSystem]" = OrderedDict()
 
 
-def _system_from_payload_cached(
-    payload: dict, fingerprint: str | None
-) -> SetSystem:
-    """LRU-cached deserialization; plain rebuild without a fingerprint.
+def holds_system(fingerprint) -> bool:
+    """Whether this worker holds the system with ``fingerprint``."""
+    return isinstance(fingerprint, str) and fingerprint in _SYSTEM_CACHE
+
+
+def held_systems() -> list[str]:
+    """The fingerprints this worker holds (the ``systems`` a result
+    frame reports)."""
+    return list(_SYSTEM_CACHE)
+
+
+def _system_from_text(text) -> SetSystem:
+    if not isinstance(text, str):
+        raise ProtocolError(
+            f"'system' must be JSON text, got {type(text).__name__}"
+        )
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ProtocolError(f"system text is not valid JSON: {error}") from error
+    if not isinstance(payload, dict):
+        raise ProtocolError("system text must encode a JSON object")
+    return system_from_payload(payload)
+
+
+def _system_of_frame(frame: dict) -> SetSystem:
+    """The frame's system: the held one for its fingerprint, else its
+    text decoded (and held, when it has a fingerprint).
 
     The fingerprint is trusted — the supervisor computed it from the
-    exact payload it framed — so a hit skips even reading the payload.
+    exact text it framed — so a hit skips even reading the text.
     """
-    if fingerprint is None:
-        return system_from_payload(payload)
+    fingerprint = frame.get("system_fp")
+    if not isinstance(fingerprint, str):
+        return _system_from_text(frame["system"])
     system = _SYSTEM_CACHE.get(fingerprint)
     if system is not None:
         _SYSTEM_CACHE.move_to_end(fingerprint)
         return system
-    system = system_from_payload(payload)
+    if "system" not in frame:
+        raise ProtocolError(
+            f"solve frame names system {fingerprint[:12]}, which this "
+            "worker does not hold, and carries no system text"
+        )
+    system = _system_from_text(frame["system"])
     _SYSTEM_CACHE[fingerprint] = system
     while len(_SYSTEM_CACHE) > SYSTEM_CACHE_SIZE:
         _SYSTEM_CACHE.popitem(last=False)
@@ -399,22 +494,26 @@ class SolveRequest:
     #: Parent-side only: the supervisor replays the worker's captured
     #: spans under its trace id, rooted at its span.
     traceparent: str | None = None
+    #: Parent-side only: whether the daemon built ``system`` for this
+    #: request (``False`` when its system cache held it). ``None`` for
+    #: requests that did not come from a request body.
+    system_decoded: bool | None = None
 
 
 def encode_request(request: SolveRequest, request_id: int) -> dict:
     """The ``solve`` frame for one request.
 
-    The system payload is cached per system
-    (:func:`system_payload_and_fingerprint`) and travels with its
-    ``system_fp`` fingerprint so workers can skip re-parsing repeats —
-    requeues and batch runs re-encode cheaply and deserialize once.
+    The system travels as its wire text (:func:`system_wire`, made at
+    most once per system) with its ``system_fp`` fingerprint, so workers
+    decode each system once; the supervisor drops ``system`` from the
+    frame when the worker already holds the fingerprint.
     """
-    payload, fingerprint = system_payload_and_fingerprint(request.system)
+    text, fingerprint = system_wire(request.system)
     return {
         "kind": "solve",
         "id": request_id,
         "solver": request.solver,
-        "system": payload,
+        "system": text,
         "system_fp": fingerprint,
         "k": request.k,
         "s_hat": request.s_hat,
@@ -432,12 +531,8 @@ def request_from_payload(payload: dict) -> tuple[int, SolveRequest]:
     try:
         request_id = int(payload["id"])
         chain = payload.get("chain")
-        fingerprint = payload.get("system_fp")
         request = SolveRequest(
-            system=_system_from_payload_cached(
-                payload["system"],
-                fingerprint if isinstance(fingerprint, str) else None,
-            ),
+            system=_system_of_frame(payload),
             k=int(payload["k"]),
             s_hat=float(payload["s_hat"]),
             solver=str(payload.get("solver", "resilient")),

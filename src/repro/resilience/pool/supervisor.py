@@ -216,6 +216,7 @@ class _Pending:
         "dispatches", "attempts", "routed_around", "done",
         "trace_ctx", "enqueued_at", "queue_seconds", "solve_seconds",
         "requeue_seconds", "last_dispatched_at", "last_attempt_end",
+        "system_sent",
     )
 
     def __init__(self, request_id: int, request: SolveRequest,
@@ -242,6 +243,9 @@ class _Pending:
         self.requeue_seconds = 0.0
         self.last_dispatched_at: float | None = None
         self.last_attempt_end: float | None = None
+        #: Whether the last dispatched frame carried the system text
+        #: (``None`` before any dispatch).
+        self.system_sent: bool | None = None
 
     @property
     def trace_id(self) -> str | None:
@@ -267,12 +271,15 @@ class _Pending:
             "tag": self.request.tag,
             "attempts": list(self.attempts),
             "requeues": max(0, self.dispatches - 1),
+            "system_sent": self.system_sent,
             "timings": {
                 "queue_seconds": round(self.queue_seconds, 6),
                 "solve_seconds": round(self.solve_seconds, 6),
                 "requeue_seconds": round(self.requeue_seconds, 6),
             },
         }
+        if self.request.system_decoded is not None:
+            provenance["system_decoded"] = self.request.system_decoded
         if self.trace_ctx is not None:
             provenance["trace_id"] = self.trace_ctx.trace_id
         return provenance
@@ -283,7 +290,7 @@ class _Worker:
 
     __slots__ = (
         "index", "proc", "reader", "pending", "dispatched_at", "kill_at",
-        "chaos_kill_at", "last_stage", "ready", "completed",
+        "chaos_kill_at", "last_stage", "ready", "completed", "systems",
     )
 
     def __init__(self, index: int, proc: subprocess.Popen) -> None:
@@ -297,6 +304,9 @@ class _Worker:
         self.last_stage: str | None = None
         self.ready = False
         self.completed = 0
+        #: Fingerprints of the systems the worker holds, as its latest
+        #: result frame listed them; a respawned worker holds none.
+        self.systems: frozenset[str] = frozenset()
 
     @property
     def busy(self) -> bool:
@@ -608,6 +618,12 @@ class SolverPool:
                 return
         payload = encode_request(request, pending.request_id)
         payload["timeout"] = attempt_timeout
+        # A worker holding the fingerprint decodes nothing: its system
+        # set changes only while it runs a request, and every result
+        # frame reports it, so the set is exact between requests.
+        pending.system_sent = payload["system_fp"] not in worker.systems
+        if not pending.system_sent:
+            del payload["system"]
         if obs_trace.enabled():
             # The parent has a tracer, so ask the worker to capture its
             # solver spans; they come home in the result frame and are
@@ -658,6 +674,7 @@ class SolverPool:
                 solver=request.solver,
                 timeout=attempt_timeout,
                 routed_around=list(pending.routed_around),
+                system_sent=pending.system_sent,
             )
 
     def _select_timeout(self) -> float:
@@ -864,6 +881,11 @@ class SolverPool:
         worker.kill_at = None
         worker.chaos_kill_at = None
         worker.completed += 1
+        held = frame.get("systems")
+        worker.systems = frozenset(
+            fingerprint for fingerprint in held
+            if isinstance(fingerprint, str)
+        ) if isinstance(held, list) else frozenset()
         if pending is None or pending.done:
             return
         pending.note_attempt_end(time.monotonic())

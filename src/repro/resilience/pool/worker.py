@@ -48,6 +48,8 @@ from repro.resilience import faults
 from repro.resilience.debug import hang_watchdog
 from repro.resilience.pool.protocol import (
     SolveRequest,
+    held_systems,
+    holds_system,
     read_frame,
     request_from_payload,
     system_from_payload,
@@ -326,6 +328,7 @@ def _error_payload(request_id: int, error: BaseException) -> dict:
 
 
 def _handle_solve(out, payload: dict) -> None:
+    system_cached = holds_system(payload.get("system_fp"))
     request_id, request = request_from_payload(payload)
     injector = faults.active()
 
@@ -345,6 +348,7 @@ def _handle_solve(out, payload: dict) -> None:
         k=request.k,
         timeout=request.timeout,
         tag=request.tag,
+        system_cached=system_cached,
     )
     with (
         obs_trace.capture() if request.trace else contextlib.nullcontext([])
@@ -378,6 +382,9 @@ def _handle_solve(out, payload: dict) -> None:
     rss = peak_rss_bytes()
     if rss is not None:
         response["peak_rss_bytes"] = rss
+    # The systems this worker holds now: the supervisor sends the next
+    # request's system text only when its fingerprint is not among them.
+    response["systems"] = held_systems()
     obs_trace.event(
         "worker_solve_end", request=request_id, status=response.get("status")
     )

@@ -8,6 +8,8 @@ The serving stack, bottom up:
 * :mod:`.engine` — :class:`ServeEngine`, the single dispatcher thread
   that owns the warm :class:`~repro.resilience.pool.SolverPool` and
   trades :class:`Ticket`\\ s with HTTP handler threads;
+* :mod:`.systems` — the body scanner and :class:`SystemCache`, which
+  builds each distinct request system once;
 * :mod:`.server` — :class:`SolverServer` (routes, length-checked JSON
   bodies, request tracing, one ``access`` trace record per request,
   load shedding, graceful drain) and :func:`run_server`, the CLI entry

@@ -50,11 +50,11 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import get_registry, publish_build_info
 from repro.obs.postmortem import BundleSpool, TriggerEngine, build_info
 from repro.resilience.pool import SolveRequest
-from repro.resilience.pool.protocol import system_from_payload
 from repro.resilience.pool.worker import solve_request_from_json
 from repro.serve.admission import AdmissionController
 from repro.serve.config import ServeConfig
 from repro.serve.engine import ServeEngine, Ticket
+from repro.serve.systems import SystemCache, parse_body
 
 __all__ = ["SolverServer", "build_solve_request", "run_server"]
 
@@ -278,7 +278,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json_body(self) -> dict | list | None:
         """Read and decode the body, answering the error response (and
-        returning ``None``) on any malformed frame."""
+        returning ``None``) on any malformed frame. The raw text of the
+        body's top-level ``system`` value is kept for :meth:`_system`."""
         length_header = self.headers.get("Content-Length")
         if length_header is None:
             self._send_json(411, {"error": "Content-Length required"})
@@ -309,10 +310,30 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": "truncated body"})
             return None
         try:
-            return json.loads(data.decode("utf-8"))
+            payload, self._system_text = parse_body(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._send_json(400, {"error": f"malformed JSON body: {exc}"})
             return None
+        return payload
+
+    def _system(self, payload) -> tuple[dict, object, bool]:
+        """``(payload, system, decoded)``: the body's top-level system
+        from the server's system cache, and the payload without it.
+
+        ``system`` is ``None`` (payload unchanged) when the body has no
+        ``system`` object, which validation then reports.
+        """
+        if not (
+            isinstance(payload, dict)
+            and isinstance(payload.get("system"), dict)
+            and self._system_text is not None
+        ):
+            return payload, None, False
+        system, decoded = self.server.systems.get(
+            self._system_text, payload["system"]
+        )
+        rest = {key: value for key, value in payload.items() if key != "system"}
+        return rest, system, decoded
 
     def _shed(self, decision, endpoint: str, n: int) -> None:
         self.server.count_shed(decision.reason, n=n)
@@ -339,10 +360,13 @@ class _Handler(BaseHTTPRequestHandler):
         if payload is None:
             return
         try:
-            request = build_solve_request(payload, self.server.config)
+            payload, system, decoded = self._system(payload)
+            request = build_solve_request(payload, self.server.config, system)
         except (ValidationError, ProtocolError) as exc:
             self._send_json(400, {"error": str(exc)})
             return
+        # Without a cached system, validation decoded the body's own.
+        request.system_decoded = decoded or system is None
         self._access["deadline"] = request.timeout
         admission = self.server.admission
         decision = admission.try_admit(
@@ -398,10 +422,8 @@ class _Handler(BaseHTTPRequestHandler):
                 },
             )
             return
-        shared_system = None
         try:
-            if isinstance(payload.get("system"), dict):
-                shared_system = system_from_payload(payload["system"])
+            _, shared_system, shared_decoded = self._system(payload)
             requests = [
                 build_solve_request(entry, self.server.config, shared_system)
                 for entry in entries
@@ -409,6 +431,10 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValidationError, ProtocolError) as exc:
             self._send_json(400, {"error": str(exc)})
             return
+        for request in requests:
+            request.system_decoded = (
+                shared_decoded if request.system is shared_system else True
+            )
         n = len(requests)
         admission = self.server.admission
         decision = admission.try_admit(
@@ -531,6 +557,8 @@ class SolverServer(ThreadingHTTPServer):
         self.config = config
         self.engine = engine
         self.admission = admission
+        #: Systems built from request bodies, by their text's SHA-256.
+        self.systems = SystemCache()
         self.registry = get_registry()
         publish_build_info(self.registry)
         self._requests_total = self.registry.counter(

@@ -323,3 +323,28 @@ class TestDebugCli:
         assert main(["debug", "validate", str(good)]) == 0
         assert main(["debug", "validate", str(good), str(bad)]) == 2
         assert "ok (trigger=manual)" in capsys.readouterr().out
+
+    def test_debug_inspect_titles_records_without_a_name(
+        self, tmp_path, capsys
+    ):
+        # The recorder rings quality (and meta) records among the events,
+        # and a worker ring may end with one; inspect names them by type.
+        from repro.cli import main
+
+        quality = {"type": "quality", "t": 0.3, "algorithm": "cwsc",
+                   "quality": {"cost": 1.0}}
+        recorder = loaded_recorder()
+        recorder.write(quality)
+        recorder.note_worker_ring(1, [quality])
+        bundle = build_bundle(
+            recorder, trigger="manual", reason="test",
+            stack_samples=1, stack_interval=0.0,
+        )
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle), encoding="utf-8")
+        assert main(["debug", "inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "None" not in out
+        assert "t=0.3 quality" in out
+        assert "worker 1: 1 record(s), last=quality" in out
+        assert "worker 0: 1 record(s), last=worker_stage" in out

@@ -282,3 +282,33 @@ class TestPeakRss:
         monkeypatch.setattr(resource, "getrusage", lambda who: Usage)
         monkeypatch.setattr(worker.sys, "platform", platform)
         assert worker.peak_rss_bytes() == expected
+
+
+class TestSystemSentOnce:
+    def test_worker_solve_start_says_whether_the_system_was_held(
+        self, random_system
+    ):
+        system = random_system(n_elements=10, n_sets=6, seed=3)
+        recorder = obs_flightrec.install()
+        sent, cached = [], []
+        try:
+            with SolverPool(PoolConfig(workers=1)) as pool:
+                for _ in range(2):
+                    outcome = pool.solve(
+                        SolveRequest(
+                            system=system, k=4, s_hat=0.8, solver="cwsc",
+                            timeout=30.0,
+                        )
+                    )
+                    assert outcome.status == "ok"
+                    assert "system_decoded" not in outcome.provenance
+                    sent.append(outcome.provenance["system_sent"])
+                    start = [
+                        r for r in recorder.worker_rings()[0]
+                        if r.get("name") == "worker_solve_start"
+                    ][-1]
+                    cached.append(start["attrs"]["system_cached"])
+        finally:
+            obs_flightrec.uninstall()
+        assert sent == [True, False]
+        assert cached == [False, True]

@@ -346,3 +346,68 @@ class TestSystemFingerprintCache:
                 encode_request(SolveRequest(system=system, k=1, s_hat=0.5), seed)
             )
         assert len(protocol._SYSTEM_CACHE) == protocol.SYSTEM_CACHE_SIZE
+
+
+class TestSystemTextOnce:
+    """Frames carry a system's text until the worker holds it."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_worker_cache(self):
+        from repro.resilience.pool import protocol
+
+        protocol._SYSTEM_CACHE.clear()
+        yield
+        protocol._SYSTEM_CACHE.clear()
+
+    def test_frame_system_is_the_wire_text(self, random_system):
+        from repro.resilience.pool.protocol import (
+            system_payload_and_fingerprint,
+            system_wire,
+        )
+
+        system = random_system()
+        frame = encode_request(SolveRequest(system=system, k=2, s_hat=0.5), 1)
+        text, fingerprint = system_wire(system)
+        assert frame["system"] is text
+        assert json.loads(text) == system_payload_and_fingerprint(system)[0]
+
+    def test_recorded_text_travels_unchanged(self, random_system):
+        from repro.resilience.pool.protocol import system_wire
+
+        text = json.dumps(system_to_payload(random_system()), indent=1)
+        system = system_from_payload(json.loads(text))
+        assert system_wire(system, text, "f" * 64) == (text, "f" * 64)
+        frame = encode_request(SolveRequest(system=system, k=2, s_hat=0.5), 1)
+        assert frame["system"] is text and frame["system_fp"] == "f" * 64
+
+    def test_held_system_needs_no_text(self, random_system):
+        from repro.resilience.pool.protocol import held_systems, holds_system
+
+        frame = encode_request(
+            SolveRequest(system=random_system(), k=2, s_hat=0.5), 1
+        )
+        fingerprint = frame["system_fp"]
+        assert not holds_system(fingerprint)
+        _, first = request_from_payload(dict(frame))
+        assert holds_system(fingerprint) and held_systems() == [fingerprint]
+        bare = {key: value for key, value in frame.items() if key != "system"}
+        _, second = request_from_payload(bare)
+        assert second.system is first.system
+
+    def test_unheld_system_without_text_is_a_protocol_error(
+        self, random_system
+    ):
+        frame = encode_request(
+            SolveRequest(system=random_system(), k=2, s_hat=0.5), 1
+        )
+        del frame["system"]
+        with pytest.raises(ProtocolError, match="does not hold"):
+            request_from_payload(frame)
+
+    def test_system_text_must_be_a_json_object(self, random_system):
+        frame = encode_request(
+            SolveRequest(system=random_system(), k=2, s_hat=0.5), 1
+        )
+        for text in ("[1]", "{", {"n": 1}):
+            with pytest.raises(ProtocolError):
+                request_from_payload(dict(frame, system=text, system_fp=None))
