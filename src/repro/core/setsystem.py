@@ -149,7 +149,8 @@ class SetSystem:
         labels are kept as given, and the :class:`WeightedSet` tuple is
         built on the first :attr:`sets` read, as for :meth:`from_csr`
         systems. Validates what the per-set constructor does: costs
-        non-negative and not NaN, elements inside the universe.
+        non-negative and not NaN, elements integers inside the universe
+        (a nested list or a fractional number is not an element).
         """
         if len(benefits) != len(costs):
             raise ValidationError(
@@ -468,8 +469,15 @@ def _benefits_csr(
     except TypeError:  # one-shot iterables: read each once
         benefits = [list(ben) for ben in benefits]
         sizes = np.fromiter(map(len, benefits), dtype=np.int64, count=m)
-    elements = np.array(list(chain.from_iterable(benefits)))
-    if elements.dtype.kind not in "biuf":
+    try:
+        elements = np.array(list(chain.from_iterable(benefits)))
+    except ValueError:  # ragged nested sequences
+        elements = None
+    if (
+        elements is None
+        or elements.ndim != 1
+        or elements.dtype.kind not in "biuf"
+    ):
         raise ValidationError("set elements must be integers")
     owner = np.repeat(np.arange(m, dtype=np.int64), sizes)
     outside = np.nonzero(~((elements >= 0) & (elements < n_elements)))[0]
@@ -485,6 +493,8 @@ def _benefits_csr(
             f"set {set_id} covers element {element!r} outside "
             f"universe [0, {n_elements})"
         )
+    if elements.dtype.kind == "f" and (elements != np.floor(elements)).any():
+        raise ValidationError("set elements must be integers")
     # Sort and dedupe (set, element) keys only when some set needs it.
     span = max(1, n_elements)
     keys = owner * span + elements.astype(np.int64)

@@ -50,6 +50,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import get_registry, publish_build_info
 from repro.obs.postmortem import BundleSpool, TriggerEngine, build_info
 from repro.resilience.pool import SolveRequest
+from repro.resilience.pool.protocol import system_from_payload
 from repro.resilience.pool.worker import solve_request_from_json
 from repro.serve.admission import AdmissionController
 from repro.serve.config import ServeConfig
@@ -279,7 +280,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_json_body(self) -> dict | list | None:
         """Read and decode the body, answering the error response (and
         returning ``None``) on any malformed frame. The raw text of the
-        body's top-level ``system`` value is kept for :meth:`_system`."""
+        body's top-level ``system`` value is kept for the system cache."""
         length_header = self.headers.get("Content-Length")
         if length_header is None:
             self._send_json(411, {"error": "Content-Length required"})
@@ -316,24 +317,22 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return payload
 
-    def _system(self, payload) -> tuple[dict, object, bool]:
-        """``(payload, system, decoded)``: the body's top-level system
-        from the server's system cache, and the payload without it.
-
-        ``system`` is ``None`` (payload unchanged) when the body has no
-        ``system`` object, which validation then reports.
-        """
+    def _cached_system(self, payload):
+        """The body's top-level system from the server's system cache;
+        ``None`` on a miss or when the body has no ``system`` object."""
         if not (
-            isinstance(payload, dict)
+            self._system_text is not None
+            and isinstance(payload, dict)
             and isinstance(payload.get("system"), dict)
-            and self._system_text is not None
         ):
-            return payload, None, False
-        system, decoded = self.server.systems.get(
-            self._system_text, payload["system"]
-        )
-        rest = {key: value for key, value in payload.items() if key != "system"}
-        return rest, system, decoded
+            return None
+        return self.server.systems.get(self._system_text)
+
+    def _keep_system(self, system) -> None:
+        """Cache ``system``, built from the body's own top-level
+        ``system`` value, once its request has been accepted."""
+        if self._system_text is not None:
+            self.server.systems.put(self._system_text, system)
 
     def _shed(self, decision, endpoint: str, n: int) -> None:
         self.server.count_shed(decision.reason, n=n)
@@ -359,14 +358,25 @@ class _Handler(BaseHTTPRequestHandler):
         payload = self._read_json_body()
         if payload is None:
             return
+        cached = self._cached_system(payload)
         try:
-            payload, system, decoded = self._system(payload)
-            request = build_solve_request(payload, self.server.config, system)
+            if cached is None:
+                request = build_solve_request(payload, self.server.config)
+            else:
+                rest = {
+                    key: value for key, value in payload.items()
+                    if key != "system"
+                }
+                request = build_solve_request(rest, self.server.config, cached)
         except (ValidationError, ProtocolError) as exc:
             self._send_json(400, {"error": str(exc)})
             return
-        # Without a cached system, validation decoded the body's own.
-        request.system_decoded = decoded or system is None
+        if cached is None:
+            self._keep_system(request.system)
+        request.system_decoded = cached is None
+        # The parsed body (its system as JSON lists) is not held while
+        # the request waits for a worker.
+        del payload
         self._access["deadline"] = request.timeout
         admission = self.server.admission
         decision = admission.try_admit(
@@ -422,8 +432,11 @@ class _Handler(BaseHTTPRequestHandler):
                 },
             )
             return
+        shared_system = self._cached_system(payload)
+        shared_decoded = shared_system is None
         try:
-            _, shared_system, shared_decoded = self._system(payload)
+            if shared_decoded and isinstance(payload.get("system"), dict):
+                shared_system = system_from_payload(payload["system"])
             requests = [
                 build_solve_request(entry, self.server.config, shared_system)
                 for entry in entries
@@ -431,6 +444,8 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValidationError, ProtocolError) as exc:
             self._send_json(400, {"error": str(exc)})
             return
+        if shared_decoded and shared_system is not None:
+            self._keep_system(shared_system)
         for request in requests:
             request.system_decoded = (
                 shared_decoded if request.system is shared_system else True

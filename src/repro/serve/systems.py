@@ -24,7 +24,7 @@ import threading
 from collections import OrderedDict
 
 from repro.core.setsystem import SetSystem
-from repro.resilience.pool.protocol import system_from_payload, system_wire
+from repro.resilience.pool.protocol import system_wire
 
 __all__ = ["SYSTEM_CACHE_BYTES", "SystemCache", "parse_body"]
 
@@ -35,6 +35,10 @@ SYSTEM_CACHE_BYTES = 16 * 1024 * 1024
 
 _DECODER = json.JSONDecoder()
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _skip(text: str, pos: int) -> int:
@@ -101,38 +105,39 @@ class SystemCache:
     """Bounded LRU of systems built from request bodies.
 
     Keyed by the SHA-256 of each system's raw JSON text and bounded by
-    the total length of those texts (:data:`SYSTEM_CACHE_BYTES`). Safe
-    to share between handler threads; two concurrent first requests for
-    one system may both build it, and the first build is kept.
+    the total length of those texts (:data:`SYSTEM_CACHE_BYTES`). The
+    handler looks a body's text up before validating the request and
+    stores the system validation built only once the whole request is
+    accepted, so a rejected body never takes cache room. Safe to share
+    between handler threads; two concurrent first requests for one
+    system may both build it, and the first stored is kept.
     """
 
-    def __init__(self, max_bytes: int = SYSTEM_CACHE_BYTES) -> None:
-        self.max_bytes = max_bytes
+    def __init__(self) -> None:
         self._systems: OrderedDict[str, tuple[SetSystem, int]] = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
 
-    def get(self, text: str, payload: dict) -> tuple[SetSystem, bool]:
-        """The system whose JSON text is ``text`` (``payload`` is that
-        text parsed), and whether this call built it.
-
-        Raises :class:`~repro.errors.ProtocolError` or
-        :class:`~repro.errors.ValidationError` for a bad system, which
-        is then not cached.
-        """
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    def get(self, text: str) -> SetSystem | None:
+        """The system built from the JSON text ``text``, if held."""
+        digest = _sha256(text)
         with self._lock:
             entry = self._systems.get(digest)
-            if entry is not None:
-                self._systems.move_to_end(digest)
-                return entry[0], False
-        system = system_from_payload(payload)
+            if entry is None:
+                return None
+            self._systems.move_to_end(digest)
+            return entry[0]
+
+    def put(self, text: str, system: SetSystem) -> None:
+        """Hold ``system``, built from the JSON text ``text``; it then
+        travels to workers as that text."""
+        digest = _sha256(text)
         system_wire(system, text, digest)
         with self._lock:
-            if digest not in self._systems:
-                self._systems[digest] = (system, len(text))
-                self._bytes += len(text)
-                while self._bytes > self.max_bytes:
-                    _, (_, size) = self._systems.popitem(last=False)
-                    self._bytes -= size
-        return system, True
+            if digest in self._systems:
+                return
+            self._systems[digest] = (system, len(text))
+            self._bytes += len(text)
+            while self._bytes > SYSTEM_CACHE_BYTES:
+                _, (_, size) = self._systems.popitem(last=False)
+                self._bytes -= size

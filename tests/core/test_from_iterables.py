@@ -111,9 +111,31 @@ def test_same_validation_errors(n, benefits, costs, labels):
     assert str(got.value) == str(want.value)
 
 
-def test_non_integer_elements_rejected():
+@pytest.mark.parametrize(
+    "benefits",
+    [
+        [["a"]],
+        [[0, None]],
+        # Nested lists: neither flattened nor broadcast into other sets.
+        [[[0], [1]]],
+        [[[0, 1]]],
+        [[[0, 1], [2]]],
+        [[[]]],
+        # Fractional numbers are not truncated.
+        [[0.5]],
+        [[1], [0, 1.5]],
+    ],
+)
+def test_non_integer_elements_rejected(benefits):
     with pytest.raises(ValidationError, match="integers"):
-        SetSystem.from_iterables(3, [["a"]], [1.0])
+        SetSystem.from_iterables(3, benefits, [1.0] * len(benefits))
+
+
+def test_integral_floats_are_elements():
+    assert_same_system(
+        SetSystem.from_iterables(3, [[2.0, 0.0]], [1.0]),
+        SetSystem.from_iterables(3, [[0, 2]], [1.0]),
+    )
 
 
 def test_strict_mode_still_applies():

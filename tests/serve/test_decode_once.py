@@ -10,8 +10,8 @@ import time
 
 import pytest
 
-from repro.resilience.pool import supervisor
-from repro.serve import systems
+from repro.resilience.pool import supervisor, worker
+from repro.serve import server as handler
 
 
 def answer(body: dict) -> str:
@@ -25,7 +25,7 @@ def answer(body: dict) -> str:
 def spy(monkeypatch):
     """Counts system builds and records every ``solve`` frame sent."""
     seen = {"decodes": 0, "frames": []}
-    decode = systems.system_from_payload
+    decode = worker.system_from_payload
 
     def counting_decode(payload):
         seen["decodes"] += 1
@@ -38,7 +38,10 @@ def spy(monkeypatch):
             seen["frames"].append(dict(payload))
         return write(stream, payload, injector)
 
-    monkeypatch.setattr(systems, "system_from_payload", counting_decode)
+    # A /solve body's system is built by request validation, a /batch
+    # body's shared system by the handler.
+    monkeypatch.setattr(worker, "system_from_payload", counting_decode)
+    monkeypatch.setattr(handler, "system_from_payload", counting_decode)
     monkeypatch.setattr(supervisor, "write_frame", recording_write)
     return seen
 
@@ -151,3 +154,35 @@ def test_scanned_bodies_answer_as_json_loads_reads_them(
         assert code == want, reply
     code, reply, _ = server.post("/solve", [body])
     assert code == 400 and "JSON object" in reply["error"]
+
+
+def test_rejected_bodies_leave_the_cache_alone(make_server, solve_body, spy):
+    server = make_server()
+    body = solve_body()
+    unknown = dict(body, colour="blue")
+    code, reply, _ = server.post("/solve", unknown)
+    assert code == 400 and "unknown field" in reply["error"]
+    assert spy["decodes"] == 0  # rejected before the system is built
+    code, reply, _ = server.post("/solve", dict(body, k="three"))
+    assert code == 400 and "'k'" in reply["error"]
+    batch = {"system": body["system"], "requests": [{"k": "three", "s": 0.5}]}
+    code, reply, _ = server.post("/batch", batch)
+    assert code == 400
+    assert not server.httpd.systems._systems
+    code, reply, _ = server.post("/solve", body)
+    assert code == 200 and reply["pool"]["system_decoded"]
+
+
+@pytest.mark.parametrize(
+    "benefit", [[[0], [1]], [[0, 1]], [[0, 1], [2]], [0.5]]
+)
+def test_non_integer_elements_answer_400(make_server, solve_body, benefit):
+    server = make_server()
+    body = solve_body()
+    sets = body["system"]["sets"]
+    bad = dict(body, system=dict(
+        body["system"], sets=[[benefit, *sets[0][1:]], *sets[1:]]
+    ))
+    code, reply, _ = server.post("/solve", bad)
+    assert code == 400 and "integers" in reply["error"]
+    assert not server.httpd.systems._systems

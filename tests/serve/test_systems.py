@@ -6,8 +6,12 @@ import json
 
 import pytest
 
-from repro.errors import ProtocolError
-from repro.resilience.pool.protocol import system_to_payload, system_wire
+from repro.resilience.pool.protocol import (
+    system_from_payload,
+    system_to_payload,
+    system_wire,
+)
+from repro.serve import systems
 from repro.serve.systems import SystemCache, parse_body
 
 
@@ -65,58 +69,80 @@ def body_text(system, indent=None) -> str:
     return json.dumps(system_to_payload(system), indent=indent)
 
 
+def cached(cache: SystemCache, text: str):
+    """Look ``text`` up, building and storing it on a miss, as the
+    handler does for an accepted request: ``(system, built)``."""
+    system = cache.get(text)
+    if system is not None:
+        return system, False
+    system = system_from_payload(json.loads(text))
+    cache.put(text, system)
+    return system, True
+
+
 class TestSystemCache:
     def test_repeat_text_is_a_hit_on_the_same_object(self, random_system):
         cache = SystemCache()
         text = body_text(random_system(seed=1))
-        first, decoded = cache.get(text, json.loads(text))
-        assert decoded
-        again, decoded = cache.get(text, json.loads(text))
-        assert again is first and not decoded
-        # The built system travels as the body's own text.
+        assert cache.get(text) is None
+        first, built = cached(cache, text)
+        assert built
+        assert cache.get(text) is first
+        # The stored system travels as the body's own text.
         assert system_wire(first)[0] == text
 
     def test_other_spelling_is_a_miss(self, random_system):
         cache = SystemCache()
         system = random_system(seed=1)
         compact, spaced = body_text(system), body_text(system, indent=1)
-        first, _ = cache.get(compact, json.loads(compact))
-        second, decoded = cache.get(spaced, json.loads(spaced))
-        assert decoded and second is not first
-        assert second.sets == first.sets
+        first, _ = cached(cache, compact)
+        assert cache.get(spaced) is None
+        second, _ = cached(cache, spaced)
+        assert second is not first and second.sets == first.sets
 
-    def test_budget_evicts_least_recently_used(self, random_system):
+    def test_first_put_is_kept(self, random_system):
+        cache = SystemCache()
+        text = body_text(random_system(seed=1))
+        first, _ = cached(cache, text)
+        other = system_from_payload(json.loads(text))
+        cache.put(text, other)
+        assert cache.get(text) is first
+        assert cache._bytes == len(text)
+        # The later build still travels as the body's text.
+        assert system_wire(other)[0] == text
+
+    def test_budget_evicts_least_recently_used(
+        self, random_system, monkeypatch
+    ):
         texts = [body_text(random_system(seed=seed)) for seed in range(3)]
         # Room for any two of the three texts, never for all three.
-        cache = SystemCache(
-            max_bytes=len(texts[0]) + max(len(texts[1]), len(texts[2]))
-        )
-        for text in texts[:2]:
-            cache.get(text, json.loads(text))
-        cache.get(texts[0], json.loads(texts[0]))  # texts[1] is now oldest
-        cache.get(texts[2], json.loads(texts[2]))
-        assert not cache.get(texts[0], json.loads(texts[0]))[1]
-        assert cache.get(texts[1], json.loads(texts[1]))[1]
-        assert cache._bytes <= cache.max_bytes
-
-    def test_bad_system_raises_and_is_not_cached(self):
+        budget = len(texts[0]) + max(len(texts[1]), len(texts[2]))
+        monkeypatch.setattr(systems, "SYSTEM_CACHE_BYTES", budget)
         cache = SystemCache()
-        with pytest.raises(ProtocolError):
-            cache.get('{"n": 3}', {"n": 3})
-        assert not cache._systems
+        for text in texts[:2]:
+            cached(cache, text)
+        cached(cache, texts[0])  # texts[1] is now oldest
+        cached(cache, texts[2])
+        assert cache.get(texts[0]) is not None
+        assert cache.get(texts[1]) is None
+        assert cache._bytes <= budget
 
-    def test_concurrent_gets_keep_the_budget_exact(self, random_system):
+    def test_concurrent_lookups_keep_the_budget_exact(
+        self, random_system, monkeypatch
+    ):
         import sys
         import threading
 
         texts = [body_text(random_system(seed=seed)) for seed in range(6)]
-        cache = SystemCache(max_bytes=3 * max(map(len, texts)))
+        budget = 3 * max(map(len, texts))
+        monkeypatch.setattr(systems, "SYSTEM_CACHE_BYTES", budget)
+        cache = SystemCache()
         wrong = []
 
         def hammer(offset: int) -> None:
             for i in range(60):
                 text = texts[(i + offset) % len(texts)]
-                system, _ = cache.get(text, json.loads(text))
+                system, _ = cached(cache, text)
                 if system_wire(system)[0] != text:
                     wrong.append(text)
 
@@ -137,4 +163,4 @@ class TestSystemCache:
         assert wrong == []
         held = list(cache._systems.values())
         assert cache._bytes == sum(size for _, size in held)
-        assert cache._bytes <= cache.max_bytes
+        assert cache._bytes <= budget
