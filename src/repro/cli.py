@@ -1102,8 +1102,8 @@ def _cmd_debug(args: argparse.Namespace) -> int:
 
 
 def _record_title(record: dict) -> str:
-    """A ringed record's name; its type for records without one (the
-    recorder rings ``quality`` and ``meta`` records among the events)."""
+    """A ringed record's name; its type for records without one (a
+    worker's ring keeps every record type, ``quality`` included)."""
     return record.get("name") or record.get("type") or "?"
 
 

@@ -38,7 +38,7 @@ from repro.core.marginal import (
     resolve_backend,
 )
 from repro.core.postprocess import prune_redundant
-from repro.core.preprocess import remove_dominated, restrict_to_budget
+from repro.core.preprocess import remove_dominated
 from repro.core.validate import verify_result
 from repro.core.result import CoverResult, Metrics, result_from_dict
 from repro.core.setsystem import SetSystem, WeightedSet
@@ -67,7 +67,6 @@ __all__ = [
     "prune_redundant",
     "remove_dominated",
     "resolve_backend",
-    "restrict_to_budget",
     "result_from_dict",
     "solve_exact",
     "solve_lp_relaxation",

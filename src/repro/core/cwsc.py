@@ -13,6 +13,8 @@ from __future__ import annotations
 import time
 from typing import Literal
 
+import numpy as np
+
 from repro.core.marginal import TrackerBackend, make_tracker, resolve_backend
 from repro.core.result import CoverResult, Metrics, make_result
 from repro.core.setsystem import SetSystem
@@ -238,13 +240,13 @@ def _bail(
     if on_infeasible == "partial":
         return _finish(system, algorithm, chosen, False, params, metrics, start)
     if on_infeasible == "full_cover":
-        full = [
-            ws for ws in system.sets if ws.size == system.n_elements
-        ]
-        if full:
-            cheapest = min(full, key=lambda ws: (ws.cost, ws.set_id))
+        indptr, _, costs = system.csr()
+        full = np.flatnonzero(np.diff(indptr) == system.n_elements)
+        if full.size:
+            # argmin keeps the lowest id among equal costs.
+            cheapest = int(full[np.argmin(costs[full])])
             return _finish(
-                system, algorithm, [cheapest.set_id], True, params, metrics, start
+                system, algorithm, [cheapest], True, params, metrics, start
             )
         # fall through to raising: no default solution exists
     partial = _finish(system, algorithm, chosen, False, params, metrics, start)

@@ -60,8 +60,9 @@ def canonical_keys(system) -> tuple[tuple, ...]:
     """``canonical_keys(system)[set_id]`` — cached per-set tie-break keys.
 
     Equal to ``canonical_key(ws.label, ws.set_id)`` for every set of the
-    system, computed once per system and shared by every oracle argmax
-    and :func:`repro.core.packed.canonical_ranks` on that system.
+    system, computed once per system from its labels (no per-set
+    objects) and shared by every oracle argmax and
+    :func:`repro.core.packed.canonical_ranks` on that system.
     """
     try:
         keys = _CANON_CACHE.get(system)
@@ -70,7 +71,8 @@ def canonical_keys(system) -> tuple[tuple, ...]:
     if keys is not None:
         return keys
     keys = tuple(
-        canonical_key(ws.label, ws.set_id) for ws in system.sets
+        canonical_key(system.label_of(set_id), set_id)
+        for set_id in range(system.n_sets)
     )
     try:
         _CANON_CACHE[system] = keys

@@ -20,19 +20,20 @@ The LP, over set variables ``x_s`` and element variables ``y_e``::
                 0 <= x_s, y_e <= 1
 
 Solved with ``scipy.optimize.linprog`` (HiGHS) on a sparse constraint
-matrix. Sets with infinite cost are excluded (they can never be part of a
-finite optimum).
+matrix built as CSC straight from the CSR of the system's
+dominance-reduced view. Empty sets and sets with infinite cost are
+excluded (they can never be part of a finite optimum).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from repro.core.preprocess import reduced_view
 from repro.core.setsystem import SetSystem
 from repro.errors import InfeasibleError, TransientSolverError, ValidationError
 from repro.obs import trace as obs_trace
@@ -60,6 +61,11 @@ def solve_lp_relaxation(
 ) -> LPRelaxation:
     """Solve the LP relaxation; see the module docstring for the model.
 
+    The LP runs on the system's dominance-reduced view
+    (:func:`repro.core.preprocess.reduced_view`, computed once per
+    system), which has the same optimum; ``set_fractions`` is keyed by
+    the ids of ``system`` itself.
+
     Raises
     ------
     InfeasibleError
@@ -81,68 +87,72 @@ def solve_lp_relaxation(
         if obs_trace.enabled()
         else obs_trace.NULL_SPAN
     ) as sp:
-        relaxation = _solve_lp_relaxation(system, k, s_hat)
+        relaxation, reduced_sets = _solve_lp_relaxation(system, k, s_hat)
         if sp.enabled:
             sp.set(
                 lp_value=relaxation.value,
                 fractional_sets=len(relaxation.set_fractions),
+                reduced_sets=reduced_sets,
             )
         return relaxation
 
 
 def _solve_lp_relaxation(
     system: SetSystem, k: int, s_hat: float
-) -> LPRelaxation:
+) -> tuple[LPRelaxation, int]:
+    """The relaxation and the number of set columns its LP had."""
     injector = faults.active()
     if injector is not None:
         injector.lp_attempt()
     required = system.required_coverage(s_hat)
     if required == 0:
-        return LPRelaxation(value=0.0, set_fractions={})
+        return LPRelaxation(value=0.0, set_fractions={}), 0
 
-    usable = [ws for ws in system.sets if ws.benefit and math.isfinite(ws.cost)]
-    m = len(usable)
+    view, ids = reduced_view(system)
+    indptr, indices, costs = view.csr()
+    sizes = np.diff(indptr)
+    usable = (sizes > 0) & np.isfinite(costs)
+    if not usable.all():
+        indices = indices[np.repeat(usable, sizes)]
+        sizes, costs, ids = sizes[usable], costs[usable], ids[usable]
+    m = len(ids)
     n = system.n_elements
     if m == 0:
         raise InfeasibleError("lp relaxation: no usable sets")
 
-    # Variable layout: z = [x_0..x_{m-1}, y_0..y_{n-1}].
-    costs = np.zeros(m + n)
-    costs[:m] = [ws.cost for ws in usable]
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    # Row 0: -sum_e y_e <= -required.
-    for e in range(n):
-        rows.append(0)
-        cols.append(m + e)
-        vals.append(-1.0)
-    # Rows 1..n: y_e - sum_{s ni e} x_s <= 0.
-    for e in range(n):
-        rows.append(1 + e)
-        cols.append(m + e)
-        vals.append(1.0)
-    for j, ws in enumerate(usable):
-        for e in ws.benefit:
-            rows.append(1 + e)
-            cols.append(j)
-            vals.append(-1.0)
-    # Row n+1: sum_s x_s <= k.
-    for j in range(m):
-        rows.append(n + 1)
-        cols.append(j)
-        vals.append(1.0)
-
-    a_ub = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(n + 2, m + n)
-    ).tocsr()
+    # Variables z = [x_0..x_{m-1}, y_0..y_{n-1}]; rows: 0 is
+    # -sum_e y_e <= -required, 1 + e is y_e - sum_{s ni e} x_s <= 0,
+    # n + 1 is sum_s x_s <= k. Column x_s holds -1 at rows 1 + e for
+    # e in s, then +1 at row n + 1; column y_e holds -1 at row 0 and
+    # +1 at row 1 + e.
+    col_ptr = np.zeros(m + n + 1, dtype=np.int64)
+    np.cumsum(sizes + 1, out=col_ptr[1 : m + 1])
+    nnz_x = int(col_ptr[m])
+    col_ptr[m + 1 :] = nnz_x + 2 * np.arange(1, n + 1)
+    rows = np.empty(nnz_x + 2 * n, dtype=np.int64)
+    vals = np.empty(nnz_x + 2 * n)
+    last = col_ptr[1 : m + 1] - 1
+    member = np.ones(nnz_x, dtype=bool)
+    member[last] = False
+    rows[:nnz_x][member] = 1 + indices
+    vals[:nnz_x][member] = -1.0
+    rows[last] = n + 1
+    vals[last] = 1.0
+    rows[nnz_x::2] = 0
+    rows[nnz_x + 1 :: 2] = 1 + np.arange(n)
+    vals[nnz_x::2] = -1.0
+    vals[nnz_x + 1 :: 2] = 1.0
+    a_ub = sparse.csc_matrix((vals, rows, col_ptr), shape=(n + 2, m + n))
     b_ub = np.zeros(n + 2)
     b_ub[0] = -float(required)
     b_ub[n + 1] = float(k)
 
     outcome = linprog(
-        costs, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs"
+        np.concatenate((costs, np.zeros(n))),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=(0.0, 1.0),
+        method="highs",
     )
     if not outcome.success:
         # HiGHS status 4 is "numerical difficulties" — a retryable
@@ -156,12 +166,10 @@ def _solve_lp_relaxation(
         raise InfeasibleError(
             f"lp relaxation: LP infeasible or failed ({outcome.message})"
         )
-    fractions = {
-        ws.set_id: float(outcome.x[j])
-        for j, ws in enumerate(usable)
-        if outcome.x[j] > 1e-9
-    }
-    return LPRelaxation(value=float(outcome.fun), set_fractions=fractions)
+    x = outcome.x[:m]
+    picked = np.flatnonzero(x > 1e-9)
+    fractions = dict(zip(ids[picked].tolist(), x[picked].tolist()))
+    return LPRelaxation(value=float(outcome.fun), set_fractions=fractions), m
 
 
 def lp_lower_bound(system: SetSystem, k: int, s_hat: float) -> float:

@@ -233,6 +233,35 @@ class SetSystem:
             system.validate_strict()
         return system
 
+    def subsystem(self, set_ids) -> "SetSystem":
+        """The system of the sets ``set_ids`` (ascending, distinct),
+        renumbered ``0 ..`` in that order.
+
+        Labels are read through this system's label decoder, and
+        ``labels_sorted`` carries over: a subsequence of sorted ids
+        stays sorted. The new system holds no reference to this one.
+        """
+        ids = np.asarray(set_ids, dtype=np.int64)
+        sizes = np.diff(self._indptr)
+        chosen = np.zeros(self.n_sets, dtype=bool)
+        chosen[ids] = True
+        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(sizes[ids], out=indptr[1:])
+        parent_label_of = self._label_of
+        system = SetSystem.__new__(SetSystem)
+        system._init(
+            self._n,
+            indptr,
+            self._indices[np.repeat(chosen, sizes)],
+            self._costs[ids],
+            label_of=(
+                None if parent_label_of is None
+                else lambda set_id: parent_label_of(int(ids[set_id]))
+            ),
+            labels_sorted=self.labels_sorted,
+        )
+        return system
+
     def validate_strict(self) -> "SetSystem":
         """Reject inputs that are legal in the permissive model but almost
         always bugs in a production pipeline.

@@ -56,11 +56,12 @@ def run(scale: Scale = "full") -> ExperimentReport:
         table = master.sample(config["n_rows"], seed=config["seed"] + sample_id)
         system = build_set_system(table, "max")
         # Dominance preprocessing preserves the optimum and keeps the
-        # exhaustive search tractable (see repro.core.preprocess).
+        # exhaustive search tractable (see repro.core.preprocess); the
+        # LP reduces the system itself.
         reduced = remove_dominated(system)
         for s_hat in config["s_values"]:
             opt = solve_exact(reduced, config["k"], s_hat)
-            lp = lp_lower_bound(reduced, config["k"], s_hat)
+            lp = lp_lower_bound(system, config["k"], s_hat)
             ours_cwsc = cwsc(
                 system, config["k"], s_hat, on_infeasible="full_cover"
             )

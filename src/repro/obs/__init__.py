@@ -34,7 +34,7 @@ This package makes both first-class instead of debug logging:
   ("repro")`` with a ``NullHandler``) and console-handler setup for the
   CLI and pool workers.
 * :mod:`repro.obs.flightrec` — the always-on flight recorder: bounded
-  ring buffers for spans/events/access/metrics, a passive sink of the
+  ring buffers for spans/events/access/metrics/quality, a passive sink of the
   tracer that leaves ``enabled()`` False, so the hot-path guards stay
   cold.
 * :mod:`repro.obs.stacks` — ``sys._current_frames`` stack sampling (one

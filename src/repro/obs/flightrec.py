@@ -3,13 +3,14 @@
 The trace file answers "what happened" *if you asked in advance*; the
 ``/metrics`` page answers "what is happening now". Neither helps when a
 worker dies at 3am and the evidence is already gone. The flight recorder
-is the black box in between: four lock-cheap ring buffers that
+is the black box in between: five lock-cheap ring buffers that
 continuously retain the most recent
 
 * **spans** — completed server/pool spans,
 * **events** — pool lifecycle, breaker transitions, chaos injections,
 * **access** — the daemon's per-request ``access`` records,
 * **metrics** — periodic registry snapshots from a background poller,
+* **quality** — the ``quality`` records of finished solves,
 
 plus the last ring shipped home by each pool worker (see
 ``repro.resilience.pool.worker``). Everything is bounded: a ring never
@@ -44,12 +45,23 @@ from collections import deque
 from typing import Any, Callable
 
 __all__ = [
+    "RING_TYPES",
     "RingBuffer",
     "FlightRecorder",
     "install",
     "uninstall",
     "get_recorder",
 ]
+
+#: Ring name -> the record type it keeps, in bundle order. A record of
+#: any other type (a trace file's ``meta`` header) is not kept.
+RING_TYPES = {
+    "spans": "span",
+    "events": "event",
+    "access": "access",
+    "metrics": "metrics",
+    "quality": "quality",
+}
 
 
 class RingBuffer:
@@ -112,6 +124,7 @@ class FlightRecorder:
     EVENTS = 1024
     ACCESS = 256
     METRICS = 16
+    QUALITY = 256
     #: Seconds between periodic metrics snapshots.
     METRICS_INTERVAL = 10.0
 
@@ -120,6 +133,10 @@ class FlightRecorder:
         self.events = RingBuffer(self.EVENTS)
         self.access = RingBuffer(self.ACCESS)
         self.metrics = RingBuffer(self.METRICS)
+        self.quality = RingBuffer(self.QUALITY)
+        self._by_type = {
+            kind: getattr(self, name) for name, kind in RING_TYPES.items()
+        }
         self.started_unix = time.time()
         #: worker index -> last ring the worker shipped in a result frame
         self._worker_rings: dict[int, list[dict[str, Any]]] = {}
@@ -130,17 +147,9 @@ class FlightRecorder:
     # -- trace sink interface ------------------------------------------
 
     def write(self, record: dict[str, Any]) -> None:
-        kind = record.get("type")
-        if kind == "span":
-            self.spans.append(record)
-        elif kind == "access":
-            self.access.append(record)
-        elif kind == "metrics":
-            self.metrics.append(record)
-        else:
-            # events, plus anything unrecognized (meta, quality):
-            # better in the wrong ring than silently gone.
-            self.events.append(record)
+        ring = self._by_type.get(record.get("type"))
+        if ring is not None:
+            ring.append(record)
 
     def note_worker_ring(self, index: int, records: list[dict[str, Any]]) -> None:
         """Retain the ring a pool worker shipped in its latest result
@@ -205,10 +214,7 @@ class FlightRecorder:
             "started_unix": round(self.started_unix, 3),
             "uptime_seconds": round(time.time() - self.started_unix, 3),
             "rings": {
-                "spans": self.spans.stats(),
-                "events": self.events.stats(),
-                "access": self.access.stats(),
-                "metrics": self.metrics.stats(),
+                name: ring.stats() for name, ring in self._named_rings()
             },
             "worker_ring_records": workers,
         }
@@ -225,12 +231,10 @@ class FlightRecorder:
                 "records": ring.snapshot(),
             }
 
-        return {
-            "spans": _ring(self.spans),
-            "events": _ring(self.events),
-            "access": _ring(self.access),
-            "metrics": _ring(self.metrics),
-        }
+        return {name: _ring(ring) for name, ring in self._named_rings()}
+
+    def _named_rings(self) -> list[tuple[str, RingBuffer]]:
+        return [(name, getattr(self, name)) for name in RING_TYPES]
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from typing import Any
 
 from repro.errors import ValidationError
 from repro.obs import stacks as obs_stacks
-from repro.obs.flightrec import FlightRecorder
+from repro.obs.flightrec import RING_TYPES, FlightRecorder
 from repro.obs.schema import validate_record
 
 __all__ = [
@@ -90,15 +90,6 @@ _REQUIRED_SECTIONS = (
     "stacks",
     "metrics",
 )
-
-#: Ring name -> the record type it holds (None: the events ring, which
-#: also catches any type the recorder does not route elsewhere).
-_RING_TYPES = {
-    "spans": "span",
-    "events": None,
-    "access": "access",
-    "metrics": "metrics",
-}
 
 #: Header/config/context keys whose values are scrubbed by
 #: :func:`redact_bundle` — substring match, case-insensitive.
@@ -203,7 +194,7 @@ def validate_bundle(bundle: Any) -> list[str]:
     if not isinstance(rings, dict):
         problems.append("rings must be an object")
         return problems
-    for name in ("spans", "events", "access", "metrics"):
+    for name in RING_TYPES:
         ring = rings.get(name)
         if not isinstance(ring, dict) or not isinstance(
             ring.get("records"), list
@@ -217,11 +208,9 @@ def validate_bundle(bundle: Any) -> list[str]:
     if problems:
         return problems
 
-    for name, expected in _RING_TYPES.items():
+    for name, expected in RING_TYPES.items():
         for index, record in enumerate(rings[name]["records"]):
-            if expected is not None and (
-                not isinstance(record, dict) or record.get("type") != expected
-            ):
+            if not isinstance(record, dict) or record.get("type") != expected:
                 problems.append(
                     f"rings.{name}[{index}] is not of type {expected!r}"
                 )

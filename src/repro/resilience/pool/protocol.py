@@ -318,13 +318,6 @@ def system_from_payload(payload: dict) -> SetSystem:
     return SetSystem.from_iterables(n_elements, benefits, costs, labels=labels)
 
 
-#: Parent-side cache: serializing a big system once per *request* would
-#: dominate `scwsc batch` fan-out, but systems are immutable, so the
-#: payload and its fingerprint are computed once per system. Weak keys:
-#: dropping the system drops the cached payload.
-_PAYLOAD_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -335,28 +328,17 @@ def _canonical(system: SetSystem) -> tuple[dict, str]:
 
 
 def system_payload_and_fingerprint(system: SetSystem) -> tuple[dict, str]:
-    """The (cached) payload of a system plus its content fingerprint.
+    """The payload of a system plus its content fingerprint.
 
     The fingerprint is the SHA-256 of the canonical (sorted-keys,
     compact) JSON encoding of the payload, so two systems fingerprint
     equal exactly when their payloads are identical — same universe,
     same benefit sets, same costs, same label reprs/sort keys. It is
     the ``system_fp`` of any system not decoded from a request body
-    (:func:`system_wire`).
+    (:func:`system_wire`, which caches it per system).
     """
-    try:
-        cached = _PAYLOAD_CACHE.get(system)
-    except TypeError:  # unhashable/unweakrefable stand-in: build fresh
-        cached = None
-    if cached is not None:
-        return cached
     payload, body = _canonical(system)
-    cached = (payload, _sha256(body))
-    try:
-        _PAYLOAD_CACHE[system] = cached
-    except TypeError:  # pragma: no cover - stand-in objects only
-        pass
-    return cached
+    return payload, _sha256(body)
 
 
 #: Parent-side wire forms: ``system -> (text, fingerprint)``, the JSON

@@ -1,10 +1,10 @@
-"""Unit tests for dominance and budget preprocessing."""
+"""Unit tests for dominance preprocessing."""
 
 import pytest
 
 from repro.core.exact import solve_exact
 from repro.core.lp_bound import lp_lower_bound
-from repro.core.preprocess import remove_dominated, restrict_to_budget
+from repro.core.preprocess import reduced_view, remove_dominated
 from repro.core.setsystem import SetSystem
 
 
@@ -69,19 +69,27 @@ class TestRemoveDominated:
         assert reduced.n_sets < entities_system.n_sets
 
 
-class TestRestrictToBudget:
-    def test_filters_expensive(self, entities_system):
-        cheap = restrict_to_budget(entities_system, 10.0)
-        assert all(ws.cost <= 10.0 for ws in cheap.sets)
-        assert cheap.n_sets < entities_system.n_sets
+class TestReducedView:
+    def test_ids_map_view_sets_to_originals(self, entities_system):
+        view, ids = reduced_view(entities_system)
+        for new_id, old_id in enumerate(ids.tolist()):
+            assert view.label_of(new_id) == entities_system.label_of(old_id)
+            assert view[new_id].benefit == entities_system[old_id].benefit
 
-    def test_labels_preserved(self, entities_system):
-        cheap = restrict_to_budget(entities_system, 10.0)
-        originals = {
-            ws.label for ws in entities_system.sets if ws.cost <= 10.0
-        }
-        assert {ws.label for ws in cheap.sets} == originals
+    def test_computed_once_per_system(self, entities_system):
+        first = reduced_view(entities_system)
+        assert reduced_view(entities_system)[0] is first[0]
 
-    def test_empty_result_allowed(self, entities_system):
-        none = restrict_to_budget(entities_system, 0.0)
-        assert none.n_sets == 0
+    def test_labels_sorted_carries_over(self, entities_system):
+        system = SetSystem.from_iterables(
+            3, [{0}, {0, 1}, {2}], [2.0, 1.0, 1.0]
+        )
+        assert not remove_dominated(system).labels_sorted
+        assert entities_system.labels_sorted
+        assert remove_dominated(entities_system).labels_sorted
+
+    def test_nothing_dominated_is_its_own_view(self):
+        system = SetSystem.from_iterables(3, [{0}, {1, 2}], [1.0, 1.0])
+        view, ids = reduced_view(system)
+        assert view is system
+        assert ids.tolist() == [0, 1]

@@ -93,7 +93,7 @@ PINNED_BASELINES = (
     (
         "lp_rounding_repair",
         lambda system: lp_rounding(system, K, 0.9, seed=0),
-        (22, 2648, 6648, 8284, 9641, 9895, 13979, 15244, 1851, 9087,
+        (22, 586, 2648, 6648, 8284, 9895, 13979, 15244, 1851, 9087,
          13365, 13770), 49.1513, 1080,
         (49_320, 100_440, 1, 36),
     ),

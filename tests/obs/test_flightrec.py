@@ -62,11 +62,14 @@ class TestFlightRecorderRouting:
         rec.write({"type": "metrics", "t": 0.0, "metrics": {}})
         rec.write({"type": "access", "t": 0.0, "status": 200})
         rec.write({"type": "quality", "algorithm": "greedy"})
+        rec.write({"type": "meta", "schema": "scwsc-trace/1"})
         assert len(rec.spans) == 1
         assert len(rec.metrics) == 1
         assert len(rec.access) == 1
-        # events ring catches events plus anything unrecognized
-        assert len(rec.events) == 2
+        assert len(rec.quality) == 1
+        # the events ring keeps events only; a type without a ring is
+        # not kept
+        assert [r["type"] for r in rec.events.snapshot()] == ["event"]
 
     def test_worker_rings_are_copied_out(self):
         rec = FlightRecorder()
@@ -82,7 +85,9 @@ class TestFlightRecorderRouting:
         rec = FlightRecorder()
         rec.write({"type": "span", "name": "s"})
         snap = rec.snapshot()
-        assert set(snap) == {"spans", "events", "access", "metrics"}
+        assert set(snap) == {
+            "spans", "events", "access", "metrics", "quality"
+        }
         assert snap["spans"]["capacity"] == 4
         assert [r["name"] for r in snap["spans"]["records"]] == ["s"]
 

@@ -77,6 +77,22 @@ class TestBuildAndValidate:
                    for v in bundle["build"].values())
         assert bundle["build"]["backend"] == "packed"
 
+    def test_events_ring_holds_only_events(self):
+        rec = loaded_recorder()
+        quality = {"type": "quality", "t": 0.3, "algorithm": "cwsc",
+                   "quality": {"total_cost": 4.0}}
+        rec.write(quality)
+        bundle = build_bundle(rec, trigger="manual", reason="test",
+                              stack_samples=1, stack_interval=0.0)
+        events = bundle["rings"]["events"]["records"]
+        assert [r["type"] for r in events] == ["event"]
+        assert bundle["rings"]["quality"]["records"] == [quality]
+        assert validate_bundle(bundle) == []
+        bundle["rings"]["events"]["records"].append(quality)
+        assert validate_bundle(bundle) == [
+            "rings.events[1] is not of type 'event'"
+        ]
+
     def test_validate_rejects_wrong_schema_and_trigger(self):
         assert validate_bundle(make_bundle(schema="nope"))
         assert validate_bundle(make_bundle(trigger="nope"))
@@ -327,8 +343,9 @@ class TestDebugCli:
     def test_debug_inspect_titles_records_without_a_name(
         self, tmp_path, capsys
     ):
-        # The recorder rings quality (and meta) records among the events,
-        # and a worker ring may end with one; inspect names them by type.
+        # A worker ring may end with a quality record, which has no
+        # name; inspect names it by type. The recorder keeps quality
+        # records in their own ring, so the last events are events.
         from repro.cli import main
 
         quality = {"type": "quality", "t": 0.3, "algorithm": "cwsc",
@@ -345,6 +362,7 @@ class TestDebugCli:
         assert main(["debug", "inspect", str(path)]) == 0
         out = capsys.readouterr().out
         assert "None" not in out
-        assert "t=0.3 quality" in out
+        assert "quality  1 record(s) (capacity 256, dropped 0)" in out
+        assert "t=0.3" not in out
         assert "worker 1: 1 record(s), last=quality" in out
         assert "worker 0: 1 record(s), last=worker_stage" in out
